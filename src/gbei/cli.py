@@ -20,7 +20,7 @@ from .graphs import PartiteSpec, complete_multipartite, cut_sets, load_graph
 from .groebner import TermOrder
 from .hilbert import hilbert_series
 from .hochster import HOCHSTER_CAP
-from .rings import DEFAULT_PRIME
+from .rings import DEFAULT_PRIME, is_prime
 from .verify import GROEBNER_CAP, enumerate_specs, summarize, sweep, verify
 
 _ORDERS = ("lex-row-major", "lex-column-major")
@@ -88,9 +88,12 @@ def _resolve_prime(args, parser):
                 parser.error(f"GBEI_PRIME must be an integer, got {env!r}")
         else:
             prime = DEFAULT_PRIME
-    if prime < 2:
-        parser.error(f"prime must be at least 2, got {prime}")
-    return prime
+    try:
+        if is_prime(prime):
+            return prime
+    except ValueError as exc:
+        parser.error(str(exc))
+    parser.error(f"prime must be a prime number, got {prime}")
 
 
 def _resolve_spec(args, parser):

@@ -7,17 +7,17 @@ cone, and it is a cone exactly unless sigma is a union of generator
 supports, so only those unions are ever enumerated — that pruning is what
 keeps 12-variable tables affordable.
 
-Ranks of boundary matrices are computed by Gaussian elimination mod p on
-int64 arrays; with p < 2^15.5 every intermediate product stays far below
-2^63.
+Boundary ranks come from sparse column reduction over GF(p) on Python
+ints, so they are exact for every prime.  The maps are reduced from the
+top dimension down, and a column whose face was already a pivot row of the
+map above is skipped: it always reduces to zero (the "clearing" of
+Chen-Kerber, Persistent homology computation with a twist, EuroCG 2011).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import CapExceededError
-from .rings import DEFAULT_PRIME
+from .rings import DEFAULT_PRIME, is_prime
 
 HOCHSTER_CAP = 15
 
@@ -61,68 +61,96 @@ class SimplicialComplex:
     def faces_by_size(self, sigma_mask):
         """Faces of the restriction to sigma, grouped by cardinality.
 
-        Depth-first over increasing vertex index; a subset containing a
-        generator support stays one forever, so the whole subtree prunes.
+        Faces grow from a stack by adding vertices above their top vertex,
+        so each group comes out in lex order.  A stack entry carries the
+        vertices that extend its face, and only later ones of those can
+        extend a child.  The supports inside sigma are indexed by their top
+        vertex: adding v can only complete a support topped by v, as any
+        other support inside the new face was already inside the parent.
         """
         verts = [v for v in range(self.nvars) if sigma_mask >> v & 1]
-        local = [s for s in self.supports if s & ~sigma_mask == 0]
-        grouped = [[] for _ in range(len(verts) + 1)]
-        grouped[0].append(0)
-
-        def grow(mask, size, start):
-            for idx in range(start, len(verts)):
-                cand = mask | 1 << verts[idx]
-                if any(s & ~cand == 0 for s in local):
-                    continue
-                grouped[size + 1].append(cand)
-                grow(cand, size + 1, idx + 1)
-
-        grow(0, 0, 0)
+        # rests[v]: the supports inside sigma topped by v, with v removed
+        rests = [[] for _ in range(self.nvars)]
+        for s in self.supports:
+            if s & ~sigma_mask == 0:
+                top = s.bit_length() - 1
+                rests[top].append(s ^ 1 << top)
+        grouped = [[0]] + [[] for _ in verts]
+        # (face, its size, the vertices that extend it)
+        roots = [v for v in verts if 0 not in rests[v]]
+        stack = [(0, 0, roots)] if roots else []
+        while stack:
+            face, size, exts = stack.pop()
+            size += 1
+            children = [face | 1 << v for v in exts]
+            grouped[size].extend(children)
+            # push in reverse so the stack pops children in lex order
+            for k in range(len(exts) - 2, -1, -1):
+                child = children[k]
+                outside = ~child
+                nxt = []
+                for v in exts[k + 1:]:
+                    for rest in rests[v]:
+                        if rest & outside == 0:
+                            break
+                    else:
+                        nxt.append(v)
+                if nxt:
+                    stack.append((child, size, nxt))
         while len(grouped) > 1 and not grouped[-1]:
             grouped.pop()
         return grouped
 
 
-def _rank_mod_p(matrix, p):
-    """Rank of an integer matrix over GF(p), row-reduction in numpy."""
-    if matrix.size == 0:
-        return 0
-    a = np.array(matrix % p, dtype=np.int64)
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        hits = np.nonzero(a[rank:, col])[0]
-        if hits.size == 0:
-            continue
-        r = rank + int(hits[0])
-        if r != rank:
-            a[[rank, r]] = a[[r, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
-        rest = np.nonzero(a[rank + 1:, col])[0]
-        if rest.size:
-            rows = rest + rank + 1
-            a[rows] = (a[rows] - np.outer(a[rows, col], a[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _boundary_columns(smaller, larger, p, skip=()):
+    """Columns {row: coeff mod p} of the boundary map from `larger` to `smaller`.
 
-
-def _boundary_rank(smaller, larger, p):
-    """Rank of the boundary map from faces `larger` down to faces `smaller`."""
-    if not larger or not smaller:
-        return 0
+    The j-th lowest vertex of a face carries the sign (-1)^j.  Columns whose
+    index is in `skip` are left out.
+    """
     index = {mask: i for i, mask in enumerate(smaller)}
-    mat = np.zeros((len(smaller), len(larger)), dtype=np.int64)
-    for j, mask in enumerate(larger):
-        sign = 1
-        m = mask
+    minus_one = p - 1
+    for j, face in enumerate(larger):
+        if j in skip:
+            continue
+        col = {}
+        coeff = 1
+        m = face
         while m:
             low = m & -m
-            mat[index[mask ^ low], j] = sign
-            sign = -sign
+            col[index[face ^ low]] = coeff
+            coeff = minus_one if coeff == 1 else 1
             m ^= low
-    return _rank_mod_p(mat, p)
+        yield col
+
+
+def _pivot_rows(columns, p):
+    """Reduce sparse columns left to right over GF(p); return the pivot rows.
+
+    A column's pivot is its largest row index; a column whose pivot is
+    taken has that earlier column subtracted until its pivot is free or it
+    vanishes.  There is one pivot per rank, so the rank is the count.
+    """
+    pivots = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            prior = pivots.get(low)
+            if prior is None:
+                lead = col[low]
+                if lead != 1:
+                    inv = pow(lead, -1, p)
+                    col = {r: c * inv % p for r, c in col.items()}
+                pivots[low] = col
+                break
+            f = col[low]
+            for r, c in prior.items():
+                x = (col.get(r, 0) - f * c) % p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return pivots.keys()
 
 
 def _homology_ranks(grouped, p):
@@ -131,16 +159,25 @@ def _homology_ranks(grouped, p):
     grouped[c] lists the size-c faces (grouped[0] = [empty face]); the rank
     of H~_k is f_k minus the ranks of the boundary maps on either side.
     """
-    boundary = [0]  # rank of the map out of size-0 faces (the zero map)
-    for c in range(1, len(grouped)):
-        boundary.append(_boundary_rank(grouped[c - 1], grouped[c], p))
-    boundary.append(0)
+    top = len(grouped)
+    boundary = [0] * (top + 1)  # boundary[c]: rank of the map out of size c
+    cleared = ()
+    for c in range(top - 1, 0, -1):
+        cleared = _pivot_rows(
+            _boundary_columns(grouped[c - 1], grouped[c], p, cleared), p)
+        boundary[c] = len(cleared)
     return [len(grouped[c]) - boundary[c] - boundary[c + 1]
-            for c in range(len(grouped))]
+            for c in range(top)]
+
+
+def _check_prime(p):
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
 
 
 def reduced_homology_ranks(complex_, sigma, p=DEFAULT_PRIME):
     """Ranks of H~_k(restriction to sigma; GF(p)) for k = -1 .. |sigma|-1."""
+    _check_prime(p)
     mask = 0
     for v in sigma:
         mask |= 1 << v
@@ -198,6 +235,7 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
         raise ValueError("betti_table requires a squarefree monomial ideal")
     if ideal.is_unit():
         raise ValueError("betti_table requires a proper ideal")
+    _check_prime(p)
     if ideal.nvars > cap:
         raise CapExceededError(
             f"{ideal.nvars} variables exceeds the Hochster cap of {cap}")

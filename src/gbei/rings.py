@@ -10,8 +10,44 @@ and a pure lex comparison is just tuple comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 DEFAULT_PRIME = 32003
+
+
+# --------------------------------------------------------------------------
+# coefficient primes
+
+# Miller-Rabin with these bases is exact for every n below 2^64
+# (indeed below 3.3 * 10^24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@lru_cache(maxsize=None)
+def is_prime(n):
+    """Deterministic primality test; n >= 2^64 raises ValueError."""
+    if n >= 1 << 64:
+        raise ValueError(f"primality is only certified below 2^64, got {n}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -78,8 +114,8 @@ class Ring:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must be nonempty")
-        if self.prime < 2:
-            raise ValueError("prime must be at least 2")
+        if not is_prime(self.prime):
+            raise ValueError(f"{self.prime} is not a prime")
         if self.aux < 0:
             raise ValueError("aux variable count must be nonnegative")
 

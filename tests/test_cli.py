@@ -152,6 +152,9 @@ def test_cutsets_cap_is_a_usage_error(tmp_path, capsys):
     ["predict", "--m", "1", "--parts", "1,2"],
     ["predict", "--m", "2", "--parts", "1,2", "--prime", "1"],
     ["verify", "--m", "2", "--parts", "1,2", "--order", "grevlex"],
+    ["verify", "--m", "2", "--parts", "2,2", "--prime", "4"],
+    ["verify", "--m", "2", "--parts", "2,2", "--prime", "6"],
+    ["verify", "--m", "2", "--parts", "1,1", "--prime", str(2**64 + 13)],
 ])
 def test_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -171,6 +174,24 @@ def test_bad_environment_prime(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--m", "2", "--parts", "1,1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("env", ["4", "6"])
+def test_composite_environment_prime(env, capsys, monkeypatch):
+    monkeypatch.setenv("GBEI_PRIME", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "2", "--parts", "2,2"])
+    assert exc.value.code == 2
+
+
+def test_verify_is_exact_for_a_61_bit_prime(capsys):
+    # a Mersenne prime past the range where fixed-width products are exact
+    code, doc, _ = run_json(["verify", "--m", "2", "--parts", "2,2",
+                             "--prime", str(2**61 - 1)], capsys)
+    assert code == 0
+    assert doc["prime"] == 2**61 - 1
+    statuses = {row["name"]: row["status"] for row in doc["invariants"]}
+    assert statuses["depth"] == "match" and statuses["reg"] == "match"
 
 
 def test_explicit_prime_wins_over_environment(capsys, monkeypatch):

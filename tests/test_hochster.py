@@ -2,15 +2,19 @@
 
 The known-space checks pin the rank computation: a full simplex is acyclic,
 the hollow triangle is a circle, and the 6-vertex projective plane detects
-the coefficient prime (torsion at 2).  The Betti tables are then validated
+the coefficient prime (torsion at 2).  The sparse rank routine is checked
+against sympy's DomainMatrix over GF(p) where sympy is installed, up to
+primes far past 64 bits.  The Betti tables are then validated
 against Auslander-Buchsbaum and against the Hilbert numerator, which ties
 this module to an entirely independent computation.
 """
 
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gbei.errors import CapExceededError
@@ -18,6 +22,9 @@ from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.hochster import (
     BettiTable,
     SimplicialComplex,
+    _boundary_columns,
+    _homology_ranks,
+    _pivot_rows,
     betti_table,
     reduced_homology_ranks,
 )
@@ -121,6 +128,20 @@ def test_rp2_homology_depends_on_the_prime():
     assert reduced_homology_ranks(c, sigma, p=32003) == [0, 0, 0, 0, 0, 0, 0]
 
 
+def _dense_boundary(smaller, larger):
+    """Boundary matrix as row lists, signs from the j-th lowest set bit."""
+    index = {mask: i for i, mask in enumerate(smaller)}
+    mat = [[0] * len(larger) for _ in smaller]
+    for j, mask in enumerate(larger):
+        sign, m = 1, mask
+        while m:
+            low = m & -m
+            mat[index[mask ^ low]][j] = sign
+            sign = -sign
+            m ^= low
+    return mat
+
+
 def test_boundary_composition_vanishes():
     # rebuild the boundary matrices with the same sign convention (the j-th
     # lowest set bit carries (-1)^j) and check that consecutive maps compose
@@ -128,24 +149,121 @@ def test_boundary_composition_vanishes():
     for ideal in (_rp2_ideal(), _sq(3, (0, 1, 2)), _sq(4, (0, 1), (2, 3))):
         c = SimplicialComplex.of_ideal(ideal)
         grouped = c.faces_by_size((1 << ideal.nvars) - 1)
-
-        def boundary(smaller, larger):
-            index = {mask: i for i, mask in enumerate(smaller)}
-            mat = np.zeros((len(smaller), len(larger)), dtype=np.int64)
-            for j, mask in enumerate(larger):
-                sign, m = 1, mask
-                while m:
-                    low = m & -m
-                    mat[index[mask ^ low], j] = sign
-                    sign = -sign
-                    m ^= low
-            return mat
-
         for c_size in range(1, len(grouped) - 1):
-            a = boundary(grouped[c_size - 1], grouped[c_size])
-            b = boundary(grouped[c_size], grouped[c_size + 1])
+            a = _dense_boundary(grouped[c_size - 1], grouped[c_size])
+            b = _dense_boundary(grouped[c_size], grouped[c_size + 1])
             for p in (2, 32003):
-                assert not ((a @ b) % p).any()
+                for row in a:
+                    for k in range(len(b[0])):
+                        assert sum(x * b[j][k] for j, x in enumerate(row)) % p == 0
+
+
+def test_sparse_columns_match_dense_boundary():
+    c = SimplicialComplex.of_ideal(_rp2_ideal())
+    grouped = c.faces_by_size((1 << 6) - 1)
+    for c_size in range(1, len(grouped)):
+        dense = _dense_boundary(grouped[c_size - 1], grouped[c_size])
+        for p in (2, 7):
+            cols = list(_boundary_columns(grouped[c_size - 1], grouped[c_size], p))
+            for j, col in enumerate(cols):
+                want = {i: row[j] % p for i, row in enumerate(dense) if row[j]}
+                assert col == want
+
+
+def test_faces_are_lex_ordered_and_complete():
+    rng = random.Random(5)
+    for _ in range(20):
+        nvars = rng.randrange(1, 9)
+        supports = [sum(1 << v for v in rng.sample(range(nvars), rng.randrange(1, nvars + 1)))
+                    for _ in range(rng.randrange(1, 5))]
+        c = SimplicialComplex(nvars, supports)
+        sigma = rng.randrange(1 << nvars)
+        grouped = c.faces_by_size(sigma)
+        want = {}
+        for mask in range(1 << nvars):
+            if mask & ~sigma == 0 and c.is_face(mask):
+                want.setdefault(bin(mask).count("1"), []).append(mask)
+        assert len(grouped) == max(want) + 1
+        for size, faces in enumerate(grouped):
+            key = [sorted(v for v in range(nvars) if f >> v & 1) for f in faces]
+            assert key == sorted(key)
+            assert sorted(faces) == want[size]
+
+
+# ---------------------------------------------------------------------------
+# the sparse rank routine against an independent implementation
+
+_DIFF_PRIMES = (2, 3, 32003, 2**61 - 1, 2**89 - 1)
+
+
+def _sympy_rank(cols, nrows, p):
+    dm = pytest.importorskip("sympy.polys.matrices")
+    sympy = pytest.importorskip("sympy")
+    K = sympy.GF(p)
+    rows = [[K(col.get(i, 0)) for col in cols] for i in range(nrows)]
+    return dm.DomainMatrix(rows, (nrows, len(cols)), K).rank()
+
+
+def _our_rank(cols, p):
+    return len(_pivot_rows([{r: c % p for r, c in col.items()} for col in cols], p))
+
+
+@pytest.mark.parametrize("p", _DIFF_PRIMES)
+def test_rank_matches_sympy_on_random_sparse_matrices(p):
+    rng = random.Random(p % 1000)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 12), rng.randrange(1, 12)
+        density = rng.choice((0.2, 0.4, 0.7))
+        cols = [{i: rng.choice((1, -1)) for i in range(nrows) if rng.random() < density}
+                for _ in range(ncols)]
+        assert _our_rank(cols, p) == _sympy_rank(cols, nrows, p)
+
+
+@pytest.mark.parametrize("p", _DIFF_PRIMES)
+def test_rank_matches_sympy_on_random_boundaries(p):
+    rng = random.Random(17 + p % 1000)
+    complexes = [SimplicialComplex.of_ideal(_rp2_ideal())]
+    for _ in range(8):
+        nvars = rng.randrange(4, 8)
+        supports = [sum(1 << v for v in rng.sample(range(nvars), rng.randrange(2, 5)))
+                    for _ in range(rng.randrange(1, 6))]
+        complexes.append(SimplicialComplex(nvars, supports))
+    for c in complexes:
+        grouped = c.faces_by_size((1 << c.nvars) - 1)
+        for size in range(1, len(grouped)):
+            cols = [{r: (1 if v == 1 else -1) for r, v in col.items()}
+                    for col in _boundary_columns(grouped[size - 1], grouped[size], 3)]
+            assert _our_rank(cols, p) == _sympy_rank(cols, len(grouped[size - 1]), p)
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_clearing_does_not_change_homology(p):
+    grouped = SimplicialComplex.of_ideal(_rp2_ideal()).faces_by_size((1 << 6) - 1)
+    uncleared = [0] * (len(grouped) + 1)
+    for size in range(1, len(grouped)):
+        uncleared[size] = len(_pivot_rows(
+            _boundary_columns(grouped[size - 1], grouped[size], p), p))
+    plain = [len(grouped[c]) - uncleared[c] - uncleared[c + 1]
+             for c in range(len(grouped))]
+    assert _homology_ranks(grouped, p) == plain
+    assert plain == ([0, 0, 1, 1] if p == 2 else [0, 0, 0, 0])
+
+
+def test_homology_rejects_a_composite_modulus():
+    c = SimplicialComplex.of_ideal(_sq(3, (0, 1, 2)))
+    with pytest.raises(ValueError):
+        reduced_homology_ranks(c, [0, 1, 2], p=4)
+    with pytest.raises(ValueError):
+        betti_table(_sq(3, (0, 1, 2)), p=6)
+
+
+def test_package_imports_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "sys.modules['numpy'] = None; import gbei")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from gbei.rings import (
     Poly,
     Ring,
     TermOrder,
+    is_prime,
     mono_coprime,
     mono_degree,
     mono_div,
@@ -62,6 +63,35 @@ def test_ring_indexing():
     assert R.prime == DEFAULT_PRIME
     assert [R.var_index(i, j) for i in (1, 2) for j in (1, 2, 3)] == list(range(6))
     assert R.var_name(R.var_index(2, 3)) == "x[2,3]"
+
+
+def test_is_prime_against_trial_division():
+    def slow(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == \
+        [n for n in range(3000) if slow(n)]
+
+
+@pytest.mark.parametrize("n,want", [
+    (561, False), (3215031751, False),           # Carmichael; spsp(2,3,5,7)
+    (3825123056546413051, False),                # spsp to bases 2..23
+    (DEFAULT_PRIME, True), (2**61 - 1, True), (2**64 - 59, True),
+    (2**32 + 1, False), ((2**31 - 1) * (2**31 - 1), False),
+])
+def test_is_prime_hard_cases(n, want):
+    assert is_prime(n) is want
+
+
+def test_is_prime_refuses_to_guess_past_64_bits():
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+
+
+@pytest.mark.parametrize("prime", [0, 1, 4, 6, 32001, 2**61 + 1])
+def test_ring_rejects_non_primes(prime):
+    with pytest.raises(ValueError):
+        Ring(2, 2, prime)
 
 
 def test_extended_ring_prepends_aux():

@@ -62,6 +62,14 @@ def test_alternate_prime_and_order():
     assert report.order in ("lex-column-major", "lex-row-major")
 
 
+def test_large_prime_gives_exact_depth_and_reg():
+    # 2^61 - 1 overflows any fixed-width product of two residues
+    report = verify(PartiteSpec(2, (2, 2)), prime=2**61 - 1)
+    assert report.row("depth")["status"] == "match"
+    assert report.row("reg")["status"] == "match"
+    assert not report.has_mismatch
+
+
 def test_determinism():
     def stripped(report):
         doc = report.to_json()
