@@ -21,7 +21,7 @@ from .graphs import (PartiteSpec, PathWitness, SimpleGraph, complete_graph,
 from .groebner import (Ideal, buchberger, ideals_equal, initial_ideal,
                        intersect, normal_form, spolynomial)
 from .hilbert import (HilbertSeries, MonomialIdeal, hilbert_series,
-                      is_squarefree, krull_dimension, multiplicity)
+                      krull_dimension, multiplicity)
 from .hochster import (BettiTable, SimplicialComplex, betti_table,
                        reduced_homology_ranks)
 from .rings import DEFAULT_PRIME, Poly, Ring, TermOrder
@@ -39,7 +39,7 @@ __all__ = [
     "complete_graph", "complete_multipartite", "connected_components",
     "cut_sets", "decomposition_components", "enumerate_specs",
     "generalized_bei", "graph_from_json", "hilbert_series", "ideals_equal",
-    "initial_ideal", "intersect", "is_squarefree", "konig_check",
+    "initial_ideal", "intersect", "konig_check",
     "konig_path", "krull_dimension", "load_graph", "max_coprime_subset",
     "multiplicity", "normal_form", "pair_ideal", "path_target_length",
     "predict", "predicted_cut_sets", "predicted_depth",

@@ -121,7 +121,6 @@ def _emit(doc, args):
 
 
 def _cmd_predict(args, parser):
-    _resolve_prime(args, parser)  # predictions are prime-independent; validate anyway
     spec = _resolve_spec(args, parser)
     _emit(predict(spec, char_zero=args.char_zero).to_json(), args)
     return 0
@@ -129,7 +128,7 @@ def _cmd_predict(args, parser):
 
 def _cmd_verify(args, parser):
     spec = _resolve_spec(args, parser)
-    report = verify(spec, prime=_resolve_prime(args, parser), order=args.order,
+    report = verify(spec, prime=args.prime, order=args.order,
                     groebner_cap=args.groebner_max_vars,
                     hochster_cap=args.hochster_max_vars)
     _emit(report.to_json(), args)
@@ -140,7 +139,7 @@ def _cmd_sweep(args, parser):
     if args.max_m < 2 or args.max_n < 2:
         parser.error("--max-m and --max-n must be at least 2")
     reports = sweep(enumerate_specs(args.max_m, args.max_n),
-                    prime=_resolve_prime(args, parser), order=args.order,
+                    prime=args.prime, order=args.order,
                     groebner_cap=args.groebner_max_vars,
                     hochster_cap=args.hochster_max_vars)
     doc = {"reports": [r.to_json() for r in reports],
@@ -150,7 +149,6 @@ def _cmd_sweep(args, parser):
 
 
 def _cmd_cutsets(args, parser):
-    _resolve_prime(args, parser)  # combinatorial, but reject nonsense flags
     try:
         G = load_graph(args.graph)
     except (OSError, ValueError) as exc:
@@ -165,11 +163,10 @@ def _cmd_cutsets(args, parser):
 
 def _cmd_hilbert(args, parser):
     spec = _resolve_spec(args, parser)
-    prime = _resolve_prime(args, parser)
     predicted = predicted_hilbert(spec)
     computed = None
     if spec.m * spec.n <= args.groebner_max_vars:
-        J = generalized_bei(spec.m, complete_multipartite(spec), prime)
+        J = generalized_bei(spec.m, complete_multipartite(spec), args.prime)
         computed = hilbert_series(J.initial_ideal(TermOrder.by_name(args.order, J.ring)))
     else:
         print(f"note: m*n = {spec.m * spec.n} exceeds the Groebner cap; "
@@ -199,6 +196,7 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.prime = _resolve_prime(args, parser)
     try:
         return _COMMANDS[args.command](args, parser)
     except SystemExit:

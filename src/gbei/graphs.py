@@ -309,15 +309,20 @@ def graph_from_json(obj) -> SimpleGraph:
     """Build a graph from ``{"n": int, "edges": [[u, v], ...]}`` with 1-based vertices."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('graph JSON must be {"n": int, "edges": [[u,v], ...]}')
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    n, edges = obj["n"], obj["edges"]
+    if not _is_int(n) or n < 1:
         raise ValueError("graph JSON: n must be a positive integer")
-    edges = []
-    for e in obj["edges"]:
-        if len(e) != 2:
-            raise ValueError(f"graph JSON: bad edge {e}")
-        edges.append((int(e[0]), int(e[1])))
+    if not isinstance(edges, list):
+        raise ValueError("graph JSON: edges must be a list")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise ValueError(f"graph JSON: bad edge {e!r}")
     return SimpleGraph.from_edges(n, edges)
+
+
+def _is_int(value):
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_graph(path) -> SimpleGraph:

@@ -53,10 +53,6 @@ class MonomialIdeal:
         return f"MonomialIdeal(nvars={self.nvars}, gens={len(self.gens)})"
 
 
-def is_squarefree(ideal):
-    return ideal.is_squarefree()
-
-
 # --------------------------------------------------------------------------
 # series arithmetic
 

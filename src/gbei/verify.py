@@ -8,7 +8,10 @@ beyond the spec itself, so a "match" row is a genuine independent check.
 
 Caps are per stage: an instance too big for Buchberger still gets its cut
 sets and path checked, and one too big for the Hochster table still gets
-dimension, Hilbert series, and multiplicity from the initial ideal.
+dimension, Hilbert series, and multiplicity from the initial ideal.  Depth
+and regularity are read off in(J) only when it is squarefree (Conca–Varbaro,
+Invent. Math. 2020); otherwise those rows are skipped(squarefree-check-failed)
+and the report keeps the term order the caller asked for.
 """
 
 from __future__ import annotations
@@ -70,17 +73,6 @@ class InvariantReport:
         }
 
 
-def _row(name, predicted, computed):
-    status = "match" if predicted == computed else "mismatch"
-    return {"name": name, "predicted": predicted, "computed": computed,
-            "status": status}
-
-
-def _skip(name, predicted, reason):
-    return {"name": name, "predicted": predicted, "computed": None,
-            "status": f"skipped({reason})"}
-
-
 def _series_json(series):
     return {"numerator": list(series.numerator), "pole": series.pole}
 
@@ -89,91 +81,92 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
            order: str = "lex-row-major", groebner_cap: int = GROEBNER_CAP,
            hochster_cap: int = HOCHSTER_CAP,
            cutset_cap: int = CUT_SET_CAP) -> InvariantReport:
-    """Full oracle run against predict(spec); see the module docstring."""
+    """Full oracle run against predict(spec); see the module docstring.
+
+    A non-prime ``prime``, one of 2^64 or more, or an unknown term order
+    raises ValueError before any stage runs, whatever the caps are.
+    """
+    term_order = TermOrder.by_name(order, Ring(spec.m, spec.n, prime))
     pred = predict(spec)
     G = complete_multipartite(spec)
     nvars = spec.m * spec.n
-    rows = {}
+    predicted = {
+        "dim": pred.dim, "depth": pred.depth, "reg": pred.reg,
+        "hilbert": _series_json(pred.hilbert), "mult": pred.mult,
+        "decomposition": True, "containment": True,
+        "cutSets": [list(T) for T in sorted(pred.cut_sets,
+                                            key=lambda T: (len(T), T))],
+        "konig": {"length": path_target_length(spec), "valid": True,
+                  "coprime": True},
+    }
+    computed = {}
+    skipped = {}
     timing = {}
-    order_used = order
     squarefree = False
-    hilb_pred = _series_json(pred.hilbert)
 
-    if nvars <= groebner_cap:
+    if nvars > groebner_cap:
+        skipped.update(dict.fromkeys(_ROW_ORDER[:7], "groebner-cap"))
+    else:
         t0 = time.perf_counter()
         J = generalized_bei(spec.m, G, prime)
-        primary = TermOrder.by_name(order, J.ring)
-        ini = J.initial_ideal(primary)
+        ini = J.initial_ideal(term_order)
         timing["groebner"] = (time.perf_counter() - t0) * 1000
 
         t0 = time.perf_counter()
         series = hilbert_series(ini)
         timing["hilbert"] = (time.perf_counter() - t0) * 1000
-        rows["dim"] = _row("dim", pred.dim, krull_dimension(series))
-        rows["hilbert"] = _row("hilbert", hilb_pred, _series_json(series))
-        rows["mult"] = _row("mult", pred.mult, multiplicity(series))
+        computed["dim"] = krull_dimension(series)
+        computed["hilbert"] = _series_json(series)
+        computed["mult"] = multiplicity(series)
 
-        homology_ini = ini if ini.is_squarefree() else None
-        if homology_ini is None:
-            fallback = ("lex-column-major" if order == "lex-row-major"
-                        else "lex-row-major")
-            alt = J.initial_ideal(TermOrder.by_name(fallback, J.ring))
-            if alt.is_squarefree():
-                homology_ini = alt
-                order_used = fallback
-        squarefree = homology_ini is not None
-
+        squarefree = ini.is_squarefree()
         if nvars > hochster_cap:
-            rows["depth"] = _skip("depth", pred.depth, "hochster-cap")
-            rows["reg"] = _skip("reg", pred.reg, "hochster-cap")
-        elif homology_ini is None:
-            rows["depth"] = _skip("depth", pred.depth, "squarefree-check-failed")
-            rows["reg"] = _skip("reg", pred.reg, "squarefree-check-failed")
+            skipped.update(depth="hochster-cap", reg="hochster-cap")
+        elif not squarefree:
+            skipped.update(depth="squarefree-check-failed",
+                           reg="squarefree-check-failed")
         else:
             t0 = time.perf_counter()
-            table = betti_table(homology_ini, prime, cap=hochster_cap)
+            table = betti_table(ini, prime, cap=hochster_cap)
             timing["hochster"] = (time.perf_counter() - t0) * 1000
-            rows["depth"] = _row("depth", pred.depth, table.depth())
-            rows["reg"] = _row("reg", pred.reg, table.regularity())
+            computed["depth"] = table.depth()
+            computed["reg"] = table.regularity()
 
         t0 = time.perf_counter()
         parts = [prime_component(spec.m, G, T, prime) for T in pred.cut_sets]
         meet = parts[0]
         for other in parts[1:]:
             meet = intersect(meet, other)
-        rows["decomposition"] = _row("decomposition", True, ideals_equal(J, meet))
-        contained = all(P.contains(g) for P in parts for g in J.gens)
-        rows["containment"] = _row("containment", True, contained)
+        computed["decomposition"] = ideals_equal(J, meet)
+        computed["containment"] = all(P.contains(g) for P in parts for g in J.gens)
         timing["decomposition"] = (time.perf_counter() - t0) * 1000
-    else:
-        for name, value in (("dim", pred.dim), ("depth", pred.depth),
-                            ("reg", pred.reg), ("hilbert", hilb_pred),
-                            ("mult", pred.mult), ("decomposition", True),
-                            ("containment", True)):
-            rows[name] = _skip(name, value, "groebner-cap")
 
-    cuts_pred = [list(T) for T in sorted(pred.cut_sets, key=lambda T: (len(T), T))]
-    if spec.n <= cutset_cap:
-        t0 = time.perf_counter()
-        cuts_found = [sorted(T) for T, _ in cut_sets(G, cutset_cap)]
-        timing["cutsets"] = (time.perf_counter() - t0) * 1000
-        rows["cutSets"] = _row("cutSets", cuts_pred, cuts_found)
+    if spec.n > cutset_cap:
+        skipped["cutSets"] = "cutset-cap"
     else:
-        rows["cutSets"] = _skip("cutSets", cuts_pred, "cutset-cap")
+        t0 = time.perf_counter()
+        computed["cutSets"] = [sorted(T) for T, _ in cut_sets(G, cutset_cap)]
+        timing["cutsets"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
     check = konig_check(spec)
     timing["konig"] = (time.perf_counter() - t0) * 1000
-    rows["konig"] = _row(
-        "konig",
-        {"length": path_target_length(spec), "valid": True, "coprime": True},
-        {"length": len(check["path"]) - 1, "valid": check["path_valid"],
-         "coprime": check["initial_terms_coprime"]})
+    computed["konig"] = {"length": len(check["path"]) - 1,
+                         "valid": check["path_valid"],
+                         "coprime": check["initial_terms_coprime"]}
 
-    return InvariantReport(
-        spec=spec, order=order_used, prime=prime,
-        invariants=[rows[name] for name in _ROW_ORDER],
-        squarefree=squarefree, timing_ms=timing)
+    rows = []
+    for name in _ROW_ORDER:
+        if name in skipped:
+            value, status = None, f"skipped({skipped[name]})"
+        else:
+            value = computed[name]
+            status = "match" if predicted[name] == value else "mismatch"
+        rows.append({"name": name, "predicted": predicted[name],
+                     "computed": value, "status": status})
+    return InvariantReport(spec=spec, order=order, prime=prime,
+                           invariants=rows, squarefree=squarefree,
+                           timing_ms=timing)
 
 
 def konig_check(spec: PartiteSpec):

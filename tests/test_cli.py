@@ -155,6 +155,8 @@ def test_cutsets_cap_is_a_usage_error(tmp_path, capsys):
     ["verify", "--m", "2", "--parts", "2,2", "--prime", "4"],
     ["verify", "--m", "2", "--parts", "2,2", "--prime", "6"],
     ["verify", "--m", "2", "--parts", "1,1", "--prime", str(2**64 + 13)],
+    ["hilbert", "--m", "2", "--parts", "1,1", "--prime", "4"],
+    ["sweep", "--max-m", "2", "--max-n", "2", "--prime", "6"],
 ])
 def test_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -210,3 +212,19 @@ def test_internal_error_is_exit_three(capsys, monkeypatch):
     code, _, err = run(["verify", "--m", "2", "--parts", "1,1"], capsys)
     assert code == 3
     assert "synthetic failure" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "edges": 5},
+    {"n": 3, "edges": [5]},
+    {"n": 3, "edges": [[1, None]]},
+    {"n": 3, "edges": [[1.9, 2]]},
+    {"n": 3, "edges": [["1", "2"]]},
+    {"n": True, "edges": []},
+])
+def test_cutsets_malformed_graph_is_a_usage_error(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["cutsets", "--graph", str(path)])
+    assert exc.value.code == 2

@@ -207,6 +207,13 @@ def test_graph_from_json():
     {"n": 3, "edges": [[1, 1]]},
     {"n": 3, "edges": [[1, 9]]},
     [1, 2],
+    {"n": True, "edges": []},
+    {"n": 3, "edges": 5},
+    {"n": 3, "edges": [5]},
+    {"n": 3, "edges": [[1, None]]},
+    {"n": 3, "edges": [[1.9, 2]]},
+    {"n": 3, "edges": [["1", "2"]]},
+    {"n": 3, "edges": [[True, 2]]},
 ])
 def test_graph_from_json_rejects(doc):
     with pytest.raises(ValueError):

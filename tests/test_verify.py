@@ -1,11 +1,13 @@
 """The oracle pipeline: full runs, per-stage skips, and the report schema."""
 
+import importlib
 import random
 from itertools import combinations
 
 import pytest
 
 from gbei.graphs import PartiteSpec
+from gbei.groebner import Ideal
 from gbei.rings import mono_coprime
 from gbei.verify import (
     enumerate_specs,
@@ -15,6 +17,9 @@ from gbei.verify import (
     sweep,
     verify,
 )
+
+# the package re-exports verify(), which hides the submodule attribute
+verify_module = importlib.import_module("gbei.verify")
 
 ROW_NAMES = ["dim", "depth", "reg", "hilbert", "mult",
              "decomposition", "containment", "cutSets", "konig"]
@@ -59,7 +64,36 @@ def test_alternate_prime_and_order():
                     order="lex-column-major")
     assert not report.has_mismatch
     assert report.prime == 101
-    assert report.order in ("lex-column-major", "lex-row-major")
+    assert report.order == "lex-column-major"
+
+
+@pytest.mark.parametrize("options", [
+    {"prime": 4},
+    {"prime": 2**64 + 13},
+    {"order": "grevlex"},
+])
+def test_bad_prime_or_order_rejected_whatever_the_caps(options):
+    # with every algebraic stage capped away nothing else would look at them
+    with pytest.raises(ValueError):
+        verify(PartiteSpec(2, (2, 2)), groebner_cap=4, hochster_cap=4,
+               **options)
+
+
+@pytest.mark.parametrize("order", ["lex-row-major", "lex-column-major"])
+def test_non_squarefree_initial_ideal_skips_homology(order, monkeypatch):
+    original = verify_module.generalized_bei
+
+    def with_square(m, G, prime):
+        J = original(m, G, prime)
+        x11 = J.ring.variable(1, 1)
+        return Ideal(J.ring, J.gens + (x11 * x11,))
+
+    monkeypatch.setattr(verify_module, "generalized_bei", with_square)
+    report = verify(PartiteSpec(2, (1, 2)), order=order)
+    assert report.row("depth")["status"] == "skipped(squarefree-check-failed)"
+    assert report.row("reg")["status"] == "skipped(squarefree-check-failed)"
+    assert not report.squarefree
+    assert report.order == order
 
 
 def test_large_prime_gives_exact_depth_and_reg():
