@@ -20,10 +20,8 @@ from .graphs import PartiteSpec, complete_multipartite, cut_sets, load_graph
 from .groebner import TermOrder
 from .hilbert import hilbert_series
 from .hochster import HOCHSTER_CAP
-from .rings import DEFAULT_PRIME, is_prime
+from .rings import DEFAULT_PRIME, TERM_ORDERS, is_prime
 from .verify import GROEBNER_CAP, enumerate_specs, summarize, sweep, verify
-
-_ORDERS = ("lex-row-major", "lex-column-major")
 
 
 def build_parser():
@@ -47,7 +45,7 @@ def build_parser():
                           help="comma-separated part sizes, e.g. 2,2 or 1,1,2")
 
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--order", choices=_ORDERS, default="lex-row-major",
+    caps.add_argument("--order", choices=list(TERM_ORDERS), default="lex-row-major",
                       help="primary term order for the oracle")
     caps.add_argument("--groebner-max-vars", type=int, default=GROEBNER_CAP,
                       help=f"skip Groebner stages above this m*n (default {GROEBNER_CAP})")

@@ -1,8 +1,15 @@
 """Buchberger's algorithm and ideal arithmetic built on it.
 
+Division runs against a reducer table of (support mask, lm, 1/lc, terms)
+entries: `buchberger` grows one table with its basis, `normal_form` builds
+one per call.  Every divisibility test first checks that the divisor's
+support mask lies inside the monomial's, a prefilter only, since leading
+terms need not be squarefree.  Pairs with coprime leading terms are never
+queued: their S-polynomials reduce to zero.
+
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, lcm order key, i, j), the
-divisor search in normal_form always takes the first match in list order,
+divisor search always takes the first match in table (basis list) order,
 and bases are returned reduced, monic, and sorted by descending leading
 term, which makes them unique for the ideal and order.
 """
@@ -12,32 +19,26 @@ from __future__ import annotations
 import heapq
 
 from .hilbert import MonomialIdeal
-from .rings import (Poly, TermOrder, mono_coprime, mono_degree, mono_div,
-                    mono_divides, mono_lcm, mono_mul)
+from .rings import (Poly, TermOrder, mono_degree, mono_div, mono_divides,
+                    mono_lcm, mono_mask, mono_mul)
 
 
-def normal_form(f, basis, order):
-    """Remainder of f under multivariate division by basis.
+def _reducer(g, order):
+    """Reducer table entry of a nonzero g: (lm mask, lm, 1/lc, terms)."""
+    lm = g.leading_monomial(order)
+    return mono_mask(lm), lm, pow(g.terms[lm], -1, g.ring.prime), g.terms
 
-    Deterministic: the highest reducible term is always reduced next, by
-    the first basis element (in list order) whose leading term divides it.
-    """
-    reducers = []
-    p = f.ring.prime
-    for g in basis:
-        if g.ring != f.ring:
-            raise ValueError("ring mismatch")
-        if g:
-            lm = g.leading_monomial(order)
-            reducers.append((lm, pow(g.terms[lm], -1, p), g.terms))
-    key = order.key
-    work = dict(f.terms)
+
+def _reduce(terms, reducers, key, p):
+    """Remainder terms of `terms` under division by a reducer table."""
+    work = dict(terms)
     remainder = {}
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        for lm, inv, gterms in reducers:
-            if mono_divides(lm, mono):
+        outside = ~mono_mask(mono)
+        for lm_mask, lm, inv, gterms in reducers:
+            if lm_mask & outside == 0 and mono_divides(lm, mono):
                 shift = mono_div(mono, lm)
                 scale = coeff * inv % p
                 for gm, gc in gterms.items():
@@ -52,9 +53,20 @@ def normal_form(f, basis, order):
                 break
         else:
             remainder[mono] = coeff
-    out = Poly.__new__(Poly)
-    out.ring, out.terms = f.ring, remainder
-    return out
+    return remainder
+
+
+def normal_form(f, basis, order):
+    """Remainder of f under multivariate division by basis.
+
+    Deterministic: the highest reducible term is always reduced next, by
+    the first basis element (in list order) whose leading term divides it.
+    """
+    for g in basis:
+        if g.ring != f.ring:
+            raise ValueError("ring mismatch")
+    reducers = [_reducer(g, order) for g in basis if g]
+    return Poly(f.ring, _reduce(f.terms, reducers, order.key, f.ring.prime))
 
 
 def spolynomial(f, g, order):
@@ -70,66 +82,75 @@ def spolynomial(f, g, order):
 def buchberger(gens, order):
     """The reduced Groebner basis of the ideal generated by gens.
 
-    S-pairs are processed in (lcm degree, lcm key, i, j) heap order; pairs
-    with coprime leading terms are discarded outright, and the chain
+    One reducer table, parallel to the basis, grows with it and serves
+    every S-polynomial reduction.  Pairs whose leading terms are coprime
+    never enter the queue (their S-polynomials reduce to zero); the rest
+    are processed in (lcm degree, lcm key, i, j) heap order, and the chain
     criterion drops a pair whose lcm is divisible by a third leading term
-    once both companion pairs have been dealt with.
+    once both companion pairs have left the queue.
     """
     basis = [g.monic(order) for g in gens if g]
     if not basis:
         return []
     key = order.key
-    lms = [g.leading_monomial(order) for g in basis]
+    ring = basis[0].ring
+    reducers = [_reducer(g, order) for g in basis]
     heap = []
     pending = set()
 
     def push_pairs(j):
-        lj = lms[j]
+        mask_j, lm_j = reducers[j][:2]
         for i in range(j):
-            lcm = mono_lcm(lms[i], lj)
-            heapq.heappush(heap, (mono_degree(lcm), key(lcm), i, j))
-            pending.add((i, j))
+            mask_i, lm_i = reducers[i][:2]
+            if mask_i & mask_j:
+                lcm = mono_lcm(lm_i, lm_j)
+                heapq.heappush(heap, (mono_degree(lcm), key(lcm), i, j, lcm))
+                pending.add((i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
-        li, lj = lms[i], lms[j]
-        if mono_coprime(li, lj):
-            continue
-        lcm = mono_lcm(li, lj)
-        if any(k != i and k != j and mono_divides(lms[k], lcm)
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k in range(len(basis))):
-            continue
-        remainder = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
-        if remainder:
-            basis.append(remainder.monic(order))
-            lms.append(remainder.leading_monomial(order))
-            push_pairs(len(basis) - 1)
+        outside = ~(reducers[i][0] | reducers[j][0])
+        for k, (lm_mask, lm, _, _) in enumerate(reducers):
+            if (lm_mask & outside == 0 and k != i and k != j
+                    and mono_divides(lm, lcm)
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                break
+        else:
+            s = spolynomial(basis[i], basis[j], order)
+            remainder = _reduce(s.terms, reducers, key, ring.prime)
+            if remainder:
+                g = Poly(ring, remainder).monic(order)
+                basis.append(g)
+                reducers.append(_reducer(g, order))
+                push_pairs(len(basis) - 1)
 
-    return _reduce_basis(basis, order)
+    return _reduce_basis(reducers, ring, order)
 
 
-def _reduce_basis(basis, order):
-    """Minimalize, tail-reduce, and sort a Groebner basis into reduced form."""
+def _reduce_basis(table, ring, order):
+    """The reduced basis, by descending lm, from a monic basis's table.
+
+    Tails are reduced by the whole minimal table: an element's leading
+    term is above its tail terms, so it never divides one of them.
+    """
     key = order.key
-    by_lm = sorted(basis, key=lambda g: key(g.leading_monomial(order)))
     minimal = []
-    kept_lms = []
-    for g in by_lm:
-        lm = g.leading_monomial(order)
-        if not any(mono_divides(h, lm) for h in kept_lms):
-            minimal.append(g)
-            kept_lms.append(lm)
+    for entry in sorted(table, key=lambda e: key(e[1])):
+        outside = ~entry[0]
+        if not any(h_mask & outside == 0 and mono_divides(h, entry[1])
+                   for h_mask, h, _, _ in minimal):
+            minimal.append(entry)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced.append(normal_form(g, others, order).monic(order) if others else g)
-    reduced.sort(key=lambda g: key(g.leading_monomial(order)), reverse=True)
+    for _, lm, _, terms in reversed(minimal):
+        tail = dict(terms)
+        del tail[lm]
+        tail = _reduce(tail, minimal, key, ring.prime)
+        reduced.append(Poly(ring, {lm: 1, **tail}))
     return reduced
 
 

@@ -17,7 +17,7 @@ Chen-Kerber, Persistent homology computation with a twist, EuroCG 2011).
 from __future__ import annotations
 
 from .errors import CapExceededError
-from .rings import DEFAULT_PRIME, is_prime
+from .rings import DEFAULT_PRIME, is_prime, mono_mask
 
 HOCHSTER_CAP = 15
 
@@ -43,14 +43,7 @@ class SimplicialComplex:
     def of_ideal(cls, ideal):
         if not ideal.is_squarefree():
             raise ValueError("Stanley-Reisner complex requires a squarefree ideal")
-        masks = []
-        for g in ideal.gens:
-            m = 0
-            for v, e in enumerate(g):
-                if e:
-                    m |= 1 << v
-            masks.append(m)
-        return cls(ideal.nvars, masks)
+        return cls(ideal.nvars, [mono_mask(g) for g in ideal.gens])
 
     def is_face(self, mask):
         for s in self.supports:

@@ -2,15 +2,18 @@
 
 Variables live on an ``m x n`` grid, one per matrix entry ``x[i,j]``, with an
 optional block of auxiliary elimination variables in front.  Monomials are
-plain exponent tuples: at the scales this package targets (at most ~17
-variables) dense tuples hash and compare faster than any sparse encoding,
-and a pure lex comparison is just tuple comparison.
+plain exponent tuples: at the scales this package targets (19 variables
+at the default Groebner cap: 18 grid variables plus one elimination
+variable) dense tuples hash and compare faster than any sparse encoding,
+and a pure lex comparison is just tuple comparison.  `mono_mask` gives a
+monomial's support as a bitmask, the cheap prefilter for divisibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, le, sub
 
 DEFAULT_PRIME = 32003
 
@@ -58,25 +61,25 @@ def mono_one(nvars):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
     """Quotient b / a, assuming a divides b."""
-    return tuple(x - y for x, y in zip(b, a))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mono_coprime(a, b):
@@ -93,6 +96,20 @@ def mono_is_squarefree(a):
 
 def mono_support(a):
     return tuple(v for v, e in enumerate(a) if e)
+
+
+def mono_mask(a):
+    """Support as a bitmask: bit v is set when variable v occurs in a.
+
+    mono_divides(a, b) implies mono_mask(a) & ~mono_mask(b) == 0, so the
+    mask test is a cheap prefilter for divisibility; the converse holds
+    only for squarefree a.
+    """
+    mask = 0
+    for v, e in enumerate(a):
+        if e:
+            mask |= 1 << v
+    return mask
 
 
 # --------------------------------------------------------------------------
@@ -203,11 +220,10 @@ class TermOrder:
 
     @classmethod
     def by_name(cls, name, ring):
-        if name == "lex-row-major":
-            return cls.lex_row_major(ring)
-        if name == "lex-column-major":
-            return cls.lex_column_major(ring)
-        raise ValueError(f"unknown term order {name!r}")
+        """The order called `name` (a key of TERM_ORDERS) on ring."""
+        if name not in TERM_ORDERS:
+            raise ValueError(f"unknown term order {name!r}")
+        return TERM_ORDERS[name](ring)
 
     def key(self, mono):
         if self._identity:
@@ -222,6 +238,13 @@ class TermOrder:
 
     def __hash__(self):
         return hash(self.perm)
+
+
+# The one table of term-order names (CLI choices included).
+TERM_ORDERS = {
+    "lex-row-major": TermOrder.lex_row_major,
+    "lex-column-major": TermOrder.lex_column_major,
+}
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +336,7 @@ class Poly:
         terms = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = mono_mul(ma, mb)
                 terms[m] = (terms.get(m, 0) + ca * cb) % p
         return Poly(self.ring, terms)
 
@@ -329,7 +352,7 @@ class Poly:
         coeff %= p
         terms = {}
         for m, c in self.terms.items():
-            terms[tuple(x + y for x, y in zip(m, mono))] = c * coeff % p
+            terms[mono_mul(m, mono)] = c * coeff % p
         return Poly(self.ring, terms)
 
     def monic(self, order):

@@ -26,7 +26,7 @@ from .graphs import (CUT_SET_CAP, PartiteSpec, complete_multipartite,
 from .groebner import TermOrder, ideals_equal, intersect
 from .hilbert import hilbert_series, krull_dimension, multiplicity
 from .hochster import HOCHSTER_CAP, betti_table
-from .rings import DEFAULT_PRIME, Ring, mono_coprime
+from .rings import DEFAULT_PRIME, Ring, mono_coprime, mono_mask
 
 GROEBNER_CAP = 18
 
@@ -201,13 +201,7 @@ def max_coprime_subset(monomials) -> int:
     Supports become bitmasks; the search includes each candidate before
     excluding it and prunes any branch that cannot beat the best found.
     """
-    supports = []
-    for mono in monomials:
-        mask = 0
-        for v, e in enumerate(mono):
-            if e:
-                mask |= 1 << v
-        supports.append(mask)
+    supports = [mono_mask(mono) for mono in monomials]
     if not supports:
         raise ValueError("need at least one monomial")
     best = 0

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from gbei.rings import (
     DEFAULT_PRIME,
+    TERM_ORDERS,
     Poly,
     Ring,
     TermOrder,
@@ -15,12 +16,14 @@ from gbei.rings import (
     mono_gcd,
     mono_is_squarefree,
     mono_lcm,
+    mono_mask,
     mono_mul,
     mono_one,
     mono_support,
 )
 
 monos = st.tuples(*([st.integers(0, 4)] * 5))
+squarefree_monos = st.tuples(*([st.integers(0, 1)] * 5))
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +50,17 @@ def test_lcm_gcd(a, b):
 def test_squarefree_and_support(a):
     assert mono_is_squarefree(a) == all(e <= 1 for e in a)
     assert mono_support(a) == tuple(v for v, e in enumerate(a) if e)
+
+
+@given(st.one_of(monos, squarefree_monos), monos, monos)
+def test_mask_is_a_divisibility_prefilter(a, b, c):
+    assert mono_mask(a) == sum(1 << v for v in mono_support(a))
+    for target in (b, mono_mul(a, c)):
+        inside = mono_mask(a) & ~mono_mask(target) == 0
+        if mono_divides(a, target):
+            assert inside
+        if mono_is_squarefree(a):
+            assert inside == mono_divides(a, target)
 
 
 def test_divides_is_componentwise():
@@ -134,6 +148,8 @@ def test_by_name():
     assert TermOrder.by_name("lex-column-major", R) == TermOrder.lex_column_major(R)
     with pytest.raises(ValueError):
         TermOrder.by_name("grevlex", R)
+    for name, make in TERM_ORDERS.items():
+        assert TermOrder.by_name(name, R).name == make(R).name == name
 
 
 # ---------------------------------------------------------------------------
