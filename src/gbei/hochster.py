@@ -4,17 +4,30 @@ The route is Hochster's formula: beta_{i,sigma}(S/I) is the rank of the
 reduced homology H~_{|sigma|-i-1} of the Stanley-Reisner complex of I
 restricted to sigma.  A restriction contributes nothing whenever it is a
 cone, and it is a cone exactly unless sigma is a union of generator
-supports, so only those unions are ever enumerated — that pruning is what
-keeps 12-variable tables affordable.
+supports, so only those unions are ever enumerated.
+
+All of them lie inside the union U of every support, and the faces of the
+restriction to sigma are the faces of the restriction to U that miss every
+vertex of U outside sigma.  So a Betti table enumerates faces once, into a
+face table for U: the faces in (size, lex) order, each face's boundary
+column over those global row indices, and for every vertex a bitset of the
+faces that contain it.  The faces of one sigma are all faces minus the OR
+of the bitsets of the vertices outside it, and each size is a bit range.
 
 Boundary ranks come from sparse column reduction over GF(p) on Python
 ints, so they are exact for every prime.  The maps are reduced from the
 top dimension down, and a column whose face was already a pivot row of the
 map above is skipped: it always reduces to zero (the "clearing" of
 Chen-Kerber, Persistent homology computation with a twist, EuroCG 2011).
+Every sigma reduces the same shared columns, so the reduction copies a
+column the first time it subtracts from it (copy-on-write) and never
+changes the table.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress
 
 from .errors import CapExceededError
 from .rings import DEFAULT_PRIME, is_prime, mono_mask
@@ -38,6 +51,9 @@ class SimplicialComplex:
         for s in self.supports:
             if s == 0:
                 raise ValueError("unit ideal has no Stanley-Reisner complex")
+            if not 0 < s < 1 << nvars:
+                raise ValueError(f"support {s:#b} is not a set of vertices "
+                                 f"in 0..{nvars - 1}")
 
     @classmethod
     def of_ideal(cls, ideal):
@@ -95,26 +111,67 @@ class SimplicialComplex:
         return grouped
 
 
-def _boundary_columns(smaller, larger, p, skip=()):
-    """Columns {row: coeff mod p} of the boundary map from `larger` to `smaller`.
+class _FaceTable:
+    """Faces of the restriction to `mask`, cut down to any subset of it.
 
-    The j-th lowest vertex of a face carries the sign (-1)^j.  Columns whose
-    index is in `skip` are left out.
+    Face i is the i-th face in (size, lex) order, and starts[c] is the index
+    of the first face of size c.  columns[i] is the boundary of face i as
+    {row index: coeff mod p}, where the j-th lowest vertex carries (-1)^j.
+    Bit i of holders[v] is set when face i contains vertex v.
     """
-    index = {mask: i for i, mask in enumerate(smaller)}
-    minus_one = p - 1
-    for j, face in enumerate(larger):
-        if j in skip:
-            continue
-        col = {}
-        coeff = 1
-        m = face
-        while m:
-            low = m & -m
-            col[index[face ^ low]] = coeff
-            coeff = minus_one if coeff == 1 else 1
-            m ^= low
-        yield col
+
+    __slots__ = ("mask", "p", "starts", "columns", "holders")
+
+    def __init__(self, complex_, mask, p):
+        grouped = complex_.faces_by_size(mask)
+        faces = [face for group in grouped for face in group]
+        index = {face: i for i, face in enumerate(faces)}
+        self.mask = mask
+        self.p = p
+        self.starts = [0, *accumulate(map(len, grouped))]
+        self.columns = [{index[face ^ 1 << v]: p - 1 if j & 1 else 1
+                         for j, v in enumerate(_set_bits(face))}
+                        for face in faces]
+        # one binary digit per face, the last face first
+        self.holders = [
+            int("".join("1" if face >> v & 1 else "0" for face in reversed(faces)), 2)
+            if mask >> v & 1 else 0
+            for v in range(complex_.nvars)]
+
+    def homology_ranks(self, sigma_mask):
+        """Reduced homology ranks of the restriction to a submask of the table.
+
+        The list runs over k = -1 .. d for the largest face dimension d; the
+        rank of H~_k is f_k minus the ranks of the boundary maps on either
+        side, and the maps are reduced from the top size down with clearing.
+        """
+        gone = 0
+        for v in _set_bits(self.mask & ~sigma_mask):
+            gone |= self.holders[v]
+        present = _set_bits(((1 << self.starts[-1]) - 1) & ~gone)
+        top = bisect_right(self.starts, present[-1])
+        cuts = [bisect_left(present, start) for start in self.starts[:top + 1]]
+        columns = self.columns
+        boundary = [0] * (top + 1)  # boundary[c]: rank of the map out of size c
+        cleared = ()
+        for c in range(top - 1, 1, -1):
+            cleared = _pivot_rows(
+                [columns[i] for i in present[cuts[c]:cuts[c + 1]] if i not in cleared],
+                self.p)
+            boundary[c] = len(cleared)
+        # the vertices, if any, map onto the empty face
+        boundary[1] = int(top > 1)
+        return [cuts[c + 1] - cuts[c] - boundary[c] - boundary[c + 1]
+                for c in range(top)]
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(bits):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    digits = bin(bits).encode()[:1:-1].translate(_BIT_BYTES)
+    return list(compress(range(len(digits)), digits))
 
 
 def _pivot_rows(columns, p):
@@ -122,10 +179,13 @@ def _pivot_rows(columns, p):
 
     A column's pivot is its largest row index; a column whose pivot is
     taken has that earlier column subtracted until its pivot is free or it
-    vanishes.  There is one pivot per rank, so the rank is the count.
+    vanishes.  There is one pivot per rank, so the rank is the count.  The
+    columns may be shared: one is copied before it is first changed, and a
+    stored pivot is never changed.
     """
     pivots = {}
     for col in columns:
+        owned = False
         while col:
             low = max(col)
             prior = pivots.get(low)
@@ -136,6 +196,9 @@ def _pivot_rows(columns, p):
                     col = {r: c * inv % p for r, c in col.items()}
                 pivots[low] = col
                 break
+            if not owned:
+                col = dict(col)
+                owned = True
             f = col[low]
             for r, c in prior.items():
                 x = (col.get(r, 0) - f * c) % p
@@ -144,23 +207,6 @@ def _pivot_rows(columns, p):
                 else:
                     del col[r]
     return pivots.keys()
-
-
-def _homology_ranks(grouped, p):
-    """Reduced homology ranks for k = -1 .. len(grouped)-2.
-
-    grouped[c] lists the size-c faces (grouped[0] = [empty face]); the rank
-    of H~_k is f_k minus the ranks of the boundary maps on either side.
-    """
-    top = len(grouped)
-    boundary = [0] * (top + 1)  # boundary[c]: rank of the map out of size c
-    cleared = ()
-    for c in range(top - 1, 0, -1):
-        cleared = _pivot_rows(
-            _boundary_columns(grouped[c - 1], grouped[c], p, cleared), p)
-        boundary[c] = len(cleared)
-    return [len(grouped[c]) - boundary[c] - boundary[c + 1]
-            for c in range(top)]
 
 
 def _check_prime(p):
@@ -173,9 +219,10 @@ def reduced_homology_ranks(complex_, sigma, p=DEFAULT_PRIME):
     _check_prime(p)
     mask = 0
     for v in sigma:
+        if not 0 <= v < complex_.nvars:
+            raise ValueError(f"vertex {v} is not in 0..{complex_.nvars - 1}")
         mask |= 1 << v
-    grouped = complex_.faces_by_size(mask)
-    ranks = _homology_ranks(grouped, p)
+    ranks = _FaceTable(complex_, mask, p).homology_ranks(mask)
     want = bin(mask).count("1") + 1
     return ranks + [0] * (want - len(ranks))
 
@@ -245,12 +292,13 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
                 closed.add(u)
                 frontier.append(u)
 
+    # every sigma is a submask of the union of all supports, the largest
+    table = _FaceTable(complex_, max(closed), p)
     entries = {}
     for mask in sorted(closed):
-        grouped = complex_.faces_by_size(mask)
-        ranks = _homology_ranks(grouped, p)
+        ranks = table.homology_ranks(mask)
         size = bin(mask).count("1")
-        sigma = frozenset(v for v in range(ideal.nvars) if mask >> v & 1)
+        sigma = frozenset(_set_bits(mask))
         for c, rank in enumerate(ranks):
             if rank:
                 k = c - 1

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from gbei import PartiteSpec, TermOrder, complete_multipartite, generalized_bei
 from gbei.errors import CapExceededError
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.hochster import (
     BettiTable,
     SimplicialComplex,
-    _boundary_columns,
-    _homology_ranks,
+    _FaceTable,
     _pivot_rows,
     betti_table,
     reduced_homology_ranks,
@@ -158,13 +158,21 @@ def test_boundary_composition_vanishes():
                         assert sum(x * b[j][k] for j, x in enumerate(row)) % p == 0
 
 
+def _size_columns(table, size):
+    """The table's boundary columns out of the size-`size` faces, with rows
+    renumbered from 0 within the size-(size-1) faces."""
+    lo = table.starts[size - 1]
+    return [{r - lo: c for r, c in col.items()}
+            for col in table.columns[table.starts[size]:table.starts[size + 1]]]
+
+
 def test_sparse_columns_match_dense_boundary():
     c = SimplicialComplex.of_ideal(_rp2_ideal())
     grouped = c.faces_by_size((1 << 6) - 1)
     for c_size in range(1, len(grouped)):
         dense = _dense_boundary(grouped[c_size - 1], grouped[c_size])
         for p in (2, 7):
-            cols = list(_boundary_columns(grouped[c_size - 1], grouped[c_size], p))
+            cols = _size_columns(_FaceTable(c, (1 << 6) - 1, p), c_size)
             for j, col in enumerate(cols):
                 want = {i: row[j] % p for i, row in enumerate(dense) if row[j]}
                 assert col == want
@@ -230,22 +238,24 @@ def test_rank_matches_sympy_on_random_boundaries(p):
         complexes.append(SimplicialComplex(nvars, supports))
     for c in complexes:
         grouped = c.faces_by_size((1 << c.nvars) - 1)
+        table = _FaceTable(c, (1 << c.nvars) - 1, 3)
         for size in range(1, len(grouped)):
             cols = [{r: (1 if v == 1 else -1) for r, v in col.items()}
-                    for col in _boundary_columns(grouped[size - 1], grouped[size], 3)]
+                    for col in _size_columns(table, size)]
             assert _our_rank(cols, p) == _sympy_rank(cols, len(grouped[size - 1]), p)
 
 
 @pytest.mark.parametrize("p", [2, 32003])
 def test_clearing_does_not_change_homology(p):
-    grouped = SimplicialComplex.of_ideal(_rp2_ideal()).faces_by_size((1 << 6) - 1)
+    complex_ = SimplicialComplex.of_ideal(_rp2_ideal())
+    grouped = complex_.faces_by_size((1 << 6) - 1)
+    table = _FaceTable(complex_, (1 << 6) - 1, p)
     uncleared = [0] * (len(grouped) + 1)
     for size in range(1, len(grouped)):
-        uncleared[size] = len(_pivot_rows(
-            _boundary_columns(grouped[size - 1], grouped[size], p), p))
+        uncleared[size] = len(_pivot_rows(_size_columns(table, size), p))
     plain = [len(grouped[c]) - uncleared[c] - uncleared[c + 1]
              for c in range(len(grouped))]
-    assert _homology_ranks(grouped, p) == plain
+    assert table.homology_ranks((1 << 6) - 1) == plain
     assert plain == ([0, 0, 1, 1] if p == 2 else [0, 0, 0, 0])
 
 
@@ -338,3 +348,123 @@ def test_depth_reads_off_the_table():
     assert table.projective_dimension() == 3
     assert table.depth() == 1
     assert table.rank(2, (0,)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the shared face table against a per-sigma reference
+
+def _union_closure(supports):
+    closed = {0}
+    for s in supports:
+        closed |= {mask | s for mask in closed}
+    return closed
+
+
+def _reference_betti(ideal, p):
+    """Betti entries with the faces of each sigma enumerated afresh and every
+    boundary map reduced in full, without clearing."""
+    complex_ = SimplicialComplex.of_ideal(ideal)
+    entries = {}
+    for mask in _union_closure(complex_.supports):
+        grouped = complex_.faces_by_size(mask)
+        rank = [0] * (len(grouped) + 1)
+        for size in range(1, len(grouped)):
+            index = {face: i for i, face in enumerate(grouped[size - 1])}
+            cols = []
+            for face in grouped[size]:
+                verts = [v for v in range(ideal.nvars) if face >> v & 1]
+                cols.append({index[face ^ 1 << v]: (-1) ** j % p
+                             for j, v in enumerate(verts)})
+            rank[size] = len(_pivot_rows(cols, p))
+        sigma = frozenset(v for v in range(ideal.nvars) if mask >> v & 1)
+        for c in range(len(grouped)):
+            homology = len(grouped[c]) - rank[c] - rank[c + 1]
+            if homology:
+                entries[(len(sigma) - c, sigma)] = homology
+    return entries
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_betti_table_matches_per_sigma_reference(p):
+    rng = random.Random(p)
+    ideals = [MonomialIdeal(4, [])]
+    for _ in range(12):
+        nvars = rng.randrange(2, 9)
+        # supports drawn from a subset of the vertices, so some lie in none
+        used = rng.sample(range(nvars), rng.randrange(1, nvars + 1))
+        supports = {tuple(sorted(rng.sample(used, rng.randrange(1, min(4, len(used)) + 1))))
+                    for _ in range(rng.randrange(1, 6))}
+        ideals.append(_sq(nvars, *supports))
+    for ideal in ideals:
+        assert betti_table(ideal, p).entries == _reference_betti(ideal, p)
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_rp2_betti_table_matches_reference(p):
+    table = betti_table(_rp2_ideal(), p)
+    assert table.entries == _reference_betti(_rp2_ideal(), p)
+    # H~_1 and H~_2 of the whole surface sit in beta_{4,[6]} and beta_{3,[6]}
+    torsion = 1 if p == 2 else 0
+    assert table.rank(4, range(6)) == torsion
+    assert table.rank(3, range(6)) == torsion
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+@pytest.mark.parametrize("m, parts, nonzero, total", [
+    (3, (1, 1, 2), 453, 466), (3, (1, 3), 318, 322), (2, (2, 2, 2), 755, 802)])
+def test_spec_betti_tables_match_reference(m, parts, nonzero, total, p):
+    J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), p)
+    ini = J.initial_ideal(TermOrder.lex_row_major(J.ring))
+    entries = betti_table(ini, p).entries
+    assert entries == _reference_betti(ini, p)
+    assert (len(entries), sum(entries.values())) == (nonzero, total)
+
+
+def test_shared_columns_survive_reduction():
+    complex_ = SimplicialComplex.of_ideal(_rp2_ideal())
+    table = _FaceTable(complex_, (1 << 6) - 1, 32003)
+    before = [dict(col) for col in table.columns]
+    sigmas = sorted(_union_closure(complex_.supports))
+    first = [table.homology_ranks(mask) for mask in sigmas]
+    second = [table.homology_ranks(mask) for mask in sigmas]
+    assert first == second
+    assert table.columns == before
+
+
+def _count_face_calls(monkeypatch):
+    calls = []
+    original = SimplicialComplex.faces_by_size
+
+    def counted(self, sigma_mask):
+        grouped = original(self, sigma_mask)
+        calls.append((sigma_mask, sum(len(group) for group in grouped)))
+        return grouped
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_size", counted)
+    return calls
+
+
+def test_faces_are_enumerated_once_per_table(monkeypatch):
+    calls = _count_face_calls(monkeypatch)
+    table = betti_table(_rp2_ideal(), 2)
+    assert len(calls) == 1
+    assert table.entries == _reference_betti(_rp2_ideal(), 2)
+
+
+def test_face_table_covers_only_the_union_of_supports(monkeypatch):
+    calls = _count_face_calls(monkeypatch)
+    table = betti_table(_sq(15, (0, 1)))
+    # the restriction to {x1, x2} has the faces {}, {x1} and {x2}
+    assert calls == [(0b11, 3)]
+    assert table.entries == {(0, frozenset()): 1, (1, frozenset({0, 1})): 1}
+
+
+@pytest.mark.parametrize("supports", [[0b1000], [-1]])
+def test_complex_rejects_supports_outside_the_vertices(supports):
+    with pytest.raises(ValueError):
+        SimplicialComplex(3, supports)
+
+
+def test_homology_rejects_vertices_outside_the_complex():
+    with pytest.raises(ValueError):
+        reduced_homology_ranks(SimplicialComplex(3, [0b011]), [0, 5])
