@@ -1,14 +1,18 @@
 """The oracle pipeline: full runs, per-stage skips, and the report schema."""
 
+import dataclasses
 import importlib
 import random
 from itertools import combinations
 
 import pytest
 
-from gbei.graphs import PartiteSpec
-from gbei.groebner import Ideal
-from gbei.rings import mono_coprime
+from gbei.cli import main
+from gbei.formulas import generalized_bei, prime_component
+from gbei.graphs import PartiteSpec, complete_multipartite
+from gbei.groebner import Ideal, ideals_equal, intersect
+from gbei.hilbert import hilbert_series
+from gbei.rings import Poly, mono_coprime
 from gbei.verify import (
     enumerate_specs,
     konig_check,
@@ -202,3 +206,139 @@ def test_sweep_and_summarize():
     reports = sweep([PartiteSpec(2, (1, 1)), PartiteSpec(2, (1, 2))])
     assert len(reports) == 2
     assert summarize(reports) == {"match": 18, "mismatch": 0, "skipped": 0}
+
+
+# ---------------------------------------------------------------------------
+# the decomposition row: containment, then HS(S/J) == HS(S/∩P_T)
+
+def _patch_components(monkeypatch, edit):
+    """verify() builds each P_T as edit(T, P_T)."""
+    original = verify_module.prime_component
+
+    def patched(m, G, T, prime):
+        return edit(tuple(T), original(m, G, T, prime))
+
+    monkeypatch.setattr(verify_module, "prime_component", patched)
+
+
+def _drop_last_component(monkeypatch):
+    original = verify_module.predict
+
+    def fewer(spec):
+        pred = original(spec)
+        return dataclasses.replace(pred, cut_sets=pred.cut_sets[:-1])
+
+    monkeypatch.setattr(verify_module, "predict", fewer)
+
+
+def _flip_x11(P):
+    """P under the automorphism x[1,1] -> -x[1,1]."""
+    v = P.ring.var_index(1, 1)
+    return Ideal(P.ring, [
+        Poly(g.ring, {mono: -c if mono[v] % 2 else c
+                      for mono, c in g.terms.items()})
+        for g in P.gens])
+
+
+def _rows(report):
+    return (report.row("containment")["status"],
+            report.row("decomposition")["status"])
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 2)])
+def test_dropped_component_fails_only_the_series_check(parts, monkeypatch):
+    _drop_last_component(monkeypatch)
+    report = verify(PartiteSpec(3, parts), hochster_cap=0)
+    assert _rows(report) == ("match", "mismatch")
+
+
+def test_perturbed_determinantal_generator_is_a_mismatch(monkeypatch):
+    def perturb(T, P):
+        if T:
+            return P
+        first, *rest = P.gens
+        low = min(first.terms)
+        terms = dict(first.terms)
+        terms[low] *= 2
+        return Ideal(P.ring, [Poly(P.ring, terms)] + rest)
+
+    _patch_components(monkeypatch, perturb)
+    report = verify(PartiteSpec(3, (1, 2)), hochster_cap=0)
+    assert report.row("decomposition")["status"] == "mismatch"
+
+
+def test_shifted_cut_set_is_a_mismatch(monkeypatch):
+    spec = PartiteSpec(2, (2, 2))
+    wrong, right = spec.complement(spec.s), spec.complement(spec.s + 1)
+    original = verify_module.prime_component
+
+    def shifted(m, G, T, prime):
+        return original(m, G, right if tuple(T) == wrong else T, prime)
+
+    monkeypatch.setattr(verify_module, "prime_component", shifted)
+    report = verify(spec, hochster_cap=0)
+    assert _rows(report) == ("match", "mismatch")
+
+
+def test_series_preserving_automorphism_is_caught_by_containment(monkeypatch):
+    # x[1,1] -> -x[1,1] keeps HS(S/I) equal to HS(S/J) (an odd prime makes
+    # it a real change), so only the containment gate can reject it
+    spec = PartiteSpec(3, (1, 2))
+    G = complete_multipartite(spec)
+    J = generalized_bei(spec.m, G)
+    parts = [prime_component(spec.m, G, T) for T in verify_module.predict(spec).cut_sets]
+    flipped = verify_module._meet_series(
+        _flip_x11(parts[0]),
+        [verify_module._monomial_ideal(A) for A in parts[1:]])
+    assert flipped == hilbert_series(J.initial_ideal())
+
+    _patch_components(monkeypatch, lambda T, P: P if T else _flip_x11(P))
+    report = verify(spec, hochster_cap=0)
+    assert _rows(report) == ("mismatch", "mismatch")
+
+
+def _elimination_verdict(spec, prime, cut_sets):
+    G = complete_multipartite(spec)
+    meet, *rest = [prime_component(spec.m, G, T, prime) for T in cut_sets]
+    for other in rest:
+        meet = intersect(meet, other)
+    return ideals_equal(generalized_bei(spec.m, G, prime), meet)
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+def test_decomposition_agrees_with_elimination(prime):
+    specs = [s for s in enumerate_specs(6, 6) if s.m * s.n <= 12]
+    assert any(s.all_ones for s in specs)
+    for spec in specs:
+        report = verify(spec, prime=prime, hochster_cap=0)
+        expected = _elimination_verdict(
+            spec, prime, verify_module.predict(spec).cut_sets)
+        assert report.row("decomposition")["computed"] is expected, spec
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+def test_dropped_component_agrees_with_elimination(prime, monkeypatch):
+    spec = PartiteSpec(2, (2, 2))
+    cut_sets = verify_module.predict(spec).cut_sets[:-1]
+    _drop_last_component(monkeypatch)
+    report = verify(spec, prime=prime, hochster_cap=0)
+    assert report.row("decomposition")["computed"] is False
+    assert _elimination_verdict(spec, prime, cut_sets) is False
+
+
+def _binomial_variable_part(T, P):
+    if not T:
+        return P
+    first, *rest = P.gens
+    far = P.ring.variable(P.ring.rows, P.ring.cols)
+    return Ideal(P.ring, [first - far] + rest)
+
+
+def test_non_monomial_component_raises(monkeypatch, capsys):
+    _patch_components(monkeypatch, _binomial_variable_part)
+    with pytest.raises(ValueError, match="not a monomial"):
+        verify(PartiteSpec(3, (1, 2)))
+    assert main(["verify", "--m", "3", "--parts", "1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a monomial" in captured.err
