@@ -112,8 +112,8 @@ def _resolve_spec(args, parser):
 def _emit(doc, args):
     text = json.dumps(doc, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        args.output.truncate(0)
+        args.output.write(text)
     else:
         sys.stdout.write(text)
 
@@ -171,11 +171,9 @@ def _cmd_hilbert(args, parser):
               "oracle series skipped", file=sys.stderr)
     doc = {
         "spec": {"m": spec.m, "parts": list(spec.parts)},
-        "predicted": {"numerator": list(predicted.numerator),
-                      "pole": predicted.pole, "text": predicted.text()},
+        "predicted": {**predicted.to_json(), "text": predicted.text()},
         "computed": None if computed is None else
-                    {"numerator": list(computed.numerator),
-                     "pole": computed.pole, "text": computed.text()},
+                    {**computed.to_json(), "text": computed.text()},
         "match": None if computed is None else computed == predicted,
     }
     _emit(doc, args)
@@ -195,6 +193,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args.prime = _resolve_prime(args, parser)
+    if args.output:
+        # Opened before any stage runs; append mode leaves an existing
+        # file intact until _emit replaces its contents.
+        try:
+            args.output = open(args.output, "a", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"cannot write --output {args.output}: {exc.strerror}")
     try:
         return _COMMANDS[args.command](args, parser)
     except SystemExit:
@@ -202,6 +207,9 @@ def main(argv=None):
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if args.output:
+            args.output.close()
 
 
 if __name__ == "__main__":

@@ -34,8 +34,6 @@ def pair_ideal(G1: SimpleGraph, G2: SimpleGraph, ring: Ring) -> Ideal:
     """
     if ring.rows != G1.n_vertices or ring.cols != G2.n_vertices:
         raise ValueError("ring grid does not match the two vertex counts")
-    if ring.aux:
-        raise ValueError("pair ideals live in the plain grid ring")
     gens = []
     for i, j in sorted(G1.edges):
         for k, l in sorted(G2.edges):
@@ -194,8 +192,7 @@ class Prediction:
             "cd": self.cd_json(),
             "height": self.height,
             "path": list(self.konig.vertices),
-            "hilbert": {"numerator": list(self.hilbert.numerator),
-                        "pole": self.hilbert.pole},
+            "hilbert": self.hilbert.to_json(),
             "cutSets": [list(T) for T in self.cut_sets],
             "components": [{"kind": kind, "T": list(T)}
                            for kind, T in self.components],

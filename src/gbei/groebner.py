@@ -19,8 +19,8 @@ from __future__ import annotations
 import heapq
 
 from .hilbert import MonomialIdeal
-from .rings import (Poly, TermOrder, mono_degree, mono_div, mono_divides,
-                    mono_lcm, mono_mask, mono_mul)
+from .rings import (Poly, Ring, TermOrder, mono_degree, mono_div,
+                    mono_divides, mono_lcm, mono_mask, mono_mul)
 
 
 def _reducer(g, order):
@@ -206,35 +206,27 @@ def ideals_equal(I, J, order=None):
 def intersect(I, J):
     """I ∩ J by elimination: adjoin t, form t·I + (1-t)·J, drop t.
 
-    The auxiliary variable sits above the whole grid in lex-row-major, so
-    that order is a block elimination order; the t-free part of the reduced
-    basis is then the reduced basis of the intersection, which the returned
-    ideal caches.
+    The lifted generators live in a one-row ring on nvars + 1 variables
+    whose first variable x[1,1] plays t and whose other variables are the
+    grid's, in order.  Lex-row-major there ranks t above the whole grid, a
+    block elimination order, so the t-free part of the reduced basis is
+    the reduced basis of the intersection, which the returned ideal caches.
     """
     if I.ring != J.ring:
         raise ValueError("ring mismatch")
     ring = I.ring
-    ext = ring.extended(1)
-    t = ext.aux_variable(0)
+    ext = Ring(1, ring.nvars + 1, ring.prime)
+    t = ext.variable(1, 1)
     s = ext.one() - t
 
     def lift(f):
-        out = Poly.__new__(Poly)
-        out.ring = ext
-        out.terms = {(0,) + m: c for m, c in f.terms.items()}
-        return out
+        return Poly(ext, {(0,) + m: c for m, c in f.terms.items()})
 
     gens = [t * lift(g) for g in I.gens if g]
     gens += [s * lift(g) for g in J.gens if g]
     gb = buchberger(gens, TermOrder.lex_row_major(ext))
-
-    kept = []
-    for g in gb:
-        if all(m[0] == 0 for m in g.terms):
-            out = Poly.__new__(Poly)
-            out.ring = ring
-            out.terms = {m[1:]: c for m, c in g.terms.items()}
-            kept.append(out)
+    kept = [Poly(ring, {m[1:]: c for m, c in g.terms.items()})
+            for g in gb if all(m[0] == 0 for m in g.terms)]
 
     result = Ideal(ring, kept)
     result._gb[TermOrder.lex_row_major(ring).perm] = kept

@@ -127,6 +127,9 @@ class HilbertSeries:
     def __hash__(self):
         return hash((self.numerator, self.pole))
 
+    def to_json(self):
+        return {"numerator": list(self.numerator), "pole": self.pole}
+
     def text(self):
         if not self.numerator:
             return "0"

@@ -1,12 +1,11 @@
 """Dense multivariate polynomial arithmetic over a prime field.
 
-Variables live on an ``m x n`` grid, one per matrix entry ``x[i,j]``, with an
-optional block of auxiliary elimination variables in front.  Monomials are
-plain exponent tuples: at the scales this package targets (19 variables
-at the default Groebner cap: 18 grid variables plus one elimination
-variable) dense tuples hash and compare faster than any sparse encoding,
-and a pure lex comparison is just tuple comparison.  `mono_mask` gives a
-monomial's support as a bitmask, the cheap prefilter for divisibility.
+Variables live on an ``m x n`` grid, one per matrix entry ``x[i,j]``.
+Monomials are plain exponent tuples: at the scales this package targets
+(18 variables at the default Groebner cap) dense tuples hash and compare
+faster than any sparse encoding, and a pure lex comparison is just tuple
+comparison.  `mono_mask` gives a monomial's support as a bitmask, the
+cheap prefilter for divisibility.
 """
 
 from __future__ import annotations
@@ -117,48 +116,31 @@ def mono_mask(a):
 
 @dataclass(frozen=True)
 class Ring:
-    """GF(prime)[t_1..t_aux, x[i,j] for the rows x cols grid].
-
-    Auxiliary variables occupy the lowest indices, so under plain lex they
-    are the most significant block — exactly what elimination needs.
-    """
+    """GF(prime)[x[i,j] for the rows x cols grid], variables row-major."""
 
     rows: int
     cols: int
     prime: int = DEFAULT_PRIME
-    aux: int = 0
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must be nonempty")
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not a prime")
-        if self.aux < 0:
-            raise ValueError("aux variable count must be nonnegative")
 
     @property
     def nvars(self):
-        return self.aux + self.rows * self.cols
+        return self.rows * self.cols
 
     def var_index(self, i, j):
         """Flat index of x[i,j], 1-based row/column, row-major."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"x[{i},{j}] outside {self.rows}x{self.cols} grid")
-        return self.aux + (i - 1) * self.cols + (j - 1)
+        return (i - 1) * self.cols + (j - 1)
 
     def var_name(self, v):
-        if v < self.aux:
-            return "t" if self.aux == 1 else f"t{v + 1}"
-        i, j = divmod(v - self.aux, self.cols)
+        i, j = divmod(v, self.cols)
         return f"x[{i + 1},{j + 1}]"
-
-    def extended(self, aux=1):
-        """The same grid ring with `aux` elimination variables in front."""
-        return Ring(self.rows, self.cols, self.prime, self.aux + aux)
-
-    def grid_ring(self):
-        """This ring with all auxiliary variables dropped."""
-        return Ring(self.rows, self.cols, self.prime, 0)
 
     # -- element constructors ------------------------------------------------
 
@@ -177,13 +159,6 @@ class Ring:
         mono[self.var_index(i, j)] = 1
         return Poly(self, {tuple(mono): 1})
 
-    def aux_variable(self, k=0):
-        if not 0 <= k < self.aux:
-            raise IndexError(f"no auxiliary variable {k}")
-        mono = [0] * self.nvars
-        mono[k] = 1
-        return Poly(self, {tuple(mono): 1})
-
 
 # --------------------------------------------------------------------------
 # term orders
@@ -193,8 +168,8 @@ class TermOrder:
 
     ``perm`` lists variable indices from most to least significant; a
     monomial's sort key is its exponents read in that sequence.  Pure lex
-    orders are all this package needs: with the auxiliary block in front,
-    lex-row-major doubles as the block elimination order.
+    orders are all this package needs; lex-row-major is the identity
+    permutation, so its key is the exponent tuple itself.
     """
 
     __slots__ = ("name", "perm", "_identity")
@@ -206,16 +181,14 @@ class TermOrder:
 
     @classmethod
     def lex_row_major(cls, ring):
-        """x[1,1] > x[1,2] > ... > x[2,1] > ...; aux variables above all."""
+        """x[1,1] > x[1,2] > ... > x[2,1] > ..."""
         return cls("lex-row-major", range(ring.nvars))
 
     @classmethod
     def lex_column_major(cls, ring):
-        """x[1,1] > x[2,1] > ... > x[1,2] > ...; aux variables above all."""
-        perm = list(range(ring.aux))
-        for j in range(ring.cols):
-            for i in range(ring.rows):
-                perm.append(ring.aux + i * ring.cols + j)
+        """x[1,1] > x[2,1] > ... > x[1,2] > ..."""
+        perm = [i * ring.cols + j for j in range(ring.cols)
+                for i in range(ring.rows)]
         return cls("lex-column-major", perm)
 
     @classmethod

@@ -84,10 +84,6 @@ class InvariantReport:
         }
 
 
-def _series_json(series):
-    return {"numerator": list(series.numerator), "pole": series.pole}
-
-
 def _monomial_ideal(ideal):
     """The MonomialIdeal of an ideal with monomial generators.
 
@@ -123,8 +119,7 @@ def _meet_series(P, monomial_parts):
 
 def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
            order: str = "lex-row-major", groebner_cap: int = GROEBNER_CAP,
-           hochster_cap: int = HOCHSTER_CAP,
-           cutset_cap: int = CUT_SET_CAP) -> InvariantReport:
+           hochster_cap: int = HOCHSTER_CAP) -> InvariantReport:
     """Full oracle run against predict(spec); see the module docstring.
 
     A non-prime ``prime``, one of 2^64 or more, or an unknown term order
@@ -136,7 +131,7 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
     nvars = spec.m * spec.n
     predicted = {
         "dim": pred.dim, "depth": pred.depth, "reg": pred.reg,
-        "hilbert": _series_json(pred.hilbert), "mult": pred.mult,
+        "hilbert": pred.hilbert.to_json(), "mult": pred.mult,
         "decomposition": True, "containment": True,
         "cutSets": [list(T) for T in sorted(pred.cut_sets,
                                             key=lambda T: (len(T), T))],
@@ -160,7 +155,7 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
         series = hilbert_series(ini)
         timing["hilbert"] = (time.perf_counter() - t0) * 1000
         computed["dim"] = krull_dimension(series)
-        computed["hilbert"] = _series_json(series)
+        computed["hilbert"] = series.to_json()
         computed["mult"] = multiplicity(series)
 
         squarefree = ini.is_squarefree()
@@ -185,11 +180,11 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
             contained and _meet_series(parts[0], variable_parts) == series)
         timing["decomposition"] = (time.perf_counter() - t0) * 1000
 
-    if spec.n > cutset_cap:
+    if spec.n > CUT_SET_CAP:
         skipped["cutSets"] = "cutset-cap"
     else:
         t0 = time.perf_counter()
-        computed["cutSets"] = [sorted(T) for T, _ in cut_sets(G, cutset_cap)]
+        computed["cutSets"] = [sorted(T) for T, _ in cut_sets(G)]
         timing["cutsets"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()

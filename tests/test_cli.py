@@ -44,6 +44,32 @@ def test_predict_to_file(tmp_path, capsys):
     assert json.loads(out.read_text())["dim"] == 4
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_output_is_a_usage_error(target, tmp_path, capsys,
+                                            monkeypatch):
+    # a missing directory, then a directory: exit 2 before any stage runs
+    def boom(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(gbei.cli, "predict", boom)
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--m", "2", "--parts", "2,2",
+              "--output", str(tmp_path / target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("No such file or directory" in err) == (target != ".")
+    assert ("Is a directory" in err) == (target == ".")
+
+
+def test_output_replaces_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "prediction.json"
+    out.write_text("x" * 10000)
+    code, _, _ = run(
+        ["predict", "--m", "2", "--parts", "1,2", "--output", str(out)], capsys)
+    assert code == 0
+    assert json.loads(out.read_text())["dim"] == 4
+
+
 def test_parts_reordered_with_note(capsys):
     code, doc, err = run_json(["predict", "--m", "2", "--parts", "2,1"], capsys)
     assert code == 0

@@ -236,8 +236,8 @@ def test_elimination_basis_matches_sympy():
     spec = PartiteSpec.of(3, [1, 2])
     G = complete_multipartite(spec)
     A, B = (prime_component(3, G, T) for T in predicted_cut_sets(spec))
-    ext = A.ring.extended(1)
-    t = ext.aux_variable(0)
+    ext = Ring(1, A.ring.nvars + 1, A.ring.prime)
+    t = ext.variable(1, 1)
 
     def lift(f):
         return Poly(ext, {(0,) + m: c for m, c in f.terms.items()})

@@ -108,20 +108,6 @@ def test_ring_rejects_non_primes(prime):
         Ring(2, 2, prime)
 
 
-def test_extended_ring_prepends_aux():
-    R = Ring(2, 2)
-    E = R.extended()
-    assert E.nvars == 5 and E.aux == 1
-    assert E.var_name(0) == "t"
-    assert E.var_index(1, 1) == 1
-    assert E.grid_ring() == R
-    assert E.aux_variable(0).text() == "t"
-    with pytest.raises(IndexError):
-        E.aux_variable(1)
-    E2 = R.extended(2)
-    assert E2.var_name(0) == "t1" and E2.var_name(1) == "t2"
-
-
 # ---------------------------------------------------------------------------
 # term orders
 

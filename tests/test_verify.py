@@ -143,7 +143,7 @@ def test_hochster_cap_skips_homology_rows():
 
 
 def test_cutset_cap_skips_enumeration():
-    report = verify(PartiteSpec(2, (2, 2)), cutset_cap=3)
+    report = verify(PartiteSpec(2, (1, 16)))
     assert report.row("cutSets")["status"] == "skipped(cutset-cap)"
     assert report.row("konig")["status"] == "match"
 
