@@ -112,8 +112,8 @@ def _resolve_spec(args, parser):
 def _emit(doc, args):
     text = json.dumps(doc, indent=2) + "\n"
     if args.output:
-        args.output.truncate(0)
-        args.output.write(text)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -194,12 +194,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args.prime = _resolve_prime(args, parser)
     if args.output:
-        # Opened before any stage runs; append mode leaves an existing
-        # file intact until _emit replaces its contents.
-        try:
-            args.output = open(args.output, "a", encoding="utf-8")
-        except OSError as exc:
-            parser.error(f"cannot write --output {args.output}: {exc.strerror}")
+        # Probed before any stage runs; a file the probe creates is removed
+        # again, and an existing device or FIFO is opened by _emit alone.
+        created = not os.path.lexists(args.output)
+        if created or os.path.isfile(args.output) or os.path.isdir(args.output):
+            try:
+                open(args.output, "a", encoding="utf-8").close()
+            except OSError as exc:
+                parser.error(f"cannot write --output {args.output}: {exc.strerror}")
+            if created:
+                os.remove(args.output)
     try:
         return _COMMANDS[args.command](args, parser)
     except SystemExit:
@@ -207,9 +211,6 @@ def main(argv=None):
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if args.output:
-            args.output.close()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import os
 
 import pytest
 
@@ -68,6 +69,20 @@ def test_output_replaces_an_existing_file(tmp_path, capsys):
         ["predict", "--m", "2", "--parts", "1,2", "--output", str(out)], capsys)
     assert code == 0
     assert json.loads(out.read_text())["dim"] == 4
+
+
+def test_output_to_a_device(capsys):
+    code, stdout, _ = run(
+        ["predict", "--m", "2", "--parts", "1,2", "--output", os.devnull], capsys)
+    assert code == 0 and stdout == ""
+
+
+def test_failed_run_leaves_no_output_file(tmp_path, capsys):
+    out = tmp_path / "prediction.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--m", "2", "--parts", "1,x", "--output", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_parts_reordered_with_note(capsys):
