@@ -146,65 +146,45 @@ def complete_multipartite(spec: PartiteSpec) -> SimpleGraph:
     return SimpleGraph.from_edges(spec.n, edges)
 
 
+def _components(adj, mask):
+    """Components (bitmasks, by lowest vertex) of the subgraph induced on mask."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow = adj[low.bit_length()] & mask & ~comp
+            comp |= grow
+            frontier |= grow
+        mask &= ~comp
+        comps.append(comp)
+    return comps
+
+
+def _vertices(mask, n):
+    return tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+
+
 def connected_components(G: SimpleGraph, within=None):
     """Partition of the vertex set (or of ``within``) into connected components.
 
     Components are returned as sorted tuples, ordered by smallest vertex.
+    A vertex of ``within`` outside 1..n raises ValueError.
     """
-    if within is None:
-        pool = set(range(1, G.n_vertices + 1))
-    else:
-        pool = set(within)
-    adj = G.adjacency_masks()
-    comps = []
-    while pool:
-        start = min(pool)
-        pool.discard(start)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            mask = adj[u]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                v = low.bit_length()
-                if v in pool:
-                    pool.discard(v)
-                    comp.add(v)
-                    frontier.append(v)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
-    return comps
+    n = G.n_vertices
+    mask = 0
+    for v in range(1, n + 1) if within is None else within:
+        if not 1 <= v <= n:
+            raise ValueError(f"vertex {v} outside 1..{n}")
+        mask |= 1 << (v - 1)
+    return [_vertices(comp, n) for comp in _components(G.adjacency_masks(), mask)]
 
 
 def _component_counts(G: SimpleGraph):
-    """Number of connected components of G minus T, for every vertex subset T.
-
-    Returns a list indexed by the bitmask of T (bit v-1 <-> vertex v).
-    """
-    n = G.n_vertices
-    adj = G.adjacency_masks()
-    full = (1 << n) - 1
-    counts = [0] * (1 << n)
-    for t_mask in range(1 << n):
-        remaining = full & ~t_mask
-        c = 0
-        while remaining:
-            c += 1
-            seed = remaining & -remaining
-            comp = seed
-            frontier = seed
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                v = low.bit_length()
-                grow = adj[v] & remaining & ~comp
-                comp |= grow
-                frontier |= grow
-            remaining &= ~comp
-        counts[t_mask] = c
-    return counts
+    """Component counts of G minus T, indexed by the bitmask of T."""
+    adj, full = G.adjacency_masks(), (1 << G.n_vertices) - 1
+    return [len(_components(adj, full & ~t_mask)) for t_mask in range(full + 1)]
 
 
 def cut_sets(G: SimpleGraph, cap: int = CUT_SET_CAP):
@@ -229,8 +209,7 @@ def cut_sets(G: SimpleGraph, cap: int = CUT_SET_CAP):
                 ok = False
                 break
         if ok:
-            verts = tuple(v for v in range(1, n + 1) if t_mask >> (v - 1) & 1)
-            found.append((verts, counts[t_mask]))
+            found.append((_vertices(t_mask, n), counts[t_mask]))
     found.sort(key=lambda item: (len(item[0]), item[0]))
     return [(frozenset(t), c) for t, c in found]
 

@@ -1,17 +1,19 @@
 """Buchberger's algorithm and ideal arithmetic built on it.
 
-Division runs against a reducer table of (support mask, lm, 1/lc, terms)
-entries: `buchberger` grows one table with its basis, `normal_form` builds
-one per call.  Every divisibility test first checks that the divisor's
+Division runs against a reducer table of (lm support mask, lm, monic
+terms) entries, the only form of the basis while `buchberger` runs;
+`_reduce_basis` alone turns a table back into Polys.  `normal_form` and
+`spolynomial` build entries from Polys and share the one division and
+S-pair code.  Every divisibility test first checks that the divisor's
 support mask lies inside the monomial's, a prefilter only, since leading
 terms need not be squarefree.  Pairs with coprime leading terms are never
 queued: their S-polynomials reduce to zero.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, lcm order key, i, j), the
-divisor search always takes the first match in table (basis list) order,
-and bases are returned reduced, monic, and sorted by descending leading
-term, which makes them unique for the ideal and order.
+divisor search always takes the first match in table order, and bases
+are returned reduced, monic, and sorted by descending leading term,
+which makes them unique for the ideal and order.
 """
 
 from __future__ import annotations
@@ -23,37 +25,52 @@ from .rings import (Poly, Ring, TermOrder, mono_degree, mono_div,
                     mono_divides, mono_lcm, mono_mask, mono_mul)
 
 
-def _reducer(g, order):
-    """Reducer table entry of a nonzero g: (lm mask, lm, 1/lc, terms)."""
-    lm = g.leading_monomial(order)
-    return mono_mask(lm), lm, pow(g.terms[lm], -1, g.ring.prime), g.terms
+def _reducer(terms, lm, p):
+    """Reducer table entry (lm mask, lm, monic terms) of nonzero terms."""
+    if terms[lm] != 1:
+        inv = pow(terms[lm], -1, p)
+        terms = {m: c * inv % p for m, c in terms.items()}
+    return mono_mask(lm), lm, terms
+
+
+def _submul(work, coeff, shift, entry, p):
+    """work -= coeff * shift * (entry's terms but its lm), in place."""
+    _, lm, terms = entry
+    for m, c in terms.items():
+        if m != lm:
+            target = mono_mul(m, shift)
+            c = (work.get(target, 0) - coeff * c) % p
+            if c:
+                work[target] = c
+            elif target in work:
+                del work[target]
 
 
 def _reduce(terms, reducers, key, p):
-    """Remainder terms of `terms` under division by a reducer table."""
+    """Remainder terms, in descending order, of division by a reducer table."""
     work = dict(terms)
     remainder = {}
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
         outside = ~mono_mask(mono)
-        for lm_mask, lm, inv, gterms in reducers:
-            if lm_mask & outside == 0 and mono_divides(lm, mono):
-                shift = mono_div(mono, lm)
-                scale = coeff * inv % p
-                for gm, gc in gterms.items():
-                    if gm == lm:
-                        continue
-                    target = mono_mul(gm, shift)
-                    c = (work.get(target, 0) - scale * gc) % p
-                    if c:
-                        work[target] = c
-                    elif target in work:
-                        del work[target]
+        for entry in reducers:
+            if entry[0] & outside == 0 and mono_divides(entry[1], mono):
+                _submul(work, coeff, mono_div(mono, entry[1]), entry, p)
                 break
         else:
             remainder[mono] = coeff
     return remainder
+
+
+def _spair(a, b, p):
+    """S-polynomial terms of two reducer entries: both tails lifted to the
+    lcm of the lms, b's subtracted from a's (the lms themselves cancel)."""
+    lcm = mono_lcm(a[1], b[1])
+    out = {}
+    _submul(out, p - 1, mono_div(lcm, a[1]), a, p)
+    _submul(out, 1, mono_div(lcm, b[1]), b, p)
+    return out
 
 
 def normal_form(f, basis, order):
@@ -65,75 +82,76 @@ def normal_form(f, basis, order):
     for g in basis:
         if g.ring != f.ring:
             raise ValueError("ring mismatch")
-    reducers = [_reducer(g, order) for g in basis if g]
-    return Poly(f.ring, _reduce(f.terms, reducers, order.key, f.ring.prime))
+    p = f.ring.prime
+    reducers = [_reducer(g.terms, g.leading_monomial(order), p) for g in basis if g]
+    return Poly(f.ring, _reduce(f.terms, reducers, order.key, p))
 
 
 def spolynomial(f, g, order):
     """S-polynomial: both leading terms lifted to their lcm and cancelled."""
-    lf, cf = f.leading_term(order)
-    lg, cg = g.leading_term(order)
-    lcm = mono_lcm(lf, lg)
+    if f.ring != g.ring:
+        raise ValueError("ring mismatch")
     p = f.ring.prime
-    return (f.mono_shift(mono_div(lcm, lf), pow(cf, -1, p))
-            - g.mono_shift(mono_div(lcm, lg), pow(cg, -1, p)))
+    a, b = (_reducer(h.terms, h.leading_monomial(order), p) for h in (f, g))
+    return Poly(f.ring, _spair(a, b, p))
 
 
 def buchberger(gens, order):
     """The reduced Groebner basis of the ideal generated by gens.
 
-    One reducer table, parallel to the basis, grows with it and serves
-    every S-polynomial reduction.  Pairs whose leading terms are coprime
-    never enter the queue (their S-polynomials reduce to zero); the rest
-    are processed in (lcm degree, lcm key, i, j) heap order, and the chain
-    criterion drops a pair whose lcm is divisible by a third leading term
-    once both companion pairs have left the queue.
+    The generators must share one ring (else ValueError).  The basis is a
+    reducer table: each S-pair is formed from two entries by `_spair` and
+    reduced by the whole table, and a remainder joins with its first key
+    as lm (division emits terms in descending order).  Pairs with coprime
+    leading terms are never queued; the rest are processed in (lcm degree,
+    lcm key, i, j) heap order, and the chain criterion drops a pair whose
+    lcm a third leading term divides once both companion pairs are done.
     """
-    basis = [g.monic(order) for g in gens if g]
-    if not basis:
+    if len({g.ring for g in gens}) > 1:
+        raise ValueError("ring mismatch")
+    reducers = [_reducer(g.terms, g.leading_monomial(order), g.ring.prime)
+                for g in gens if g]
+    if not reducers:
         return []
+    ring = gens[0].ring
+    p = ring.prime
     key = order.key
-    ring = basis[0].ring
-    reducers = [_reducer(g, order) for g in basis]
     heap = []
     pending = set()
 
     def push_pairs(j):
-        mask_j, lm_j = reducers[j][:2]
+        mask_j, lm_j, _ = reducers[j]
         for i in range(j):
-            mask_i, lm_i = reducers[i][:2]
+            mask_i, lm_i, _ = reducers[i]
             if mask_i & mask_j:
                 lcm = mono_lcm(lm_i, lm_j)
                 heapq.heappush(heap, (mono_degree(lcm), key(lcm), i, j, lcm))
                 pending.add((i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(reducers)):
         push_pairs(j)
 
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
         outside = ~(reducers[i][0] | reducers[j][0])
-        for k, (lm_mask, lm, _, _) in enumerate(reducers):
+        for k, (lm_mask, lm, _) in enumerate(reducers):
             if (lm_mask & outside == 0 and k != i and k != j
                     and mono_divides(lm, lcm)
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
                 break
         else:
-            s = spolynomial(basis[i], basis[j], order)
-            remainder = _reduce(s.terms, reducers, key, ring.prime)
+            remainder = _reduce(_spair(reducers[i], reducers[j], p), reducers, key, p)
             if remainder:
-                g = Poly(ring, remainder).monic(order)
-                basis.append(g)
-                reducers.append(_reducer(g, order))
-                push_pairs(len(basis) - 1)
+                reducers.append(_reducer(remainder, next(iter(remainder)), p))
+                push_pairs(len(reducers) - 1)
 
     return _reduce_basis(reducers, ring, order)
 
 
 def _reduce_basis(table, ring, order):
-    """The reduced basis, by descending lm, from a monic basis's table.
+    """The reduced basis, by descending lm, as Polys, from a basis's table.
 
     Tails are reduced by the whole minimal table: an element's leading
     term is above its tail terms, so it never divides one of them.
@@ -143,14 +161,12 @@ def _reduce_basis(table, ring, order):
     for entry in sorted(table, key=lambda e: key(e[1])):
         outside = ~entry[0]
         if not any(h_mask & outside == 0 and mono_divides(h, entry[1])
-                   for h_mask, h, _, _ in minimal):
+                   for h_mask, h, _ in minimal):
             minimal.append(entry)
     reduced = []
-    for _, lm, _, terms in reversed(minimal):
-        tail = dict(terms)
-        del tail[lm]
-        tail = _reduce(tail, minimal, key, ring.prime)
-        reduced.append(Poly(ring, {lm: 1, **tail}))
+    for _, lm, terms in reversed(minimal):
+        tail = {m: c for m, c in terms.items() if m != lm}
+        reduced.append(Poly(ring, {lm: 1, **_reduce(tail, minimal, key, ring.prime)}))
     return reduced
 
 

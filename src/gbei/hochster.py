@@ -70,12 +70,11 @@ class SimplicialComplex:
     def faces_by_size(self, sigma_mask):
         """Faces of the restriction to sigma, grouped by cardinality.
 
-        Faces grow from a stack by adding vertices above their top vertex,
-        so each group comes out in lex order.  A stack entry carries the
-        vertices that extend its face, and only later ones of those can
-        extend a child.  The supports inside sigma are indexed by their top
-        vertex: adding v can only complete a support topped by v, as any
-        other support inside the new face was already inside the parent.
+        Level by level, each face of size k, in lex order, is extended by
+        every vertex of sigma above its top that completes no support, so
+        each group is in lex order.  Adding v can only complete a support
+        topped by v: any other support inside the new face was inside the
+        parent.
         """
         verts = [v for v in range(self.nvars) if sigma_mask >> v & 1]
         # rests[v]: the supports inside sigma topped by v, with v removed
@@ -84,31 +83,14 @@ class SimplicialComplex:
             if s & ~sigma_mask == 0:
                 top = s.bit_length() - 1
                 rests[top].append(s ^ 1 << top)
-        grouped = [[0]] + [[] for _ in verts]
-        # (face, its size, the vertices that extend it)
-        roots = [v for v in verts if 0 not in rests[v]]
-        stack = [(0, 0, roots)] if roots else []
-        while stack:
-            face, size, exts = stack.pop()
-            size += 1
-            children = [face | 1 << v for v in exts]
-            grouped[size].extend(children)
-            # push in reverse so the stack pops children in lex order
-            for k in range(len(exts) - 2, -1, -1):
-                child = children[k]
-                outside = ~child
-                nxt = []
-                for v in exts[k + 1:]:
-                    for rest in rests[v]:
-                        if rest & outside == 0:
-                            break
-                    else:
-                        nxt.append(v)
-                if nxt:
-                    stack.append((child, size, nxt))
-        while len(grouped) > 1 and not grouped[-1]:
-            grouped.pop()
-        return grouped
+        grouped = [[0]]
+        while True:
+            level = [face | 1 << v for face in grouped[-1]
+                     for v in verts[bisect_left(verts, face.bit_length()):]
+                     if all(rest & ~face for rest in rests[v])]
+            if not level:
+                return grouped
+            grouped.append(level)
 
 
 class _FaceTable:

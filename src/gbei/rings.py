@@ -257,10 +257,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=order.key)
 
-    def leading_term(self, order):
-        m = self.leading_monomial(order)
-        return m, self.terms[m]
-
     def leading_coefficient(self, order):
         return self.terms[self.leading_monomial(order)]
 
@@ -318,15 +314,6 @@ class Poly:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def mono_shift(self, mono, coeff=1):
-        """Multiply by coeff * (the monomial with exponent tuple `mono`)."""
-        p = self.ring.prime
-        coeff %= p
-        terms = {}
-        for m, c in self.terms.items():
-            terms[mono_mul(m, mono)] = c * coeff % p
-        return Poly(self.ring, terms)
 
     def monic(self, order):
         if not self.terms:

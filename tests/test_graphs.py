@@ -225,3 +225,10 @@ def test_load_graph(tmp_path):
     path.write_text(json.dumps({"n": 3, "edges": [[1, 2], [2, 3]]}))
     G = load_graph(path)
     assert G.n_vertices == 3 and len(G.edges) == 2
+
+
+@pytest.mark.parametrize("within", [[0, 1], [5]])
+def test_connected_components_rejects_vertices_outside_the_graph(within):
+    G = SimpleGraph.from_edges(4, [(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="outside 1..4"):
+        connected_components(G, within=within)

@@ -269,3 +269,34 @@ def test_random_non_squarefree_bases_match_sympy(rows, cols, prime):
         # a set: on a single row the two orders are equal and run once
         for order in {TermOrder.lex_row_major(R), TermOrder.lex_column_major(R)}:
             assert buchberger(gens, order) == _sympy_basis(gens, order)
+
+
+# ---------------------------------------------------------------------------
+# S-polynomials and ring checks
+
+def test_spolynomial_ignores_leading_coefficients():
+    J = _bei(2, [1, 2])
+    order = _order(J)
+    for f, g in combinations(J.gens, 2):
+        assert spolynomial(3 * f, 5 * g, order) == spolynomial(f, g, order)
+
+
+def test_spolynomial_of_non_monic_pair():
+    # over GF(7) with x > y: S(2x^2 + y, 3xy + 1) = y/2 * f - x/3 * g
+    # = y^2/2 - x/3 = 4y^2 + 2x
+    R = Ring(1, 2, 7)
+    x, y = R.variable(1, 1), R.variable(1, 2)
+    order = TermOrder.lex_row_major(R)
+    assert spolynomial(2 * x * x + y, 3 * x * y + 1, order) == 4 * y * y + 2 * x
+
+
+def test_generators_from_two_rings_are_rejected():
+    # x1 in GF(p)[x1, x2] and x1 - 1 in GF(p)[x1, x2, x3]
+    f = Ring(1, 2).variable(1, 1)
+    R = Ring(1, 3)
+    g = R.variable(1, 1) - 1
+    order = TermOrder.lex_row_major(R)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        buchberger([f, g], order)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        spolynomial(f, g, order)
