@@ -4,11 +4,13 @@
 # route: Betti numbers of S/in(J) are ranks of reduced homology of induced
 # subcomplexes of the Stanley-Reisner complex.  Depth then falls out of
 # Auslander-Buchsbaum (depth = nvars - pd) and regularity is the widest
-# diagonal with a nonzero entry.
+# diagonal with a nonzero entry.  Hochster's local-cohomology formula reads
+# the same two numbers off the links of the faces instead, with no table.
 
 from gbei.formulas import generalized_bei, predict
 from gbei.graphs import PartiteSpec, complete_multipartite
-from gbei.hochster import SimplicialComplex, betti_table, reduced_homology_ranks
+from gbei.hochster import (SimplicialComplex, betti_table, depth_and_regularity,
+                           reduced_homology_ranks)
 
 # warm-up: homology ranks of tiny complexes, mod the default prime
 hollow_triangle = SimplicialComplex(3, [0b111])       # boundary of a 2-simplex
@@ -37,6 +39,10 @@ print()
 print(f"pd  = {table.projective_dimension()}")
 print(f"depth = {nvars} - pd = {table.depth()}")
 print(f"reg = {table.regularity()}")
+
+depth, reg = depth_and_regularity(init)
+print(f"from the links of the faces: depth = {depth}, reg = {reg}")
+assert (depth, reg) == (table.depth(), table.regularity())
 
 pred = predict(spec)
 print()

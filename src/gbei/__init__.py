@@ -23,7 +23,7 @@ from .groebner import (Ideal, buchberger, ideals_equal, initial_ideal,
 from .hilbert import (HilbertSeries, MonomialIdeal, hilbert_series,
                       krull_dimension, multiplicity)
 from .hochster import (BettiTable, SimplicialComplex, betti_table,
-                       reduced_homology_ranks)
+                       depth_and_regularity, reduced_homology_ranks)
 from .rings import DEFAULT_PRIME, Poly, Ring, TermOrder
 from .verify import (InvariantReport, enumerate_specs, konig_check,
                      max_coprime_subset, summarize, sweep, verify)
@@ -37,7 +37,8 @@ __all__ = [
     "SimpleGraph", "SimplicialComplex", "TermOrder",
     "betti_table", "bipartite_multiplicity", "buchberger",
     "complete_graph", "complete_multipartite", "connected_components",
-    "cut_sets", "decomposition_components", "enumerate_specs",
+    "cut_sets", "decomposition_components", "depth_and_regularity",
+    "enumerate_specs",
     "generalized_bei", "graph_from_json", "hilbert_series", "ideals_equal",
     "initial_ideal", "intersect", "konig_check",
     "konig_path", "krull_dimension", "load_graph", "max_coprime_subset",

@@ -3,7 +3,8 @@
 Division runs against a reducer table of (lm support mask, lm, monic
 terms) entries, the only form of the basis while `buchberger` runs;
 `_reduce_basis` alone turns a table back into Polys.  `normal_form` and
-`spolynomial` build entries from Polys and share the one division and
+`spolynomial` build entries from Polys, `Ideal.contains` divides by a table
+kept with the basis of each order, and all share the one division and
 S-pair code.  Every divisibility test first checks that the divisor's
 support mask lies inside the monomial's, a prefilter only, since leading
 terms need not be squarefree.  Pairs with coprime leading terms are never
@@ -31,6 +32,12 @@ def _reducer(terms, lm, p):
         inv = pow(terms[lm], -1, p)
         terms = {m: c * inv % p for m, c in terms.items()}
     return mono_mask(lm), lm, terms
+
+
+def _table(polys, order):
+    """Reducer table of the nonzero polys, in list order."""
+    return [_reducer(g.terms, g.leading_monomial(order), g.ring.prime)
+            for g in polys if g]
 
 
 def _submul(work, coeff, shift, entry, p):
@@ -82,9 +89,7 @@ def normal_form(f, basis, order):
     for g in basis:
         if g.ring != f.ring:
             raise ValueError("ring mismatch")
-    p = f.ring.prime
-    reducers = [_reducer(g.terms, g.leading_monomial(order), p) for g in basis if g]
-    return Poly(f.ring, _reduce(f.terms, reducers, order.key, p))
+    return Poly(f.ring, _reduce(f.terms, _table(basis, order), order.key, f.ring.prime))
 
 
 def spolynomial(f, g, order):
@@ -109,8 +114,7 @@ def buchberger(gens, order):
     """
     if len({g.ring for g in gens}) > 1:
         raise ValueError("ring mismatch")
-    reducers = [_reducer(g.terms, g.leading_monomial(order), g.ring.prime)
-                for g in gens if g]
+    reducers = _table(gens, order)
     if not reducers:
         return []
     ring = gens[0].ring
@@ -189,6 +193,7 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("ring mismatch")
         self._gb = {}
+        self._reducers = {}
 
     def default_order(self):
         return TermOrder.lex_row_major(self.ring)
@@ -204,8 +209,15 @@ class Ideal:
         return initial_ideal(self.groebner_basis(order), order, self.ring.nvars)
 
     def contains(self, f, order=None):
+        """Membership by division by the basis's reducer table, built once
+        per order."""
+        if f.ring != self.ring:
+            raise ValueError("ring mismatch")
         order = order or self.default_order()
-        return not normal_form(f, self.groebner_basis(order), order)
+        if order.perm not in self._reducers:
+            self._reducers[order.perm] = _table(self.groebner_basis(order), order)
+        return not _reduce(f.terms, self._reducers[order.perm], order.key,
+                           self.ring.prime)
 
     def __repr__(self):
         return f"Ideal({self.ring.rows}x{self.ring.cols}, {len(self.gens)} gens)"

@@ -8,7 +8,7 @@ N(1); nothing is ever truncated to a power series.
 
 from __future__ import annotations
 
-from .rings import mono_degree, mono_divides, mono_is_squarefree
+from .rings import mono_degree, mono_divides, mono_is_squarefree, mono_mask
 
 
 class MonomialIdeal:
@@ -25,10 +25,16 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != nvars:
                 raise ValueError(f"generator {g} has wrong length for {nvars} variables")
+        # a divisor's support lies inside g's: the masks are a prefilter only,
+        # since generators need not be squarefree
         minimal = []
+        masks = []
         for g in sorted(gens, key=lambda m: (mono_degree(m), m)):
-            if not any(mono_divides(h, g) for h in minimal):
+            outside = ~mono_mask(g)
+            if not any(h_mask & outside == 0 and mono_divides(h, g)
+                       for h_mask, h in zip(masks, minimal)):
                 minimal.append(g)
+                masks.append(~outside)
         self.nvars = nvars
         self.gens = tuple(minimal)
 

@@ -1,6 +1,12 @@
-"""Graded Betti numbers of squarefree monomial quotients over GF(p).
+"""Depth, regularity and graded Betti numbers of squarefree quotients over GF(p).
 
-The route is Hochster's formula: beta_{i,sigma}(S/I) is the rank of the
+Depth and regularity come from Hochster's formula for local cohomology,
+which needs the homology of the link of each face of the Stanley-Reisner
+complex (`depth_and_regularity`).  The full Betti table comes from his
+formula for Tor (`betti_table`); it serves the API and cross-checks the
+links, since both give depth and regularity.
+
+For the table, beta_{i,sigma}(S/I) is the rank of the
 reduced homology H~_{|sigma|-i-1} of the Stanley-Reisner complex of I
 restricted to sigma.  A restriction contributes nothing whenever it is a
 cone, and it is a cone exactly unless sigma is a union of generator
@@ -13,15 +19,17 @@ face table for U: the faces in (size, lex) order, each face's boundary
 column over those global row indices, and for every vertex a bitset of the
 faces that contain it.  The faces of one sigma are all faces minus the OR
 of the bitsets of the vertices outside it, and each size is a bit range.
+The same table gives the faces containing a face F, the AND of the bitsets
+of F's vertices, and with it the link of F.
 
 Boundary ranks come from sparse column reduction over GF(p) on Python
 ints, so they are exact for every prime.  The maps are reduced from the
 top dimension down, and a column whose face was already a pivot row of the
 map above is skipped: it always reduces to zero (the "clearing" of
 Chen-Kerber, Persistent homology computation with a twist, EuroCG 2011).
-Every sigma reduces the same shared columns, so the reduction copies a
-column the first time it subtracts from it (copy-on-write) and never
-changes the table.
+Every sigma and every link reduces the same shared columns, so the
+reduction copies a column the first time it subtracts from it
+(copy-on-write) and never changes the table.
 """
 
 from __future__ import annotations
@@ -96,13 +104,13 @@ class SimplicialComplex:
 class _FaceTable:
     """Faces of the restriction to `mask`, cut down to any subset of it.
 
-    Face i is the i-th face in (size, lex) order, and starts[c] is the index
-    of the first face of size c.  columns[i] is the boundary of face i as
-    {row index: coeff mod p}, where the j-th lowest vertex carries (-1)^j.
-    Bit i of holders[v] is set when face i contains vertex v.
+    faces[i] is the i-th face in (size, lex) order, and starts[c] is the
+    index of the first face of size c.  columns[i] is the boundary of face i
+    as {row index: coeff mod p}, where the j-th lowest vertex carries
+    (-1)^j.  Bit i of holders[v] is set when face i contains vertex v.
     """
 
-    __slots__ = ("mask", "p", "starts", "columns", "holders")
+    __slots__ = ("mask", "p", "faces", "starts", "columns", "holders")
 
     def __init__(self, complex_, mask, p):
         grouped = complex_.faces_by_size(mask)
@@ -110,6 +118,7 @@ class _FaceTable:
         index = {face: i for i, face in enumerate(faces)}
         self.mask = mask
         self.p = p
+        self.faces = faces
         self.starts = [0, *accumulate(map(len, grouped))]
         self.columns = [{index[face ^ 1 << v]: p - 1 if j & 1 else 1
                          for j, v in enumerate(_set_bits(face))}
@@ -123,26 +132,45 @@ class _FaceTable:
     def homology_ranks(self, sigma_mask):
         """Reduced homology ranks of the restriction to a submask of the table.
 
-        The list runs over k = -1 .. d for the largest face dimension d; the
-        rank of H~_k is f_k minus the ranks of the boundary maps on either
-        side, and the maps are reduced from the top size down with clearing.
+        The list runs over k = -1 .. d for the largest face dimension d.
         """
         gone = 0
         for v in _set_bits(self.mask & ~sigma_mask):
             gone |= self.holders[v]
-        present = _set_bits(((1 << self.starts[-1]) - 1) & ~gone)
+        return self.ranks(((1 << self.starts[-1]) - 1) & ~gone, relative=False)
+
+    def star(self, i):
+        """Bitset of the faces that contain face i (all faces for the empty one)."""
+        star = (1 << self.starts[-1]) - 1
+        for v in _set_bits(self.faces[i]):
+            star &= self.holders[v]
+        return star
+
+    def ranks(self, present_bits, relative):
+        """Homology ranks, by face size, of the chain complex on a set of faces.
+
+        The faces are the set bits of present_bits, each with its shared
+        boundary column.  With `relative`, rows outside the set are dropped:
+        that is the quotient by the faces outside it, when those are a
+        subcomplex.  The rank at size c is the count of size-c faces minus
+        the ranks of the boundary maps on either side, and the maps are
+        reduced from the top size down with clearing.
+        """
+        present = _set_bits(present_bits)
         top = bisect_right(self.starts, present[-1])
         cuts = [bisect_left(present, start) for start in self.starts[:top + 1]]
         columns = self.columns
+        kept = set(present) if relative else None
         boundary = [0] * (top + 1)  # boundary[c]: rank of the map out of size c
         cleared = ()
         for c in range(top - 1, 1, -1):
-            cleared = _pivot_rows(
-                [columns[i] for i in present[cuts[c]:cuts[c + 1]] if i not in cleared],
-                self.p)
+            cols = [columns[i] for i in present[cuts[c]:cuts[c + 1]] if i not in cleared]
+            if relative:
+                cols = [{r: x for r, x in col.items() if r in kept} for col in cols]
+            cleared = _pivot_rows(cols, self.p)
             boundary[c] = len(cleared)
-        # the vertices, if any, map onto the empty face
-        boundary[1] = int(top > 1)
+        # the vertices, if any, map onto the empty face when it is present
+        boundary[1] = int(top > 1 and present[0] == 0)
         return [cuts[c + 1] - cuts[c] - boundary[c] - boundary[c + 1]
                 for c in range(top)]
 
@@ -246,6 +274,17 @@ class BettiTable:
                 f"depth={self.depth()} reg={self.regularity()}>")
 
 
+def _check_input(name, ideal, p, cap):
+    if not ideal.is_squarefree():
+        raise ValueError(f"{name} requires a squarefree monomial ideal")
+    if ideal.is_unit():
+        raise ValueError(f"{name} requires a proper ideal")
+    _check_prime(p)
+    if ideal.nvars > cap:
+        raise CapExceededError(
+            f"{ideal.nvars} variables exceeds the Hochster cap of {cap}")
+
+
 def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
     """Full Betti table of S/I for a squarefree monomial ideal I.
 
@@ -253,15 +292,7 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
     (anything else restricts to a cone), so the enumeration closes the
     support set under unions instead of walking all 2^n subsets.
     """
-    if not ideal.is_squarefree():
-        raise ValueError("betti_table requires a squarefree monomial ideal")
-    if ideal.is_unit():
-        raise ValueError("betti_table requires a proper ideal")
-    _check_prime(p)
-    if ideal.nvars > cap:
-        raise CapExceededError(
-            f"{ideal.nvars} variables exceeds the Hochster cap of {cap}")
-
+    _check_input("betti_table", ideal, p, cap)
     complex_ = SimplicialComplex.of_ideal(ideal)
 
     closed = {0}
@@ -286,3 +317,46 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
                 k = c - 1
                 entries[(size - 1 - k, sigma)] = rank
     return BettiTable(ideal.nvars, entries)
+
+
+def depth_and_regularity(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
+    """(depth, reg) of S/I for a squarefree monomial ideal I, from links.
+
+    Hochster's formula for local cohomology, H^i_m(k[Δ]) ≅ ⊕_F
+    H~_{i-|F|-1}(lk F) with the summand of F in degree -|F| and below
+    (Stanley, Combinatorics and Commutative Algebra, Thm II.4.1), gives
+    depth = min(|F| + 1 + k) and reg = max(k + 1) over the nonzero
+    H~_k(lk F).  The vertices in no support are cone points: only faces
+    containing all of them have a non-acyclic link, which is the link of
+    the rest in the restriction to the union U of the supports, so the
+    faces of that restriction suffice and the cone points shift depth by
+    their number alone.
+
+    The faces containing F are a face table's star of F, and the faces
+    missing F a subcomplex, so the star's columns with their rows cut to
+    the star are the relative complex of the pair, whose homology in size
+    |F| + k + 1 is H~_k(lk F).  Faces go by ascending size; a face is
+    reduced only while (cone points) + |F| can still lower depth or its
+    largest star face can still raise reg.
+    """
+    _check_input("depth_and_regularity", ideal, p, cap)
+    complex_ = SimplicialComplex.of_ideal(ideal)
+    union = 0
+    for s in complex_.supports:
+        union |= s
+    table = _FaceTable(complex_, union, p)
+    cone = ideal.nvars - bin(union).count("1")
+    starts = table.starts
+    depth, reg = ideal.nvars + 1, -1
+    for size in range(len(starts) - 1):
+        for i in range(starts[size], starts[size + 1]):
+            star = table.star(i)
+            widest = bisect_right(starts, star.bit_length() - 1) - 1
+            if cone + size >= depth and widest - size <= reg:
+                continue
+            # the rank in size c is that of H~_{c-size-1}(lk F)
+            for c, rank in enumerate(table.ranks(star, relative=True)):
+                if rank:
+                    depth = min(depth, cone + c)
+                    reg = max(reg, c - size)
+    return depth, reg

@@ -137,6 +137,33 @@ def test_ideal_contains():
     assert not J.contains(J.ring.one())
 
 
+@pytest.mark.parametrize("order_name", ["lex-row-major", "lex-column-major"])
+def test_contains_agrees_with_normal_form(order_name):
+    J = _bei(3, [1, 2])
+    R = J.ring
+    order = TermOrder.by_name(order_name, R)
+    gb = J.groebner_basis(order)
+    rng = random.Random(11)
+    polys = [sum((Poly(R, {tuple(rng.randrange(2) for _ in range(R.nvars)): 1}) * h
+                  for h in rng.sample(gb, 2)), R.zero())
+             for _ in range(15)]
+    polys += [Poly(R, {tuple(rng.randrange(2) for _ in range(R.nvars)): 1})
+              for _ in range(15)]
+    # the second pass divides by the table kept from the first
+    for _ in range(2):
+        for f in polys:
+            assert J.contains(f, order) == normal_form(f, gb, order).is_zero()
+    assert any(J.contains(f, order) for f in polys)
+    assert not all(J.contains(f, order) for f in polys)
+
+
+def test_contains_rejects_a_polynomial_from_another_ring():
+    J = _bei(2, [1, 2])
+    other = Ring(2, 4, J.ring.prime)
+    with pytest.raises(ValueError):
+        J.contains(other.variable(1, 1))
+
+
 def test_ideals_equal():
     R = Ring(1, 3)
     x = lambda j: R.variable(1, j)

@@ -23,6 +23,34 @@ def test_minimal_generators():
     assert not I.contains((0, 5))
 
 
+def _minimal_reference(gens):
+    """Minimal generators by the definition: drop every generator that
+    another, different one divides."""
+    gens = set(gens)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    return sorted(g for g in gens if not any(h != g and divides(h, g) for h in gens))
+
+
+def test_mask_inside_without_divisibility_keeps_both():
+    # x1^2 has the support of x1*x2 inside its own, yet neither divides
+    I = MonomialIdeal(2, [(2, 0), (1, 1)])
+    assert sorted(I.gens) == [(1, 1), (2, 0)]
+    J = MonomialIdeal(3, [(1, 1, 0), (2, 1, 0), (2, 0, 0), (3, 1, 1)])
+    assert sorted(J.gens) == [(1, 1, 0), (2, 0, 0)]
+
+
+def test_minimal_generators_match_a_quadratic_reference():
+    rng = random.Random(23)
+    for _ in range(200):
+        nvars = rng.randrange(1, 6)
+        gens = [tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(nvars))
+                for _ in range(rng.randrange(0, 12))]
+        assert sorted(MonomialIdeal(nvars, gens).gens) == _minimal_reference(gens)
+
+
 def test_unit_and_squarefree():
     assert MonomialIdeal(2, [(0, 0)]).is_unit()
     assert not MonomialIdeal(2, [(1, 0)]).is_unit()

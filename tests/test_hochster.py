@@ -17,15 +17,18 @@ from pathlib import Path
 
 import pytest
 
-from gbei import PartiteSpec, TermOrder, complete_multipartite, generalized_bei
+from gbei import (PartiteSpec, TermOrder, complete_multipartite,
+                  enumerate_specs, generalized_bei)
 from gbei.errors import CapExceededError
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
+from gbei.rings import DEFAULT_PRIME
 from gbei.hochster import (
     BettiTable,
     SimplicialComplex,
     _FaceTable,
     _pivot_rows,
     betti_table,
+    depth_and_regularity,
     reduced_homology_ranks,
 )
 
@@ -468,3 +471,124 @@ def test_complex_rejects_supports_outside_the_vertices(supports):
 def test_homology_rejects_vertices_outside_the_complex():
     with pytest.raises(ValueError):
         reduced_homology_ranks(SimplicialComplex(3, [0b011]), [0, 5])
+
+
+# ---------------------------------------------------------------------------
+# depth and regularity from links, against the Betti table
+
+def _spec_initial_ideal(spec, p):
+    J = generalized_bei(spec.m, complete_multipartite(spec), p)
+    return J.initial_ideal(TermOrder.lex_row_major(J.ring))
+
+
+def _table_invariants(ideal, p):
+    table = betti_table(ideal, p)
+    return table.depth(), table.regularity()
+
+
+_SMALL_SPECS = [spec for spec in enumerate_specs(6, 6) if spec.m * spec.n <= 12]
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_links_match_the_betti_table_on_every_small_spec(p):
+    assert len(_SMALL_SPECS) == 35
+    for spec in _SMALL_SPECS:
+        ini = _spec_initial_ideal(spec, p)
+        assert depth_and_regularity(ini, p) == _table_invariants(ini, p), spec
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_links_match_the_betti_table_with_cone_vertices(p):
+    rng = random.Random(40 + p % 1000)
+    cones = 0
+    for _ in range(60):
+        nvars = rng.randrange(2, 10)
+        # supports drawn from a subset of the vertices, so some lie in none
+        used = rng.sample(range(nvars), rng.randrange(1, nvars + 1))
+        supports = {tuple(sorted(rng.sample(used, rng.randrange(1, min(4, len(used)) + 1))))
+                    for _ in range(rng.randrange(1, 7))}
+        ideal = _sq(nvars, *supports)
+        cones += len({v for sup in supports for v in sup}) < nvars
+        assert depth_and_regularity(ideal, p) == _table_invariants(ideal, p), supports
+    assert cones >= 20
+
+
+def test_rp2_links_depend_on_the_prime():
+    # over GF(2) H~_1 of the surface lowers depth and H~_2 raises reg; over
+    # a large prime the surface is acyclic and the vertex links are circles
+    assert depth_and_regularity(_rp2_ideal(), 2) == (2, 3)
+    assert depth_and_regularity(_rp2_ideal(), 32003) == (3, 2)
+    for p in (2, 32003):
+        ideal = _rp2_ideal()
+        assert depth_and_regularity(ideal, p) == _table_invariants(ideal, p)
+
+
+@pytest.mark.parametrize("ideal, want", [
+    (MonomialIdeal(5, []), (5, 0)),                   # a polynomial ring
+    (_sq(3, (0,), (1,), (2,)), (0, 0)),               # the field
+    (_sq(3, (0, 1), (1, 2)), (1, 1)),                 # S/(xy, yz)
+    (_sq(5, (1, 2), (2, 4)), (3, 1)),                 # the same, two cone points
+], ids=["zero", "variables", "two-edges", "two-edges-coned"])
+def test_pinned_depth_and_regularity(ideal, want):
+    assert depth_and_regularity(ideal) == want
+
+
+def test_depth_and_regularity_guards():
+    with pytest.raises(ValueError):
+        depth_and_regularity(MonomialIdeal(2, [(2, 0)]))
+    with pytest.raises(ValueError):
+        depth_and_regularity(MonomialIdeal(2, [(0, 0)]))
+    with pytest.raises(ValueError):
+        depth_and_regularity(_sq(3, (0, 1, 2)), p=6)
+    with pytest.raises(CapExceededError):
+        depth_and_regularity(_sq(4, (0, 1)), cap=3)
+
+
+def _count_links(monkeypatch):
+    """The star bitsets of the links reduced, recorded as they go."""
+    ranks = _FaceTable.ranks
+    reduced = []
+
+    def counted(self, present_bits, relative):
+        if relative:
+            reduced.append(present_bits)
+        return ranks(self, present_bits, relative)
+
+    monkeypatch.setattr(_FaceTable, "ranks", counted)
+    return reduced
+
+
+def test_links_are_pruned(monkeypatch):
+    # faces that cannot lower depth or raise reg are never reduced; the
+    # count pins both prunes, since a looser one only costs time
+    reduced = _count_links(monkeypatch)
+    ini = _spec_initial_ideal(PartiteSpec(3, (2, 2)), 32003)
+    assert depth_and_regularity(ini, 32003) == (5, 2)
+    complex_ = SimplicialComplex.of_ideal(ini)
+    union = 0
+    for s in complex_.supports:
+        union |= s
+    faces = _FaceTable(complex_, union, 32003).starts[-1]
+    assert (len(reduced), faces) == (296, 368)
+
+
+def test_reg_from_a_link_past_the_depth_prune(monkeypatch):
+    # a point beside the cone v * (circle bcd): H~_0 of the whole complex
+    # gives depth 1 and reg 1, and only the circle lk v gives reg 2.  Every
+    # vertex is past the depth prune; v is reduced for reg and b, c, d,
+    # whose links cannot beat reg 2, are not
+    reduced = _count_links(monkeypatch)
+    a, v, b, c, d = range(5)
+    ideal = _sq(5, (a, v), (a, b), (a, c), (a, d), (b, c, d))
+    assert depth_and_regularity(ideal) == (1, 2)
+    assert _table_invariants(ideal, DEFAULT_PRIME) == (1, 2)
+    assert len(reduced) == 2
+
+
+def test_link_reduction_leaves_the_table_unchanged():
+    complex_ = SimplicialComplex.of_ideal(_rp2_ideal())
+    table = _FaceTable(complex_, (1 << 6) - 1, 2)
+    before = [dict(col) for col in table.columns]
+    for i in range(table.starts[-1]):
+        table.ranks(table.star(i), relative=True)
+    assert table.columns == before

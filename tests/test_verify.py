@@ -108,6 +108,17 @@ def test_large_prime_gives_exact_depth_and_reg():
     assert not report.has_mismatch
 
 
+def test_depth_and_reg_do_not_build_a_betti_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify() built a Betti table")
+
+    monkeypatch.setattr(verify_module, "betti_table", refuse)
+    report = verify(PartiteSpec(3, (1, 2)))
+    assert report.row("depth")["status"] == "match"
+    assert report.row("reg")["status"] == "match"
+    assert not report.has_mismatch
+
+
 def test_determinism():
     def stripped(report):
         doc = report.to_json()
