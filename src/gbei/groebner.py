@@ -1,17 +1,28 @@
 """Buchberger's algorithm and ideal arithmetic built on it.
 
-Division runs against a reducer table of (lm support mask, lm, monic
-terms) entries, the only form of the basis while `buchberger` runs;
-`_reduce_basis` alone turns a table back into Polys.  `normal_form` and
-`spolynomial` build entries from Polys, `Ideal.contains` divides by a table
-kept with the basis of each order, and all share the one division and
-S-pair code.  Every divisibility test first checks that the divisor's
-support mask lies inside the monomial's, a prefilter only, since leading
-terms need not be squarefree.  Pairs with coprime leading terms are never
-queued: their S-polynomials reduce to zero.
+Inside this module a monomial is one int, packed by `_Packing` for a term
+order: one 8-bit field per variable, the order's most significant variable
+in the top field, and the top bit of every field a guard that stays clear.
+Comparing the ints compares monomials in the order, so `max`, sorting and
+the S-pair heap need no key.  A product is `+`, checked against the guard
+bits (an exponent past MAX_EXPONENT raises ValueError, never wraps), a
+quotient is `-`, and divisibility and lcm are a few bitwise operations.
+Polys and every public signature keep exponent tuples: `_table`,
+`normal_form`, `spolynomial` and `Ideal.contains` pack, and `_poly` unpacks.
+
+Division runs against a reducer table of (lm, monic tail, top) entries,
+the only form of the basis while `buchberger` runs; `_reduce_basis` alone
+turns a table back into Polys.  All callers share the one division and
+S-pair code.  Pair bookkeeping is on bitsets over table positions: each
+entry has a bitset of its pending partners, each variable one of the
+entries whose lm holds it.  The chain criterion tests for divisibility
+only the entries whose lm support lies inside the pair's lcm support and
+whose pairs with both ends are done.  Pairs with coprime leading terms,
+and pairs of two monomials, are never queued and count as done: their
+S-polynomials reduce to zero.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
-S-pair queue is a heap keyed by (lcm degree, lcm order key, i, j), the
+S-pair queue is a heap keyed by (lcm degree, packed lcm, i, j), the
 divisor search always takes the first match in table order, and bases
 are returned reduced, monic, and sorted by descending leading term,
 which makes them unique for the ideal and order.
@@ -22,61 +33,133 @@ from __future__ import annotations
 import heapq
 
 from .hilbert import MonomialIdeal
-from .rings import (Poly, Ring, TermOrder, mono_degree, mono_div,
-                    mono_divides, mono_lcm, mono_mask, mono_mul)
+from .rings import Poly, Ring, TermOrder
+
+# One byte per variable, whose top bit is the guard.
+MAX_EXPONENT = 0x7F
 
 
-def _reducer(terms, lm, p):
-    """Reducer table entry (lm mask, lm, monic terms) of nonzero terms."""
-    if terms[lm] != 1:
-        inv = pow(terms[lm], -1, p)
-        terms = {m: c * inv % p for m, c in terms.items()}
-    return mono_mask(lm), lm, terms
+def _overflow():
+    return ValueError(f"exponent above {MAX_EXPONENT}, the most a packed "
+                      f"monomial holds per variable")
 
 
-def _table(polys, order):
+class _Packing:
+    """Exponent tuples <-> ints for one term order.
+
+    Variable ``order.perm[r]`` takes byte r of the big-endian int, so the
+    int order is the term order.  `guard` holds the top bit of every field.
+    """
+
+    __slots__ = ("perm", "rank", "guard")
+
+    def __init__(self, order):
+        self.perm = order.perm
+        self.rank = sorted(range(len(self.perm)), key=self.perm.__getitem__)
+        self.guard = int.from_bytes(b"\x80" * len(self.perm), "big")
+
+    def pack(self, mono):
+        try:
+            x = int.from_bytes(bytes(map(mono.__getitem__, self.perm)), "big")
+        except ValueError:
+            x = self.guard
+        if x & self.guard:
+            raise _overflow()
+        return x
+
+    def pack_terms(self, terms):
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack(self, x):
+        return tuple(map(x.to_bytes(len(self.perm), "big").__getitem__, self.rank))
+
+    def degree(self, x):
+        """Total degree, exact for every exponent the guard admits."""
+        return sum(x.to_bytes(len(self.perm), "big"))
+
+    def support(self, x):
+        """The guard bits of the fields where x is nonzero."""
+        return ((x | self.guard) - (self.guard >> 7)) & self.guard
+
+
+def _divides(a, b, guard):
+    """True if packed a divides packed b: no field of b - a borrows."""
+    return ((b | guard) - a) & guard == guard
+
+
+def _lcm(a, b, guard):
+    """Fieldwise max of two packed monomials."""
+    ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
+    low = ge - (ge >> 7)  # those fields' exponent bits
+    return b ^ ((a ^ b) & low)
+
+
+def _reducer(terms, p, guard):
+    """Reducer table entry (lm, monic tail, top) of nonzero packed terms.
+
+    top is the fieldwise max of the tail's monomials: a shift of the entry
+    overflows no field exactly when top + shift sets no guard bit.
+    """
+    lm = max(terms)
+    inv = pow(terms[lm], -1, p)
+    tail = {}
+    top = 0
+    for m, c in terms.items():
+        if m != lm:
+            tail[m] = c * inv % p
+            top = _lcm(top, m, guard)
+    return lm, tail, top
+
+
+def _table(polys, packing):
     """Reducer table of the nonzero polys, in list order."""
-    return [_reducer(g.terms, g.leading_monomial(order), g.ring.prime)
+    return [_reducer(packing.pack_terms(g.terms), g.ring.prime, packing.guard)
             for g in polys if g]
 
 
-def _submul(work, coeff, shift, entry, p):
-    """work -= coeff * shift * (entry's terms but its lm), in place."""
-    _, lm, terms = entry
-    for m, c in terms.items():
-        if m != lm:
-            target = mono_mul(m, shift)
-            c = (work.get(target, 0) - coeff * c) % p
-            if c:
-                work[target] = c
-            elif target in work:
-                del work[target]
+def _poly(ring, packing, terms):
+    """The Poly of packed terms."""
+    return Poly(ring, {packing.unpack(m): c for m, c in terms.items()})
 
 
-def _reduce(terms, reducers, key, p):
+def _submul(work, coeff, shift, entry, guard, p):
+    """work -= coeff * shift * (entry's tail), in place."""
+    _, tail, top = entry
+    if (top + shift) & guard:
+        raise _overflow()
+    for m, c in tail.items():
+        target = m + shift
+        c = (work.get(target, 0) - coeff * c) % p
+        if c:
+            work[target] = c
+        elif target in work:
+            del work[target]
+
+
+def _reduce(terms, table, guard, p):
     """Remainder terms, in descending order, of division by a reducer table."""
     work = dict(terms)
     remainder = {}
     while work:
-        mono = max(work, key=key)
+        mono = max(work)
         coeff = work.pop(mono)
-        outside = ~mono_mask(mono)
-        for entry in reducers:
-            if entry[0] & outside == 0 and mono_divides(entry[1], mono):
-                _submul(work, coeff, mono_div(mono, entry[1]), entry, p)
+        probe = mono | guard
+        for entry in table:
+            if (probe - entry[0]) & guard == guard:
+                _submul(work, coeff, mono - entry[0], entry, guard, p)
                 break
         else:
             remainder[mono] = coeff
     return remainder
 
 
-def _spair(a, b, p):
+def _spair(a, b, guard, p):
     """S-polynomial terms of two reducer entries: both tails lifted to the
     lcm of the lms, b's subtracted from a's (the lms themselves cancel)."""
-    lcm = mono_lcm(a[1], b[1])
+    lcm = _lcm(a[0], b[0], guard)
     out = {}
-    _submul(out, p - 1, mono_div(lcm, a[1]), a, p)
-    _submul(out, 1, mono_div(lcm, b[1]), b, p)
+    _submul(out, p - 1, lcm - a[0], a, guard, p)
+    _submul(out, 1, lcm - b[0], b, guard, p)
     return out
 
 
@@ -89,16 +172,21 @@ def normal_form(f, basis, order):
     for g in basis:
         if g.ring != f.ring:
             raise ValueError("ring mismatch")
-    return Poly(f.ring, _reduce(f.terms, _table(basis, order), order.key, f.ring.prime))
+    packing = _Packing(order)
+    remainder = _reduce(packing.pack_terms(f.terms), _table(basis, packing),
+                        packing.guard, f.ring.prime)
+    return _poly(f.ring, packing, remainder)
 
 
 def spolynomial(f, g, order):
     """S-polynomial: both leading terms lifted to their lcm and cancelled."""
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
-    p = f.ring.prime
-    a, b = (_reducer(h.terms, h.leading_monomial(order), p) for h in (f, g))
-    return Poly(f.ring, _spair(a, b, p))
+    if not (f and g):
+        raise ValueError("zero polynomial has no leading term")
+    packing = _Packing(order)
+    a, b = _table((f, g), packing)
+    return _poly(f.ring, packing, _spair(a, b, packing.guard, f.ring.prime))
 
 
 def buchberger(gens, order):
@@ -106,72 +194,88 @@ def buchberger(gens, order):
 
     The generators must share one ring (else ValueError).  The basis is a
     reducer table: each S-pair is formed from two entries by `_spair` and
-    reduced by the whole table, and a remainder joins with its first key
-    as lm (division emits terms in descending order).  Pairs with coprime
-    leading terms are never queued; the rest are processed in (lcm degree,
-    lcm key, i, j) heap order, and the chain criterion drops a pair whose
-    lcm a third leading term divides once both companion pairs are done.
+    reduced by the whole table, and a nonzero remainder joins it.  Pairs
+    that are coprime or of two monomials are never queued; the rest are
+    processed in (lcm degree, lcm, i, j) heap order, and the chain
+    criterion drops a pair whose lcm a third leading term divides once
+    both companion pairs are done.
     """
     if len({g.ring for g in gens}) > 1:
         raise ValueError("ring mismatch")
-    reducers = _table(gens, order)
-    if not reducers:
+    packing = _Packing(order)
+    table = _table(gens, packing)
+    if not table:
         return []
     ring = gens[0].ring
     p = ring.prime
-    key = order.key
+    guard = packing.guard
     heap = []
-    pending = set()
+    supports = []  # per entry: packing.support of its lm
+    partners = []  # per entry: bitset of the entries it has a pending pair with
+    holders = {}   # per variable's guard bit: bitset of the entries whose lm holds it
 
-    def push_pairs(j):
-        mask_j, lm_j, _ = reducers[j]
+    def add(j):
+        lm, tail, _ = table[j]
+        support = packing.support(lm)
+        supports.append(support)
+        partners.append(0)
+        bit = 1 << j
+        rest = support
+        while rest:
+            low = rest & -rest
+            holders[low] = holders.get(low, 0) | bit
+            rest ^= low
         for i in range(j):
-            mask_i, lm_i, _ = reducers[i]
-            if mask_i & mask_j:
-                lcm = mono_lcm(lm_i, lm_j)
-                heapq.heappush(heap, (mono_degree(lcm), key(lcm), i, j, lcm))
-                pending.add((i, j))
+            if supports[i] & support and (tail or table[i][1]):
+                lcm = _lcm(table[i][0], lm, guard)
+                heapq.heappush(heap, (packing.degree(lcm), lcm, i, j))
+                partners[i] |= bit
+                partners[j] |= 1 << i
 
-    for j in range(len(reducers)):
-        push_pairs(j)
+    for j in range(len(table)):
+        add(j)
 
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        outside = ~(reducers[i][0] | reducers[j][0])
-        for k, (lm_mask, lm, _) in enumerate(reducers):
-            if (lm_mask & outside == 0 and k != i and k != j
-                    and mono_divides(lm, lcm)
-                    and (min(i, k), max(i, k)) not in pending
-                    and (min(j, k), max(j, k)) not in pending):
+        _, lcm, i, j = heapq.heappop(heap)
+        partners[i] ^= 1 << j
+        partners[j] ^= 1 << i
+        # entries whose lm leaves the lcm's support, or whose pair with i
+        # or j is pending, cannot make the chain
+        blocked = partners[i] | partners[j] | 1 << i | 1 << j
+        outside = guard & ~(supports[i] | supports[j])
+        while outside:
+            low = outside & -outside
+            blocked |= holders.get(low, 0)
+            outside ^= low
+        candidates = ~blocked & ((1 << len(table)) - 1)
+        probe = lcm | guard
+        while candidates:
+            low = candidates & -candidates
+            if (probe - table[low.bit_length() - 1][0]) & guard == guard:
                 break
+            candidates ^= low
         else:
-            remainder = _reduce(_spair(reducers[i], reducers[j], p), reducers, key, p)
+            remainder = _reduce(_spair(table[i], table[j], guard, p), table, guard, p)
             if remainder:
-                reducers.append(_reducer(remainder, next(iter(remainder)), p))
-                push_pairs(len(reducers) - 1)
+                table.append(_reducer(remainder, p, guard))
+                add(len(table) - 1)
 
-    return _reduce_basis(reducers, ring, order)
+    return _reduce_basis(table, ring, packing)
 
 
-def _reduce_basis(table, ring, order):
+def _reduce_basis(table, ring, packing):
     """The reduced basis, by descending lm, as Polys, from a basis's table.
 
     Tails are reduced by the whole minimal table: an element's leading
     term is above its tail terms, so it never divides one of them.
     """
-    key = order.key
+    guard = packing.guard
     minimal = []
-    for entry in sorted(table, key=lambda e: key(e[1])):
-        outside = ~entry[0]
-        if not any(h_mask & outside == 0 and mono_divides(h, entry[1])
-                   for h_mask, h, _ in minimal):
+    for entry in sorted(table, key=lambda e: e[0]):
+        if not any(_divides(h[0], entry[0], guard) for h in minimal):
             minimal.append(entry)
-    reduced = []
-    for _, lm, terms in reversed(minimal):
-        tail = {m: c for m, c in terms.items() if m != lm}
-        reduced.append(Poly(ring, {lm: 1, **_reduce(tail, minimal, key, ring.prime)}))
-    return reduced
+    return [_poly(ring, packing, {lm: 1, **_reduce(tail, minimal, guard, ring.prime)})
+            for lm, tail, _ in reversed(minimal)]
 
 
 def initial_ideal(gb, order, nvars=None):
@@ -215,8 +319,11 @@ class Ideal:
             raise ValueError("ring mismatch")
         order = order or self.default_order()
         if order.perm not in self._reducers:
-            self._reducers[order.perm] = _table(self.groebner_basis(order), order)
-        return not _reduce(f.terms, self._reducers[order.perm], order.key,
+            packing = _Packing(order)
+            self._reducers[order.perm] = (
+                packing, _table(self.groebner_basis(order), packing))
+        packing, table = self._reducers[order.perm]
+        return not _reduce(packing.pack_terms(f.terms), table, packing.guard,
                            self.ring.prime)
 
     def __repr__(self):

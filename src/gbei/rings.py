@@ -1,11 +1,10 @@
 """Dense multivariate polynomial arithmetic over a prime field.
 
 Variables live on an ``m x n`` grid, one per matrix entry ``x[i,j]``.
-Monomials are plain exponent tuples: at the scales this package targets
-(18 variables at the default Groebner cap) dense tuples hash and compare
-faster than any sparse encoding, and a pure lex comparison is just tuple
-comparison.  `mono_mask` gives a monomial's support as a bitmask, the
-cheap prefilter for divisibility.
+Monomials are plain exponent tuples, and a pure lex comparison is just
+tuple comparison.  `mono_mask` gives a monomial's support as a bitmask, the
+cheap prefilter for divisibility.  `groebner` packs monomials into ints
+internally and hands exponent tuples back.
 """
 
 from __future__ import annotations
@@ -257,9 +256,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order):
-        return self.terms[self.leading_monomial(order)]
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other):
@@ -314,14 +310,6 @@ class Poly:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def monic(self, order):
-        if not self.terms:
-            return self
-        c = self.leading_coefficient(order)
-        if c == 1:
-            return self
-        return self * pow(c, -1, self.ring.prime)
 
     # -- identity ----------------------------------------------------------
 

@@ -9,11 +9,17 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gbei.formulas import generalized_bei, predicted_cut_sets, prime_component
 from gbei.graphs import PartiteSpec, complete_graph, complete_multipartite
 from gbei.groebner import (
+    MAX_EXPONENT,
     Ideal,
+    _divides,
+    _lcm,
+    _Packing,
     buchberger,
     ideals_equal,
     intersect,
@@ -21,7 +27,8 @@ from gbei.groebner import (
     spolynomial,
 )
 from gbei.hilbert import MonomialIdeal
-from gbei.rings import Poly, Ring, TermOrder, mono_is_squarefree
+from gbei.rings import (Poly, Ring, TermOrder, mono_degree, mono_divides,
+                        mono_is_squarefree, mono_lcm)
 
 
 def _bei(m, parts):
@@ -94,7 +101,7 @@ def test_groebner_basis_is_reduced():
     gb = J.groebner_basis()
     leads = [f.leading_monomial(order) for f in gb]
     for f in gb:
-        assert f.leading_coefficient(order) == 1
+        assert f.terms[f.leading_monomial(order)] == 1
         others = [l for l in leads if l != f.leading_monomial(order)]
         ini = MonomialIdeal(J.ring.nvars, others)
         for mono in f.terms:
@@ -224,6 +231,76 @@ def test_mask_subset_is_not_divisibility():
 
 
 # ---------------------------------------------------------------------------
+# the chain criterion
+
+def test_chain_criterion_waits_for_pending_companion_pairs():
+    R = Ring(1, 4)
+    a, b, c, d = (R.variable(1, j) for j in (1, 2, 3, 4))
+    order = TermOrder.lex_row_major(R)
+    # all three lms ab, bc, ac divide every pair's lcm abc; (ab, bc) is
+    # popped first, while both its companion pairs with ac are pending
+    assert buchberger([a * b - 1, b * c - 1, a * c - 1], order) == [
+        a - c, b - c, c * c - 1]
+    # b divides the lcm ab of the first pair popped, (ab - c, a - d); b's
+    # pair with a - d is done (coprime), but its pair with ab - c is still
+    # pending, so the pair must be reduced: it gives c
+    assert buchberger([a * b - c, a - d, b], order) == [a - d, b, c]
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+_SHAPES = [(1, 1), (1, 6), (2, 3), (3, 2), (3, 4)]
+
+
+@st.composite
+def _packing_cases(draw):
+    rows, cols = draw(st.sampled_from(_SHAPES))
+    ring = Ring(rows, cols)
+    order = TermOrder.by_name(draw(st.sampled_from(["lex-row-major",
+                                                    "lex-column-major"])), ring)
+    exps = st.tuples(*[st.integers(0, MAX_EXPONENT)] * ring.nvars)
+    a = draw(exps)
+    b = draw(st.one_of(exps, st.builds(
+        lambda add: tuple(min(x + y, MAX_EXPONENT) for x, y in zip(a, add)),
+        exps)))
+    return order, a, b
+
+
+@given(_packing_cases())
+def test_packing_agrees_with_exponent_tuples(case):
+    order, a, b = case
+    packing = _Packing(order)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a and packing.unpack(pb) == b
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert _divides(pa, pb, packing.guard) == mono_divides(a, b)
+    assert _divides(pb, pa, packing.guard) == mono_divides(b, a)
+    assert packing.unpack(_lcm(pa, pb, packing.guard)) == mono_lcm(a, b)
+    assert packing.degree(pa) == mono_degree(a)
+
+
+@pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 255, 256, 1000])
+def test_packing_rejects_exponents_past_the_limit(exponent):
+    packing = _Packing(TermOrder.lex_row_major(Ring(1, 3)))
+    with pytest.raises(ValueError, match=f"exponent above {MAX_EXPONENT}"):
+        packing.pack((0, exponent, 1))
+
+
+def test_exponent_overflow_in_a_product_raises():
+    # x - y^64 rewrites x^2 to y^128, one past the limit
+    R = Ring(1, 2)
+    x, y = R.variable(1, 1), R.variable(1, 2)
+    order = TermOrder.lex_row_major(R)
+    big = Poly(R, {(0, 64): 1})
+    with pytest.raises(ValueError, match=f"exponent above {MAX_EXPONENT}"):
+        normal_form(x * x, [x - big], order)
+    with pytest.raises(ValueError, match=f"exponent above {MAX_EXPONENT}"):
+        buchberger([x - big, x * x], order)
+
+
+# ---------------------------------------------------------------------------
 # differential check against sympy's lex Groebner bases over GF(p)
 
 def _sympy_basis(gens, order):
@@ -295,6 +372,41 @@ def test_random_non_squarefree_bases_match_sympy(rows, cols, prime):
         assert not all(map(mono_is_squarefree, (m for g in gens for m in g.terms)))
         # a set: on a single row the two orders are equal and run once
         for order in {TermOrder.lex_row_major(R), TermOrder.lex_column_major(R)}:
+            assert buchberger(gens, order) == _sympy_basis(gens, order)
+
+
+def test_exponents_just_under_the_limit_match_sympy():
+    # S(x - y^63, x^2) reduces to y^126, one under the limit
+    R = Ring(1, 2)
+    x, y = R.variable(1, 1), R.variable(1, 2)
+    order = TermOrder.lex_row_major(R)
+    gens = [x - Poly(R, {(0, 63): 1}), x * x]
+    gb = buchberger(gens, order)
+    assert gb == _sympy_basis(gens, order)
+    assert max(max(m) for g in gb for m in g.terms) == MAX_EXPONENT - 1
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3)])
+def test_random_monomial_and_binomial_sets_match_sympy(rows, cols, prime):
+    # mixed sets give monomial-monomial pairs, which are never queued;
+    # every third set is monomials only, where no pair is queued at all
+    R = Ring(rows, cols, prime)
+    rng = random.Random(f"mixed {rows}x{cols}/{prime}")
+    orders = {TermOrder.lex_row_major(R), TermOrder.lex_column_major(R)}
+
+    def mono():
+        exps = [0] * R.nvars
+        for v in rng.sample(range(R.nvars), rng.randrange(1, 4)):
+            exps[v] = rng.randrange(1, 3)
+        return tuple(exps)
+
+    for trial in range(9):
+        sizes = [1, 1] + [1 if trial % 3 == 0 else 2
+                          for _ in range(rng.randrange(2, 5))]
+        gens = [Poly(R, {mono(): rng.randrange(1, prime) for _ in range(k)})
+                for k in sizes]
+        for order in orders:
             assert buchberger(gens, order) == _sympy_basis(gens, order)
 
 
