@@ -1,10 +1,12 @@
 """Depth, regularity and graded Betti numbers of squarefree quotients over GF(p).
 
-Depth and regularity come from Hochster's formula for local cohomology,
-which needs the homology of the link of each face of the Stanley-Reisner
-complex (`depth_and_regularity`).  The full Betti table comes from his
-formula for Tor (`betti_table`); it serves the API and cross-checks the
-links, since both give depth and regularity.
+Depth and regularity come from Hochster's formula for local cohomology, from
+the homology of the link of each face of the Stanley-Reisner complex
+(`depth_and_regularity`).  A cone is contractible and not empty, so a link
+that is a cone is acyclic, H~_{-1} included, and is skipped; v is a cone
+point of lk F exactly when v is not in F, F + v is a face, and (S - v) + F
+is a face for no support S through v.  The full Betti table, from his
+formula for Tor (`betti_table`), serves the API and cross-checks the links.
 
 For the table, beta_{i,sigma}(S/I) is the rank of the
 reduced homology H~_{|sigma|-i-1} of the Stanley-Reisner complex of I
@@ -69,12 +71,6 @@ class SimplicialComplex:
             raise ValueError("Stanley-Reisner complex requires a squarefree ideal")
         return cls(ideal.nvars, [mono_mask(g) for g in ideal.gens])
 
-    def is_face(self, mask):
-        for s in self.supports:
-            if s & ~mask == 0:
-                return False
-        return True
-
     def faces_by_size(self, sigma_mask):
         """Faces of the restriction to sigma, grouped by cardinality.
 
@@ -107,10 +103,11 @@ class _FaceTable:
     faces[i] is the i-th face in (size, lex) order, and starts[c] is the
     index of the first face of size c.  columns[i] is the boundary of face i
     as {row index: coeff mod p}, where the j-th lowest vertex carries
-    (-1)^j.  Bit i of holders[v] is set when face i contains vertex v.
+    (-1)^j.  Bit i of holders[v] is set when face i contains vertex v, and
+    index maps each face to its position.
     """
 
-    __slots__ = ("mask", "p", "faces", "starts", "columns", "holders")
+    __slots__ = ("mask", "p", "faces", "index", "starts", "columns", "holders")
 
     def __init__(self, complex_, mask, p):
         grouped = complex_.faces_by_size(mask)
@@ -119,6 +116,7 @@ class _FaceTable:
         self.mask = mask
         self.p = p
         self.faces = faces
+        self.index = index
         self.starts = [0, *accumulate(map(len, grouped))]
         self.columns = [{index[face ^ 1 << v]: p - 1 if j & 1 else 1
                          for j, v in enumerate(_set_bits(face))}
@@ -296,27 +294,31 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
     complex_ = SimplicialComplex.of_ideal(ideal)
 
     closed = {0}
-    frontier = [0]
-    while frontier:
-        mask = frontier.pop()
-        for s in complex_.supports:
-            u = mask | s
-            if u not in closed:
-                closed.add(u)
-                frontier.append(u)
+    for s in complex_.supports:
+        closed |= {mask | s for mask in closed}
 
     # every sigma is a submask of the union of all supports, the largest
     table = _FaceTable(complex_, max(closed), p)
     entries = {}
     for mask in sorted(closed):
-        ranks = table.homology_ranks(mask)
         size = bin(mask).count("1")
         sigma = frozenset(_set_bits(mask))
-        for c, rank in enumerate(ranks):
-            if rank:
-                k = c - 1
-                entries[(size - 1 - k, sigma)] = rank
+        for c, rank in enumerate(table.homology_ranks(mask)):
+            if rank:  # H~_{c-1} of sigma gives beta_{size-c, sigma}
+                entries[(size - c, sigma)] = rank
     return BettiTable(ideal.nvars, entries)
+
+
+def _coned(index, rests, face):
+    """True when lk F, F = face, has a cone point; see depth_and_regularity.
+
+    A face G of lk F with G + F + v no face holds a support S through v, so
+    (S - v) + F lies in the face G + F; conversely (S - v) - F is such a G.
+    The link of a non-face is void, which is no cone.
+    """
+    return any(not face >> v & 1 and face | 1 << v in index
+               and all(face | rest not in index for rest in rest_v)
+               for v, rest_v in rests)
 
 
 def depth_and_regularity(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
@@ -330,7 +332,11 @@ def depth_and_regularity(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
     containing all of them have a non-acyclic link, which is the link of
     the rest in the restriction to the union U of the supports, so the
     faces of that restriction suffice and the cone points shift depth by
-    their number alone.
+    their number alone.  A cone link is contractible, so acyclic, H~_{-1}
+    too (it is not empty), and is skipped: v is a cone point of lk F
+    exactly when v is not in F, F + v is a face, and (S - v) + F is a
+    face for no support S through v (`_coned`), a few face-index lookups
+    that need no star.
 
     The faces containing F are a face table's star of F, and the faces
     missing F a subcomplex, so the star's columns with their rows cut to
@@ -346,10 +352,17 @@ def depth_and_regularity(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
         union |= s
     table = _FaceTable(complex_, union, p)
     cone = ideal.nvars - bin(union).count("1")
-    starts = table.starts
+    rests = [(v, [s ^ 1 << v for s in complex_.supports if s >> v & 1])
+             for v in _set_bits(union)]
+    faces, index, starts = table.faces, table.index, table.starts
+    top = len(starts) - 2  # the largest face size
     depth, reg = ideal.nvars + 1, -1
-    for size in range(len(starts) - 1):
+    for size in range(top + 1):
+        if cone + size >= depth and top - size <= reg:
+            break  # depth only falls and reg only rises, so no later face counts
         for i in range(starts[size], starts[size + 1]):
+            if _coned(index, rests, faces[i]):
+                continue
             star = table.star(i)
             widest = bisect_right(starts, star.bit_length() - 1) - 1
             if cone + size >= depth and widest - size <= reg:

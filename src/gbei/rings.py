@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, le, sub
+from operator import add, le
 
 DEFAULT_PRIME = 32003
 
@@ -67,17 +67,8 @@ def mono_divides(a, b):
     return all(map(le, a, b))
 
 
-def mono_div(b, a):
-    """Quotient b / a, assuming a divides b."""
-    return tuple(map(sub, b, a))
-
-
 def mono_lcm(a, b):
     return tuple(map(max, a, b))
-
-
-def mono_gcd(a, b):
-    return tuple(map(min, a, b))
 
 
 def mono_coprime(a, b):
@@ -90,10 +81,6 @@ def mono_degree(a):
 
 def mono_is_squarefree(a):
     return all(e <= 1 for e in a)
-
-
-def mono_support(a):
-    return tuple(v for v, e in enumerate(a) if e)
 
 
 def mono_mask(a):

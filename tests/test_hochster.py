@@ -26,6 +26,7 @@ from gbei.hochster import (
     BettiTable,
     SimplicialComplex,
     _FaceTable,
+    _coned,
     _pivot_rows,
     betti_table,
     depth_and_regularity,
@@ -56,8 +57,6 @@ def test_of_ideal_guards():
 def test_faces_of_two_points():
     # (xy): two isolated vertices
     c = SimplicialComplex.of_ideal(_sq(2, (0, 1)))
-    assert c.is_face(0b01) and c.is_face(0b10)
-    assert not c.is_face(0b11)
     grouped = c.faces_by_size(0b11)
     assert grouped == [[0], [0b01, 0b10]]
 
@@ -192,7 +191,7 @@ def test_faces_are_lex_ordered_and_complete():
         grouped = c.faces_by_size(sigma)
         want = {}
         for mask in range(1 << nvars):
-            if mask & ~sigma == 0 and c.is_face(mask):
+            if mask & ~sigma == 0 and all(s & ~mask for s in c.supports):
                 want.setdefault(bin(mask).count("1"), []).append(mask)
         assert len(grouped) == max(want) + 1
         for size, faces in enumerate(grouped):
@@ -513,6 +512,85 @@ def test_links_match_the_betti_table_with_cone_vertices(p):
     assert cones >= 20
 
 
+def _random_supports(rng, nvars):
+    """A few random supports, none inside another, as bitmasks."""
+    drawn = set()
+    for _ in range(rng.randrange(1, 7)):
+        size = rng.randrange(1, min(3, nvars) + 1)
+        drawn.add(sum(1 << v for v in rng.sample(range(nvars), size)))
+    return [s for s in drawn if not any(t != s and t & ~s == 0 for t in drawn)]
+
+
+def _cone_points(supports, nvars, face):
+    """Brute force: the cone points of lk F, F = face, from the whole link."""
+    def is_face(mask):
+        return all(s & ~mask for s in supports)
+
+    if not is_face(face):
+        return set()  # the link of a non-face is void
+    link = [g for g in range(1 << nvars) if not g & face and is_face(g | face)]
+    return {v for v in range(nvars)
+            if not face >> v & 1 and all(is_face(g | face | 1 << v) for g in link)}
+
+
+def _cone_test(supports, nvars):
+    """The face index and rests that `_coned` reads, for all of 0..nvars-1."""
+    complex_ = SimplicialComplex(nvars, supports)
+    index = _FaceTable(complex_, (1 << nvars) - 1, DEFAULT_PRIME).index
+    rests = [(v, [s ^ 1 << v for s in complex_.supports if s >> v & 1])
+             for v in range(nvars)]
+    return index, rests
+
+
+def test_cone_test_matches_the_link_on_every_vertex_set():
+    # faces and non-faces alike, so each of the three conditions is needed
+    rng = random.Random(11)
+    coned = 0
+    for _ in range(60):
+        nvars = rng.randrange(2, 7)
+        supports = _random_supports(rng, nvars)
+        index, rests = _cone_test(supports, nvars)
+        for face in range(1 << nvars):
+            want = bool(_cone_points(supports, nvars, face))
+            assert _coned(index, rests, face) == want, (supports, face)
+            coned += want
+    assert coned >= 200
+
+
+def test_a_cone_point_needs_every_support_through_it():
+    # the path a-d-c-b: lk d is the two points a and c, no cone.  Of the
+    # supports through a, ab gives F + b = bd, no face, and only ac gives
+    # the face cd that rules a out; lk d carries the H~_0 behind reg 1
+    a, b, c, d = range(4)
+    ideal = _sq(4, (a, b), (a, c), (b, d))
+    supports = [1 << a | 1 << b, 1 << a | 1 << c, 1 << b | 1 << d]
+    index, rests = _cone_test(supports, 4)
+    assert not _coned(index, rests, 1 << d)
+    assert _coned(index, rests, 1 << a)  # lk a is the point d
+    assert depth_and_regularity(ideal) == (2, 1)
+    assert _table_invariants(ideal, DEFAULT_PRIME) == (2, 1)
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_links_match_the_betti_table_where_links_are_cones(p):
+    # each ideal has a face whose link has a cone point that is no cone
+    # point of the complex; the vertices in no support are the only cone
+    # points of the complex, since no support lies inside another
+    rng = random.Random(70 + p % 1000)
+    cases = 0
+    while cases < 40:
+        nvars = rng.randrange(3, 10)
+        supports = _random_supports(rng, nvars)
+        whole = _cone_points(supports, nvars, 0)
+        faces = SimplicialComplex(nvars, supports).faces_by_size((1 << nvars) - 1)
+        if not any(_cone_points(supports, nvars, f) - whole
+                   for group in faces[1:] for f in group):
+            continue
+        cases += 1
+        ideal = _sq(nvars, *[[v for v in range(nvars) if s >> v & 1] for s in supports])
+        assert depth_and_regularity(ideal, p) == _table_invariants(ideal, p), supports
+
+
 def test_rp2_links_depend_on_the_prime():
     # over GF(2) H~_1 of the surface lowers depth and H~_2 raises reg; over
     # a large prime the surface is acyclic and the vertex links are circles
@@ -559,8 +637,9 @@ def _count_links(monkeypatch):
 
 
 def test_links_are_pruned(monkeypatch):
-    # faces that cannot lower depth or raise reg are never reduced; the
-    # count pins both prunes, since a looser one only costs time
+    # faces whose link is a cone, or that cannot lower depth or raise reg,
+    # are never reduced; the count pins all three prunes, since a looser
+    # one only costs time
     reduced = _count_links(monkeypatch)
     ini = _spec_initial_ideal(PartiteSpec(3, (2, 2)), 32003)
     assert depth_and_regularity(ini, 32003) == (5, 2)
@@ -569,7 +648,7 @@ def test_links_are_pruned(monkeypatch):
     for s in complex_.supports:
         union |= s
     faces = _FaceTable(complex_, union, 32003).starts[-1]
-    assert (len(reduced), faces) == (296, 368)
+    assert (len(reduced), faces) == (44, 368)
 
 
 def test_reg_from_a_link_past_the_depth_prune(monkeypatch):

@@ -153,6 +153,15 @@ def test_hochster_cap_skips_homology_rows():
     assert report.row("decomposition")["status"] == "match"
 
 
+@pytest.mark.parametrize("m, parts", [(4, (2, 2)), (2, (2, 2, 2, 3))])
+def test_depth_and_reg_past_the_hochster_cap(m, parts):
+    # 16 and 18 variables: skipping cone links keeps each under a second
+    report = verify(PartiteSpec(m, parts), hochster_cap=18)
+    assert report.row("depth")["status"] == "match"
+    assert report.row("reg")["status"] == "match"
+    assert not report.has_mismatch
+
+
 def test_cutset_cap_skips_enumeration():
     report = verify(PartiteSpec(2, (1, 16)))
     assert report.row("cutSets")["status"] == "skipped(cutset-cap)"
