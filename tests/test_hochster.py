@@ -543,7 +543,9 @@ def _cone_test(supports, nvars):
 
 
 def test_cone_test_matches_the_link_on_every_vertex_set():
-    # faces and non-faces alike, so each of the three conditions is needed
+    # faces and non-faces alike: on a non-face, whose link is void and so no
+    # cone, only the lookup of F + v rules v out, so each of the three
+    # conditions is needed
     rng = random.Random(11)
     coned = 0
     for _ in range(60):

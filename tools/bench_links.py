@@ -8,7 +8,7 @@ commit.  The results are stored under --label in --output, beside the
 labels already there, so two runs give a before/after pair in one file.
 A link counts as reduced when `_FaceTable.ranks` is called with
 relative=True, as `tests/test_hochster.py::_count_links` counts them.
-Each spec's time is the best of --repeat calls on its lex row-major
+Each spec's time is the best of REPEAT calls on its lex row-major
 initial ideal over GF(32003); building that ideal is not timed.
 """
 
@@ -24,6 +24,7 @@ from pathlib import Path
 
 PRIME = 32003
 CAP = 18
+REPEAT = 3
 # the five verify-hochster specs, then specs past the default Hochster cap
 SPECS = ((3, (1, 1, 2)), (3, (1, 3)), (3, (2, 2)), (3, (1, 1, 1, 1, 1)),
          (3, (1, 1, 1, 2)),
@@ -31,7 +32,7 @@ SPECS = ((3, (1, 1, 2)), (3, (1, 3)), (3, (2, 2)), (3, (1, 1, 1, 1, 1)),
          (2, (1, 8)))
 
 
-def _measure(m, parts, repeat):
+def _measure(m, parts):
     from gbei import (PartiteSpec, TermOrder, complete_multipartite,
                       generalized_bei)
     from gbei.hochster import (SimplicialComplex, _FaceTable,
@@ -56,7 +57,7 @@ def _measure(m, parts, repeat):
     _FaceTable.ranks = counted
     try:
         runs = []
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             reduced.clear()
             t0 = time.perf_counter()
             depth, reg = depth_and_regularity(ini, PRIME, cap=CAP)
@@ -74,33 +75,26 @@ def main(argv=None):
                         help="directory that holds the gbei package")
     parser.add_argument("--label", required=True,
                         help="name of this side, e.g. parent or change")
-    parser.add_argument("--output", type=Path,
-                        help="JSON file to add this side to (default: stdout)")
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--output", type=Path, required=True,
+                        help="JSON file to add this side to")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
 
     sys.path.insert(0, os.path.abspath(args.src))
     specs = []
     for m, parts in SPECS:
-        specs.append(_measure(m, parts, args.repeat))
+        specs.append(_measure(m, parts))
         print(json.dumps(specs[-1]), file=sys.stderr)
-    side = {"repeat": args.repeat,
+    side = {"repeat": REPEAT,
             "host": {"python": platform.python_version(),
                      "machine": platform.machine(), "cpus": os.cpu_count()},
             "total_best_s": round(sum(row["best_s"] for row in specs), 4),
             "specs": specs}
 
     record = {"prime": PRIME, "cap": CAP, "sides": {}}
-    if args.output and args.output.exists():
+    if args.output.exists():
         record = json.loads(args.output.read_text())
     record["sides"][args.label] = side
-    text = json.dumps(record, indent=1) + "\n"
-    if args.output:
-        args.output.write_text(text)
-    else:
-        sys.stdout.write(text)
+    args.output.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":
