@@ -215,12 +215,8 @@ def cut_sets(G: SimpleGraph, cap: int = CUT_SET_CAP):
 
 
 def validate_path(G: SimpleGraph, witness: PathWitness):
-    """Check distinctness, adjacency of consecutive vertices, and the length."""
+    """Check adjacency; PathWitness already enforces distinctness and length."""
     verts = witness.vertices
-    if len(set(verts)) != len(verts):
-        return False
-    if len(verts) != witness.target_length + 1:
-        return False
     return all(G.has_edge(u, v) for u, v in zip(verts, verts[1:]))
 
 

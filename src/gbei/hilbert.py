@@ -4,11 +4,20 @@ A series is kept exact as a pair (numerator polynomial, pole order)
 representing N(t)/(1-t)^d, always reduced so that (1-t) does not divide
 N(t).  Krull dimension is then the pole order and the multiplicity is
 N(1); nothing is ever truncated to a power series.
+
+The recursion itself works on K-polynomials, plain numerators over the
+fixed (1-t)^nvars of the ambient ring (Bayer-Stillman 1992, Bigatti 1997),
+and reduces to lowest terms once, at the end.
 """
 
 from __future__ import annotations
 
 from .rings import mono_degree, mono_divides, mono_is_squarefree, mono_mask
+
+
+def _degree_lex(mono):
+    """The canonical generator order: by degree, then by exponent tuple."""
+    return mono_degree(mono), mono
 
 
 class MonomialIdeal:
@@ -29,7 +38,7 @@ class MonomialIdeal:
         # since generators need not be squarefree
         minimal = []
         masks = []
-        for g in sorted(gens, key=lambda m: (mono_degree(m), m)):
+        for g in sorted(gens, key=_degree_lex):
             outside = ~mono_mask(g)
             if not any(h_mask & outside == 0 and mono_divides(h, g)
                        for h_mask, h in zip(masks, minimal)):
@@ -111,10 +120,6 @@ class HilbertSeries:
     def __sub__(self, other):
         return self + HilbertSeries([-c for c in other.numerator], other.pole)
 
-    def shift(self, k=1):
-        """Multiply by t^k."""
-        return HilbertSeries((0,) * k + self.numerator, self.pole)
-
     def coefficients(self, upto):
         """The first upto+1 coefficients of the power-series expansion."""
         coeffs = list(self.numerator[:upto + 1])
@@ -173,15 +178,6 @@ def _mul_one_minus_t_power(coeffs, k):
     return tuple(out)
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 # --------------------------------------------------------------------------
 # the pivot recursion
 
@@ -192,75 +188,64 @@ def hilbert_series(ideal):
     along divisibility by x into K(I) = K(I + (x)) + t*K(I : x).  The pivot
     is a most frequent variable among the generators (ties to the smallest
     index); both branches strictly shrink the generators, so the recursion
-    bottoms out at the split-free base cases.
+    bottoms out at the split-free base cases.  Each node is memoized on its
+    minimal generators in degree-lex order, the order MonomialIdeal keeps.
     """
     memo = {}
 
-    def run(nvars, gens):
-        key = gens
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out = _hilbert(nvars, gens, run)
-        memo[key] = out
-        return out
+    def run(gens):
+        got = memo.get(gens)
+        if got is None:
+            got = memo[gens] = _kpoly(gens, run)
+        return got
 
-    return run(ideal.nvars, ideal.gens)
+    return HilbertSeries(run(ideal.gens), ideal.nvars)
 
 
-def _hilbert(nvars, gens, run):
+def _kpoly(gens, run):
+    """K-polynomial of the quotient by the minimal generators gens."""
     if not gens:
-        return HilbertSeries((1,), nvars)
+        return [1]
     if not any(gens[0]):
-        return HilbertSeries((), 0)  # unit ideal, zero quotient
-    if _pairwise_coprime(gens):
-        num = [1]
-        for g in gens:
-            factor = [0] * (mono_degree(g) + 1)
-            factor[0] = 1
-            factor[-1] = -1
-            num = _poly_mul(num, factor)
-        return HilbertSeries(num, nvars)
-
-    pivot = _pick_pivot(nvars, gens)
-
-    # I + (x_pivot): the variable itself plus every pivot-free generator
-    var = tuple(1 if v == pivot else 0 for v in range(nvars))
-    plus = MonomialIdeal(nvars, [var] + [g for g in gens if g[pivot] == 0])
-
-    # I : x_pivot: divide each generator once by the pivot where possible
-    colon = MonomialIdeal(nvars, [
-        tuple(e - 1 if v == pivot and e else e for v, e in enumerate(g))
-        for g in gens
-    ])
-
-    return run(nvars, plus.gens) + run(nvars, colon.gens).shift(1)
-
-
-def _pairwise_coprime(gens):
-    seen = [False] * len(gens[0])
-    for g in gens:
-        for v, e in enumerate(g):
-            if e:
-                if seen[v]:
-                    return False
-                seen[v] = True
-    return True
-
-
-def _pick_pivot(nvars, gens):
-    counts = [0] * nvars
+        return []  # unit ideal, zero quotient
+    counts = [0] * len(gens[0])
     for g in gens:
         for v, e in enumerate(g):
             if e:
                 counts[v] += 1
-    best = max(counts)
-    return counts.index(best)
+    if max(counts) < 2:
+        # pairwise coprime: the product of the (1 - t^deg g)
+        num = [1]
+        for g in gens:
+            d = mono_degree(g)
+            num = [a - b for a, b in zip(num + [0] * d, [0] * d + num)]
+        return num
+    pivot = counts.index(max(counts))
+
+    # I + (x): x and the pivot-free generators, already minimal
+    free = [g for g in gens if not g[pivot]]
+    var = tuple(int(v == pivot) for v in range(len(gens[0])))
+    plus = run(tuple(sorted(free + [var], key=_degree_lex)))
+
+    # I : x: every g/x stays minimal, since g/x | h/x would mean g | h and
+    # h | g/x would mean h | g; only a pivot-free h that some g/x divides
+    # stops being minimal
+    quotients = [g[:pivot] + (g[pivot] - 1,) + g[pivot + 1:]
+                 for g in gens if g[pivot]]
+    quotients += [h for h in free
+                  if not any(mono_divides(q, h) for q in quotients)]
+    colon = run(tuple(sorted(quotients, key=_degree_lex)))
+
+    out = plus + [0] * (len(colon) + 1 - len(plus))
+    for i, c in enumerate(colon, 1):
+        out[i] += c
+    return out
 
 
 def krull_dimension(series):
     """Pole order of the reduced series = dimension of the quotient."""
     return series.pole
+
 
 def multiplicity(series):
     """N(1) of the reduced series; undefined for the zero quotient."""

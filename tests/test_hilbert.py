@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import gbei.hilbert as hilbert_module
+from gbei import PartiteSpec, complete_multipartite, generalized_bei
 from gbei.hilbert import (
     HilbertSeries,
     MonomialIdeal,
@@ -11,6 +13,7 @@ from gbei.hilbert import (
     krull_dimension,
     multiplicity,
 )
+from gbei.rings import TermOrder
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +82,6 @@ def test_arithmetic_across_poles():
     one_over = lambda k: HilbertSeries((1,), k)
     assert one_over(2) - one_over(1) == HilbertSeries((0, 1), 2)
     assert one_over(1) + one_over(1) == HilbertSeries((2,), 1)
-    assert one_over(2).shift(3) == HilbertSeries((0, 0, 0, 1), 2)
 
 
 def test_coefficients_free_module():
@@ -129,8 +131,33 @@ def _count_standard_monomials(ideal, degree):
     )
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_series_matches_monomial_counting(seed):
+def test_colon_drops_generators_a_quotient_divides():
+    # pivot x: I : x = (y, z, yz) minimalizes to (y, z), and I + (x) = (x, yz)
+    I = MonomialIdeal(3, [(1, 1, 0), (1, 0, 1), (0, 1, 1)])
+    assert hilbert_series(I) == HilbertSeries((1, 2), 1)
+
+
+def _record_nodes(monkeypatch):
+    """The generator tuples of the recursion nodes, recorded as they go."""
+    kpoly = hilbert_module._kpoly
+    nodes = []
+
+    def recorded(gens, run):
+        nodes.append(gens)
+        return kpoly(gens, run)
+
+    monkeypatch.setattr(hilbert_module, "_kpoly", recorded)
+    return nodes
+
+
+def _canonical(nvars, nodes):
+    """Each node keyed on its minimal generators in MonomialIdeal's order."""
+    return all(MonomialIdeal(nvars, gens).gens == gens for gens in nodes)
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_series_matches_monomial_counting(monkeypatch, seed):
+    nodes = _record_nodes(monkeypatch)
     rng = random.Random(seed)
     nvars = rng.randrange(3, 11)
     gens = []
@@ -145,6 +172,7 @@ def test_series_matches_monomial_counting(seed):
         assert series[d] == _count_standard_monomials(ideal, d), (
             f"degree {d} of {ideal.gens}"
         )
+    assert _canonical(nvars, nodes)
 
 
 def test_staircase_example():
@@ -152,3 +180,19 @@ def test_staircase_example():
     I = MonomialIdeal(2, [(2, 0), (1, 1)])
     s = hilbert_series(I)
     assert s.coefficients(5) == [1, 2, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("m, parts, count", [
+    (3, (3, 3), 83),
+    (4, (2, 2), 57),
+    (2, (2, 2, 2, 3), 29),
+    (3, (1, 1, 1, 3), 57),
+])
+def test_recursion_nodes_are_shared(monkeypatch, m, parts, count):
+    # canonical memo keys let equal ideals reached by different pivot paths
+    # meet in one node; a non-canonical order can raise the count
+    nodes = _record_nodes(monkeypatch)
+    J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), 32003)
+    hilbert_series(J.initial_ideal(TermOrder.lex_row_major(J.ring)))
+    assert len(nodes) == count
+    assert _canonical(J.ring.nvars, nodes)
