@@ -181,10 +181,24 @@ def connected_components(G: SimpleGraph, within=None):
     return [_vertices(comp, n) for comp in _components(G.adjacency_masks(), mask)]
 
 
-def _component_counts(G: SimpleGraph):
-    """Component counts of G minus T, indexed by the bitmask of T."""
-    adj, full = G.adjacency_masks(), (1 << G.n_vertices) - 1
-    return [len(_components(adj, full & ~t_mask)) for t_mask in range(full + 1)]
+def _splits(adj, t_mask, rest):
+    """Whether every member of t_mask, which has two neighbours in rest,
+    touches two components of rest; a search stops once one component holds
+    all of the member's neighbours."""
+    while t_mask:
+        low = t_mask & -t_mask
+        t_mask ^= low
+        out = adj[low.bit_length()] & rest
+        comp = frontier = out & -out
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow = adj[low.bit_length()] & rest & ~comp
+            comp |= grow
+            frontier |= grow
+            if not out & ~comp:
+                return False
+    return True
 
 
 def cut_sets(G: SimpleGraph, cap: int = CUT_SET_CAP):
@@ -192,24 +206,42 @@ def cut_sets(G: SimpleGraph, cap: int = CUT_SET_CAP):
 
     Returns (T, c) pairs where c is the component count of G minus T, ordered by
     subset size and then lexicographically.  The empty set always qualifies.
-    Enumeration is brute force over all 2^n subsets, so n is capped.
+    Putting v back merges the k_v components of G - T it touches, so
+    c(T - v) = c(T) + 1 - k_v and T qualifies iff every member has k_v >= 2.
+    Then every member has two neighbours outside T, and outside each subset
+    of T, so the search grows T above max(T) and cuts a branch as soon as a
+    member would lose that: ``tight`` holds the outside neighbours of members
+    with exactly two.  Dense graphs keep almost every subset, so n is capped.
     """
     n = G.n_vertices
     if n > cap:
         raise CapExceededError(f"cut set enumeration needs n <= {cap}, got {n}")
-    counts = _component_counts(G)
-    found = []
-    for t_mask in range(1 << n):
-        ok = True
-        sub = t_mask
-        while sub:
-            low = sub & -sub
-            sub ^= low
-            if counts[t_mask] <= counts[t_mask ^ low]:
-                ok = False
-                break
-        if ok:
-            found.append((_vertices(t_mask, n), counts[t_mask]))
+    adj, full = G.adjacency_masks(), (1 << n) - 1
+    # few[k]: the vertices that can have only two neighbours outside a k-set
+    few = [sum(1 << (u - 1) for u in range(1, n + 1) if adj[u].bit_count() <= k + 1)
+           for k in range(n + 1)]
+    found = [((), len(_components(adj, full)))]
+    stack = [(0, 0, 1)]
+    while stack:
+        t_mask, tight, start = stack.pop()
+        for v in range(start, n + 1):
+            bit = 1 << (v - 1)
+            if bit & tight or (adj[v] & ~t_mask).bit_count() < 2:
+                continue
+            child, child_tight = t_mask | bit, tight
+            rest = full & ~child
+            if _splits(adj, child, rest):
+                found.append((_vertices(child, n), len(_components(adj, rest))))
+            if v == n:
+                continue
+            members = child & (adj[v] | bit) & few[child.bit_count()]
+            while members:
+                low = members & -members
+                members ^= low
+                out = adj[low.bit_length()] & rest
+                if out.bit_count() == 2:
+                    child_tight |= out
+            stack.append((child, child_tight, v + 1))
     found.sort(key=lambda item: (len(item[0]), item[0]))
     return [(frozenset(t), c) for t, c in found]
 

@@ -3,8 +3,8 @@
 verify() recomputes every invariant it can from first principles — Groebner
 basis, initial ideal, Hilbert series, depth and regularity from the links
 of the Stanley-Reisner complex (Hochster's local-cohomology formula), the
-predicted decomposition, brute-force cut sets, path validation — and lines
-the results up against predict().  Nothing is shared between the two sides
+predicted decomposition, cut sets from the definition, path validation — and
+lines the results up against predict().  Nothing is shared between the two sides
 beyond the spec itself, so a "match" row is a genuine independent check.
 
 The decomposition J = I := ∩ P_T is checked without computing I.  The

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -129,11 +131,81 @@ def test_cut_sets_longer_path():
     assert found == [[], [2], [3], [4], [2, 4]]
 
 
+def test_cut_sets_member_keeps_its_two_neighbours():
+    # 1 joins T first with only 2 and 3 outside; once both join, 1 touches no
+    # component, so {1, 2, 3} fails although 2 and 3 each still split theirs
+    G = SimpleGraph.from_edges(7, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)])
+    found = [sorted(T) for T, _ in cut_sets(G)]
+    assert found == [[], [1], [2], [3], [2, 3]]
+
+
 def test_cut_sets_cap():
     G = SimpleGraph.from_edges(17, [])
     with pytest.raises(CapExceededError):
         cut_sets(G)
     assert cut_sets(SimpleGraph.from_edges(4, []), cap=4) == [(frozenset(), 4)]
+
+
+# Closed forms at the cap, n = 16.  A vertex of a path or cycle is a cut point
+# of what is left exactly when both its neighbours are left, so the cut sets
+# are the independent sets that avoid the ends (path) or have size != 1
+# (cycle), and removing an independent T leaves |T| + 1 or |T| arcs.
+
+def _independent_sets(vertices, G):
+    return [frozenset(T) for k in range(len(vertices) + 1)
+            for T in combinations(vertices, k)
+            if not any(G.has_edge(u, v) for u, v in combinations(T, 2))]
+
+
+def _in_order(pairs):
+    return sorted(pairs, key=lambda item: (len(item[0]), sorted(item[0])))
+
+
+def test_cut_sets_path_at_the_cap():
+    G = SimpleGraph.from_edges(16, [(v, v + 1) for v in range(1, 16)])
+    found = cut_sets(G)
+    assert len(found) == 987  # F_16, the independent sets of a 14-vertex path
+    assert found == _in_order((T, len(T) + 1)
+                              for T in _independent_sets(range(2, 16), G))
+
+
+def test_cut_sets_cycle_at_the_cap():
+    G = SimpleGraph.from_edges(16, [(v, v % 16 + 1) for v in range(1, 17)])
+    found = cut_sets(G)
+    assert len(found) == 2191  # L_16 - 16: no single vertex cuts a cycle
+    assert found == _in_order((T, max(len(T), 1))
+                              for T in _independent_sets(range(1, 17), G)
+                              if len(T) != 1)
+
+
+def test_cut_sets_dense_at_the_cap():
+    assert cut_sets(complete_graph(16)) == [(frozenset(), 1)]
+    G = complete_multipartite(PartiteSpec(2, (8, 8)))
+    assert cut_sets(G) == [(frozenset(), 1), (frozenset(range(1, 9)), 8),
+                           (frozenset(range(9, 17)), 8)]
+
+
+def _definition_cut_sets(nx, G):
+    """Cut sets straight from the definition, counting components with networkx."""
+    H = nx.Graph(G.edges)
+    H.add_nodes_from(range(1, G.n_vertices + 1))
+    counts = {}
+    for k in range(G.n_vertices + 1):
+        for T in combinations(range(1, G.n_vertices + 1), k):
+            counts[frozenset(T)] = nx.number_connected_components(
+                H.subgraph(set(H) - set(T)))
+    return _in_order((T, c) for T, c in counts.items()
+                     if all(c > counts[T - {v}] for v in T))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cut_sets_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(f"cut-sets-{seed}")
+    n, density = 1 + seed % 10, seed / 29
+    G = SimpleGraph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
+                                   if rng.random() < density])
+    assert cut_sets(G) == _definition_cut_sets(nx, G)
 
 
 # ---------------------------------------------------------------------------
