@@ -19,7 +19,9 @@ entries whose lm holds it.  The chain criterion tests for divisibility
 only the entries whose lm support lies inside the pair's lcm support and
 whose pairs with both ends are done.  Pairs with coprime leading terms,
 and pairs of two monomials, are never queued and count as done: their
-S-polynomials reduce to zero.
+S-polynomials reduce to zero.  `Ideal.plus` opens its table with a
+reduced basis whose inner pairs count as done the same way, since each
+already reduces to zero by that basis.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, packed lcm, i, j), the
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 
 from .hilbert import MonomialIdeal
-from .rings import Poly, Ring, TermOrder
+from .rings import Poly, Ring, TermOrder, packed_divides
 
 # One byte per variable, whose top bit is the guard.
 MAX_EXPONENT = 0x7F
@@ -80,11 +82,6 @@ class _Packing:
     def support(self, x):
         """The guard bits of the fields where x is nonzero."""
         return ((x | self.guard) - (self.guard >> 7)) & self.guard
-
-
-def _divides(a, b, guard):
-    """True if packed a divides packed b: no field of b - a borrows."""
-    return ((b | guard) - a) & guard == guard
 
 
 def _lcm(a, b, guard):
@@ -204,9 +201,13 @@ def buchberger(gens, order):
         raise ValueError("ring mismatch")
     packing = _Packing(order)
     table = _table(gens, packing)
-    if not table:
-        return []
-    ring = gens[0].ring
+    return _complete(table, 0, gens[0].ring, packing) if table else []
+
+
+def _complete(table, done, ring, packing):
+    """The reduced basis of the ideal of a reducer table's polys, grown in
+    place.  Pairs among the first `done` entries, which must form a
+    Groebner basis, count as done and are never queued."""
     p = ring.prime
     guard = packing.guard
     heap = []
@@ -225,7 +226,7 @@ def buchberger(gens, order):
             low = rest & -rest
             holders[low] = holders.get(low, 0) | bit
             rest ^= low
-        for i in range(j):
+        for i in range(j if j >= done else 0):
             if supports[i] & support and (tail or table[i][1]):
                 lcm = _lcm(table[i][0], lm, guard)
                 heapq.heappush(heap, (packing.degree(lcm), lcm, i, j))
@@ -272,7 +273,7 @@ def _reduce_basis(table, ring, packing):
     guard = packing.guard
     minimal = []
     for entry in sorted(table, key=lambda e: e[0]):
-        if not any(_divides(h[0], entry[0], guard) for h in minimal):
+        if not any(packed_divides(h[0], entry[0], guard) for h in minimal):
             minimal.append(entry)
     return [_poly(ring, packing, {lm: 1, **_reduce(tail, minimal, guard, ring.prime)})
             for lm, tail, _ in reversed(minimal)]
@@ -311,6 +312,22 @@ class Ideal:
     def initial_ideal(self, order=None):
         order = order or self.default_order()
         return initial_ideal(self.groebner_basis(order), order, self.ring.nvars)
+
+    def plus(self, gens):
+        """self + (gens), with its default-order basis grown from self's.
+
+        self's reduced basis opens the reducer table, and the pairs inside
+        it count as done: each already reduces to zero by that basis, part
+        of the table, so the chain criterion may use them too.
+        """
+        gens = list(gens)
+        total = Ideal(self.ring, self.gens + tuple(gens))
+        order = self.default_order()
+        packing = _Packing(order)
+        basis = self.groebner_basis(order)
+        total._gb[order.perm] = _complete(_table(basis + gens, packing),
+                                          len(basis), self.ring, packing)
+        return total
 
     def contains(self, f, order=None):
         """Membership by division by the basis's reducer table, built once

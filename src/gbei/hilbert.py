@@ -7,12 +7,23 @@ N(1); nothing is ever truncated to a power series.
 
 The recursion itself works on K-polynomials, plain numerators over the
 fixed (1-t)^nvars of the ambient ring (Bayer-Stillman 1992, Bigatti 1997),
-and reduces to lowest terms once, at the end.
+and reduces to lowest terms once, at the end.  It packs each generator
+once into a big-endian int: the degree on top, then one field per
+variable, variable 0 first.  The fields are the fewest whole bytes whose
+top bit, a guard, stays clear of the ideal's largest degree, so no
+exponent is refused, and every node's generators fit since they divide
+the ideal's.  Int order is then degree-lex order, a colon by a variable
+is a subtraction, and divisibility is the guard test `groebner` uses too.
 """
 
 from __future__ import annotations
 
-from .rings import mono_degree, mono_divides, mono_is_squarefree, mono_mask
+from itertools import compress
+from math import comb
+from operator import add, mul, sub
+
+from .rings import (mono_degree, mono_divides, mono_is_squarefree, mono_mask,
+                    packed_divides)
 
 
 def _degree_lex(mono):
@@ -189,52 +200,88 @@ def hilbert_series(ideal):
     is a most frequent variable among the generators (ties to the smallest
     index); both branches strictly shrink the generators, so the recursion
     bottoms out at the split-free base cases.  Each node is memoized on its
-    minimal generators in degree-lex order, the order MonomialIdeal keeps.
+    minimal generators in degree-lex order, the order MonomialIdeal keeps
+    and the packed ints' order.
     """
-    memo = {}
+    run = _Run(ideal)
+    return HilbertSeries(run.node(run.root), ideal.nvars)
 
-    def run(gens):
-        got = memo.get(gens)
+
+class _Run:
+    """The memoized recursion on one ideal, packed as the module says:
+    fields of `width` bits, their top bits `guard` and low bits `ones`."""
+
+    __slots__ = ("nvars", "width", "guard", "ones", "root", "memo")
+
+    def __init__(self, ideal):
+        self.nvars = nvars = ideal.nvars
+        degrees = list(map(sum, ideal.gens))
+        self.width = width = 8 * (max(degrees, default=0).bit_length() // 8 + 1)
+        self.ones = ((1 << width * nvars) - 1) // ((1 << width) - 1)
+        self.guard = self.ones << (width - 1)
+        # each generator is a sum over its nonzero fields
+        lows = [1 << width * v for v in reversed(range(nvars))]
+        self.root = tuple(
+            sum(map(mul, compress(g, g), compress(lows, g)), d << width * nvars)
+            for g, d in zip(ideal.gens, degrees))
+        self.memo = {}
+
+    def node(self, gens):
+        """The K-polynomial of a node, memoized.  A method, not __call__:
+        calling an instance would cost a C frame per level of recursion."""
+        got = self.memo.get(gens)
         if got is None:
-            got = memo[gens] = _kpoly(gens, run)
+            got = self.memo[gens] = _kpoly(gens, self)
         return got
-
-    return HilbertSeries(run(ideal.gens), ideal.nvars)
 
 
 def _kpoly(gens, run):
-    """K-polynomial of the quotient by the minimal generators gens."""
+    """K-polynomial of the quotient by the packed minimal generators gens."""
     if not gens:
         return [1]
-    if not any(gens[0]):
+    if not gens[0]:
         return []  # unit ideal, zero quotient
-    counts = [0] * len(gens[0])
-    for g in gens:
-        for v, e in enumerate(g):
-            if e:
-                counts[v] += 1
-    if max(counts) < 2:
-        # pairwise coprime: the product of the (1 - t^deg g)
-        num = [1]
-        for g in gens:
-            d = mono_degree(g)
-            num = [a - b for a, b in zip(num + [0] * d, [0] * d + num)]
+    guard, ones, width, nvars = run.guard, run.ones, run.width, run.nvars
+    # each generator's support, the low bit of each of its nonzero fields:
+    # with no carry in their sum, the generators are pairwise coprime
+    supports = [((g | guard) - ones) >> (width - 1) & ones for g in gens]
+    if sum(supports).bit_count() == sum(map(int.bit_count, supports)):
+        # the product of the (1 - t^deg g), the variables' (1 - t)^a at once
+        degrees = [g >> width * nvars for g in gens]
+        a = degrees.count(1)
+        num = [(-1) ** j * comb(a, j) for j in range(a + 1)]
+        for d in degrees:
+            if d > 1:
+                num += [0] * d
+                num[d:] = map(sub, num[d:], num)
         return num
+    # how many generators hold each variable: the supports summed, 255 at
+    # a time so that no field's low byte carries, read off byte by byte
+    step = width // 8
+    counts = [0] * nvars
+    for i in range(0, len(supports), 0xFF):
+        low_bytes = sum(supports[i:i + 0xFF]).to_bytes(nvars * step, "big")
+        counts = list(map(add, counts, low_bytes[step - 1::step]))
     pivot = counts.index(max(counts))
+    field = ((1 << width) - 1) << width * (nvars - 1 - pivot)
+    var = (1 << width * nvars) | (field & ones)
 
     # I + (x): x and the pivot-free generators, already minimal
-    free = [g for g in gens if not g[pivot]]
-    var = tuple(int(v == pivot) for v in range(len(gens[0])))
-    plus = run(tuple(sorted(free + [var], key=_degree_lex)))
+    free = [g for g in gens if not g & field]
+    plus = run.node(tuple(sorted(free + [var])))
 
     # I : x: every g/x stays minimal, since g/x | h/x would mean g | h and
     # h | g/x would mean h | g; only a pivot-free h that some g/x divides
-    # stops being minimal
-    quotients = [g[:pivot] + (g[pivot] - 1,) + g[pivot + 1:]
-                 for g in gens if g[pivot]]
-    quotients += [h for h in free
-                  if not any(mono_divides(q, h) for q in quotients)]
-    colon = run(tuple(sorted(quotients, key=_degree_lex)))
+    # stops being minimal.  Subtraction keeps the quotients sorted.
+    quotients = [g - var for g in gens if g & field]
+    kept = []
+    for h in free:
+        for q in quotients:
+            if packed_divides(q, h, guard):
+                break
+        else:
+            kept.append(h)
+    colon = run.node(tuple(sorted(quotients + kept)))
 
     out = plus + [0] * (len(colon) + 1 - len(plus))
     for i, c in enumerate(colon, 1):

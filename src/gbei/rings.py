@@ -3,8 +3,9 @@
 Variables live on an ``m x n`` grid, one per matrix entry ``x[i,j]``.
 Monomials are plain exponent tuples, and a pure lex comparison is just
 tuple comparison.  `mono_mask` gives a monomial's support as a bitmask, the
-cheap prefilter for divisibility.  `groebner` packs monomials into ints
-internally and hands exponent tuples back.
+cheap prefilter for divisibility.  `groebner` and the Hilbert recursion
+pack monomials into ints internally and hand exponent tuples back;
+`packed_divides` is their shared divisibility test.
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ def mono_mask(a):
         if e:
             mask |= 1 << v
     return mask
+
+
+def packed_divides(a, b, guard):
+    """True if packed a divides packed b: ints of exponent fields whose top
+    bits, `guard`, are clear.  b - a clears a field's guard bit exactly
+    where a's exponent is the larger, and no borrow leaves a field, so
+    bits above the fields (the Hilbert recursion's degree) do not matter.
+    """
+    return ((b | guard) - a) & guard == guard
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,12 @@ beyond the spec itself, so a "match" row is a genuine independent check.
 The decomposition J = I := ∩ P_T is checked without computing I.  The
 containment row shows J ⊆ P_T for every T, so S/J → S/I is a graded
 surjection, and it is an isomorphism iff HS(S/J) = HS(S/I).  Every P_T
-but P_∅ is a variable ideal, so M = ∩_{T≠∅} P_T is an exact monomial
-ideal and HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)); a component
-that is not monomial raises ValueError instead of giving a verdict.
+but P_∅ is a variable ideal, so M = ∩_{T≠∅} P_T is generated by the
+squarefree monomials on the minimal variable sets that meet each P_T's,
+found on bitmasks, and HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)).
+The basis of P_∅ + M grows from P_∅'s, which the containment row has
+already computed.  A component generator that is not a single variable
+raises ValueError instead of giving a verdict.
 
 Caps are per stage: an instance too big for Buchberger still gets its cut
 sets and path checked, and one past the Hochster cap still gets
@@ -39,7 +42,7 @@ from .hilbert import (MonomialIdeal, hilbert_series, krull_dimension,
 from .hochster import HOCHSTER_CAP, depth_and_regularity
 # Unused here; kept because the benchmark tracer patches it by name.
 from .hochster import betti_table  # noqa: F401
-from .rings import (DEFAULT_PRIME, Poly, Ring, mono_coprime, mono_lcm,
+from .rings import (DEFAULT_PRIME, Poly, Ring, mono_coprime, mono_degree,
                     mono_mask)
 
 GROEBNER_CAP = 18
@@ -87,35 +90,52 @@ class InvariantReport:
         }
 
 
-def _monomial_ideal(ideal):
-    """The MonomialIdeal of an ideal with monomial generators.
+def _variables(ideal):
+    """The bitmask of the variables that generate a variable ideal.
 
-    A generator with more than one term raises ValueError: the lcm
-    intersection in _meet_series is exact only for monomial ideals.
+    A generator that is not a single variable raises ValueError: the meet
+    in _meet is exact only for variable ideals.
     """
-    monos = []
+    mask = 0
     for g in ideal.gens:
-        if len(g) > 1:
-            raise ValueError(f"component generator {g.text()} is not a monomial")
-        monos.extend(g.terms)
-    return MonomialIdeal(ideal.ring.nvars, monos)
+        mono = next(iter(g.terms), None)
+        if len(g) != 1 or mono_degree(mono) != 1:
+            raise ValueError(f"component generator {g.text()} is not a "
+                             f"monomial of degree one")
+        mask |= mono_mask(mono)
+    return mask
 
 
-def _meet_series(P, monomial_parts):
-    """HS(S/(P ∩ M)), M the intersection of the monomial parts.
+def _meet(nvars, variable_sets):
+    """M, the intersection of the variable ideals on the given bitmasks.
 
-    M is the minimalized pairwise lcms; HS(S/P) + HS(S/M) − HS(S/(P + M))
-    follows from 0 → S/(P ∩ M) → S/P ⊕ S/M → S/(P + M) → 0.
+    x^S lies in all of them exactly when S meets every set, so M is
+    generated by the minimal such S, grown one set V at a time: an S that
+    misses V gains each variable of V in turn.
+    """
+    minimal = [0]
+    for V in variable_sets:
+        lows = [1 << v for v in range(nvars) if V >> v & 1]
+        grown = {S if S & V else S | low for S in minimal for low in lows}
+        minimal = []
+        for S in sorted(grown, key=int.bit_count):
+            if not any(T & S == T for T in minimal):
+                minimal.append(S)
+    return MonomialIdeal(nvars, [tuple(S >> v & 1 for v in range(nvars))
+                                 for S in minimal])
+
+
+def _meet_series(P, variable_sets):
+    """HS(S/(P ∩ M)), M the meet of the variable ideals on variable_sets.
+
+    HS(S/P) + HS(S/M) − HS(S/(P + M)) follows from
+    0 → S/(P ∩ M) → S/P ⊕ S/M → S/(P + M) → 0, and P + M grows P's basis.
     """
     series = hilbert_series(P.initial_ideal())
-    if not monomial_parts:
+    if not variable_sets:
         return series
-    M, *rest = monomial_parts
-    for other in rest:
-        M = MonomialIdeal(M.nvars, [mono_lcm(a, b) for a in M.gens
-                                    for b in other.gens])
-    ring = P.ring
-    total = Ideal(ring, P.gens + tuple(Poly(ring, {g: 1}) for g in M.gens))
+    M = _meet(P.ring.nvars, variable_sets)
+    total = P.plus(Poly(P.ring, {g: 1}) for g in M.gens)
     return (series + hilbert_series(M)
             - hilbert_series(total.initial_ideal()))
 
@@ -175,11 +195,11 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
 
         t0 = time.perf_counter()
         parts = [prime_component(spec.m, G, T, prime) for T in pred.cut_sets]
-        variable_parts = [_monomial_ideal(A) for A in parts[1:]]
+        variable_sets = [_variables(A) for A in parts[1:]]
         contained = all(P.contains(g) for P in parts for g in J.gens)
         computed["containment"] = contained
         computed["decomposition"] = (
-            contained and _meet_series(parts[0], variable_parts) == series)
+            contained and _meet_series(parts[0], variable_sets) == series)
         timing["decomposition"] = (time.perf_counter() - t0) * 1000
 
     if spec.n > CUT_SET_CAP:

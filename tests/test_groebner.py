@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gbei.groebner as groebner_module
 from gbei.formulas import generalized_bei, predicted_cut_sets, prime_component
 from gbei.graphs import PartiteSpec, complete_graph, complete_multipartite
 from gbei.groebner import (
     MAX_EXPONENT,
     Ideal,
-    _divides,
     _lcm,
     _Packing,
     buchberger,
@@ -28,7 +28,7 @@ from gbei.groebner import (
 )
 from gbei.hilbert import MonomialIdeal
 from gbei.rings import (Poly, Ring, TermOrder, mono_degree, mono_divides,
-                        mono_is_squarefree, mono_lcm)
+                        mono_is_squarefree, mono_lcm, packed_divides)
 
 
 def _bei(m, parts):
@@ -275,8 +275,8 @@ def test_packing_agrees_with_exponent_tuples(case):
     assert packing.unpack(pa) == a and packing.unpack(pb) == b
     assert (pa < pb) == (order.key(a) < order.key(b))
     assert (pa == pb) == (a == b)
-    assert _divides(pa, pb, packing.guard) == mono_divides(a, b)
-    assert _divides(pb, pa, packing.guard) == mono_divides(b, a)
+    assert packed_divides(pa, pb, packing.guard) == mono_divides(a, b)
+    assert packed_divides(pb, pa, packing.guard) == mono_divides(b, a)
     assert packing.unpack(_lcm(pa, pb, packing.guard)) == mono_lcm(a, b)
     assert packing.degree(pa) == mono_degree(a)
 
@@ -408,6 +408,56 @@ def test_random_monomial_and_binomial_sets_match_sympy(rows, cols, prime):
                 for k in sizes]
         for order in orders:
             assert buchberger(gens, order) == _sympy_basis(gens, order)
+
+
+# ---------------------------------------------------------------------------
+# sums grown from a basis
+
+@pytest.mark.parametrize("prime", [2, 32003])
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3)])
+def test_plus_matches_buchberger_from_scratch(rows, cols, prime):
+    # random binomial ideals, then binomials and monomials added: the basis
+    # grown from I's, whose inner pairs count as done, is the basis that
+    # Buchberger finds from all the generators at once
+    R = Ring(rows, cols, prime)
+    rng = random.Random(f"plus {rows}x{cols}/{prime}")
+
+    def term():
+        exps = [0] * R.nvars
+        for v in rng.sample(range(R.nvars), rng.randrange(1, 3)):
+            exps[v] = rng.randrange(1, 3)
+        return tuple(exps), rng.randrange(1, prime)
+
+    def poly(size):
+        return Poly(R, dict(term() for _ in range(size)))
+
+    for _ in range(8):
+        I = Ideal(R, [poly(2) for _ in range(rng.randrange(1, 5))])
+        extra = [poly(rng.choice((1, 1, 2))) for _ in range(rng.randrange(0, 4))]
+        order = _order(I)
+        total = I.plus(extra)
+        assert total.gens == I.gens + tuple(extra)
+        assert total.groebner_basis() == buchberger(list(I.gens) + extra, order)
+
+
+def test_plus_nothing_forms_no_spair(monkeypatch):
+    # every pair of a reduced basis is done, so growing it by no generator
+    # forms no S-polynomial and gives the same basis back
+    P = prime_component(3, complete_multipartite(PartiteSpec(3, (2, 3))), ())
+    basis = P.groebner_basis()
+    pairs = []
+    spair = groebner_module._spair
+
+    def recorded(a, b, guard, p):
+        pairs.append((a[0], b[0]))
+        return spair(a, b, guard, p)
+
+    monkeypatch.setattr(groebner_module, "_spair", recorded)
+    assert P.plus([]).groebner_basis() == basis
+    assert pairs == []
+    # the recorder sees the pairs of a run from the generators
+    assert buchberger(list(P.gens), _order(P)) == basis
+    assert pairs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -137,13 +137,22 @@ def test_colon_drops_generators_a_quotient_divides():
     assert hilbert_series(I) == HilbertSeries((1, 2), 1)
 
 
+def _unpack(x, run):
+    """The exponent tuple of a packed monomial; its degree field must agree."""
+    field = (1 << run.width) - 1
+    mono = tuple(x >> run.width * (run.nvars - 1 - v) & field
+                 for v in range(run.nvars))
+    assert x >> run.width * run.nvars == sum(mono)
+    return mono
+
+
 def _record_nodes(monkeypatch):
-    """The generator tuples of the recursion nodes, recorded as they go."""
+    """The generator tuples of the recursion nodes, unpacked as they go."""
     kpoly = hilbert_module._kpoly
     nodes = []
 
     def recorded(gens, run):
-        nodes.append(gens)
+        nodes.append(tuple(_unpack(x, run) for x in gens))
         return kpoly(gens, run)
 
     monkeypatch.setattr(hilbert_module, "_kpoly", recorded)
@@ -173,6 +182,85 @@ def test_series_matches_monomial_counting(monkeypatch, seed):
             f"degree {d} of {ideal.gens}"
         )
     assert _canonical(nvars, nodes)
+
+
+@pytest.mark.parametrize("a, b", [(200, 129), (256, 3), (300, 130)])
+def test_exponents_past_one_byte(monkeypatch, a, b):
+    # (x^a y, x^b y^2, y^3) share y.  A degree past 127 widens every field
+    # to two bytes, and an exponent past 255 fills the upper byte too.
+    # Outside the ideal: every x^i, x^i y for i < a and x^i y^2 for i < b, so
+    # HS = (1 + t + t^2 - t^(a+1) - t^(b+2)) / (1 - t)
+    nodes = _record_nodes(monkeypatch)
+    ideal = MonomialIdeal(2, [(a, 1), (b, 2), (0, 3)])
+    series = hilbert_series(ideal)
+    closed = [0] * (a + 2)
+    closed[0] = closed[1] = closed[2] = 1
+    closed[a + 1] -= 1
+    closed[b + 2] -= 1
+    assert series == HilbertSeries(closed, 1)
+    coefficients = series.coefficients(a + 3)
+    for d in range(a + 4):
+        assert coefficients[d] == _count_standard_monomials(ideal, d)
+    assert _canonical(2, nodes) and len(nodes) > 1
+
+
+def test_recursion_reaches_four_hundred_colons():
+    # (x^401 y, x^400 y^2, y^3) takes 400 colons by x in a row, each two
+    # Python frames deep, inside the default recursion limit of 1000
+    series = hilbert_series(MonomialIdeal(2, [(401, 1), (400, 2), (0, 3)]))
+    assert series == HilbertSeries([1, 1, 1] + [0] * 399 + [-2], 1)
+
+
+def _reference_nodes(ideal):
+    """The nodes of the pivot recursion on exponent tuples, in visiting
+    order: most frequent pivot, ties to the smallest index, and both
+    branches minimalized and sorted by MonomialIdeal."""
+    nvars = ideal.nvars
+    nodes = []
+
+    def run(gens):
+        if gens in nodes:
+            return
+        nodes.append(gens)
+        if not gens or not any(gens[0]):
+            return
+        counts = [sum(1 for g in gens if g[v]) for v in range(nvars)]
+        if max(counts) < 2:
+            return
+        pivot = counts.index(max(counts))
+        free = [g for g in gens if not g[pivot]]
+        var = tuple(int(v == pivot) for v in range(nvars))
+        run(MonomialIdeal(nvars, free + [var]).gens)
+        colon = [g[:pivot] + (g[pivot] - 1,) + g[pivot + 1:]
+                 for g in gens if g[pivot]]
+        run(MonomialIdeal(nvars, colon + free).gens)
+
+    run(ideal.gens)
+    return nodes
+
+
+def _random_ideal(seed):
+    rng = random.Random(f"nodes {seed}")
+    nvars = rng.randrange(2, 9)
+    gens = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(nvars))
+            for _ in range(rng.randrange(1, 30))]
+    return MonomialIdeal(nvars, gens)
+
+
+@pytest.mark.parametrize("ideal", [
+    # all 330 squarefree quartics in 11 variables, then each times x0: the
+    # pivot counts are summed over more than 255 generators, and x0's
+    # count of 330 is past what one byte holds
+    MonomialIdeal(11, [tuple(int(v in c) for v in range(11))
+                       for c in combinations(range(11), 4)]),
+    MonomialIdeal(12, [(1,) + tuple(int(v in c) for v in range(11))
+                       for c in combinations(range(11), 4)]),
+    MonomialIdeal(2, [(300, 1), (130, 2), (0, 3)]),
+] + [_random_ideal(seed) for seed in range(12)])
+def test_nodes_match_a_tuple_recursion(monkeypatch, ideal):
+    nodes = _record_nodes(monkeypatch)
+    hilbert_series(ideal)
+    assert nodes == _reference_nodes(ideal)
 
 
 def test_staircase_example():

@@ -11,8 +11,8 @@ from gbei.cli import main
 from gbei.formulas import generalized_bei, prime_component
 from gbei.graphs import PartiteSpec, complete_multipartite
 from gbei.groebner import Ideal, ideals_equal, intersect
-from gbei.hilbert import hilbert_series
-from gbei.rings import Poly, mono_coprime
+from gbei.hilbert import MonomialIdeal, hilbert_series
+from gbei.rings import Poly, mono_coprime, mono_lcm
 from gbei.verify import (
     enumerate_specs,
     konig_check,
@@ -309,7 +309,7 @@ def test_series_preserving_automorphism_is_caught_by_containment(monkeypatch):
     parts = [prime_component(spec.m, G, T) for T in verify_module.predict(spec).cut_sets]
     flipped = verify_module._meet_series(
         _flip_x11(parts[0]),
-        [verify_module._monomial_ideal(A) for A in parts[1:]])
+        [verify_module._variables(A) for A in parts[1:]])
     assert flipped == hilbert_series(J.initial_ideal())
 
     _patch_components(monkeypatch, lambda T, P: P if T else _flip_x11(P))
@@ -362,3 +362,41 @@ def test_non_monomial_component_raises(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not a monomial" in captured.err
+
+
+def _product_variable_part(T, P):
+    if not T:
+        return P
+    first, second, *rest = P.gens
+    return Ideal(P.ring, [first * second] + rest)
+
+
+def test_product_of_variables_component_raises(monkeypatch, capsys):
+    # x·y in place of x and y is a monomial, but M is a meet of variable
+    # sets only, so it gives no verdict (a binomial is the test above)
+    _patch_components(monkeypatch, _product_variable_part)
+    with pytest.raises(ValueError, match="not a monomial of degree one"):
+        verify(PartiteSpec(3, (1, 2)))
+    assert main(["verify", "--m", "3", "--parts", "1,2"]) == 3
+    assert "not a monomial of degree one" in capsys.readouterr().err
+
+
+def _lcm_meet(nvars, variable_sets):
+    """The reference M: the minimalized lcms of the variables, set by set."""
+    M = None
+    for V in variable_sets:
+        gens = [tuple(int(u == v) for u in range(nvars))
+                for v in range(nvars) if V >> v & 1]
+        if M is not None:
+            gens = [mono_lcm(a, b) for a in M.gens for b in gens]
+        M = MonomialIdeal(nvars, gens)
+    return M
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_meet_of_variable_sets_matches_lcms(seed):
+    rng = random.Random(seed)
+    nvars = rng.randrange(1, 11)
+    sets = [rng.randrange(1, 1 << nvars) for _ in range(rng.randrange(1, 6))]
+    assert verify_module._meet(nvars, sets) == _lcm_meet(nvars, sets)
+
