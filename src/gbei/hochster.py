@@ -12,7 +12,11 @@ For the table, beta_{i,sigma}(S/I) is the rank of the
 reduced homology H~_{|sigma|-i-1} of the Stanley-Reisner complex of I
 restricted to sigma.  A restriction contributes nothing whenever it is a
 cone, and it is a cone exactly unless sigma is a union of generator
-supports, so only those unions are ever enumerated.
+supports, so only those unions are ever enumerated.  A vertex v whose
+link is a cone is dominated, and deleting it is a strong collapse (Barmak-
+Minian, Strong homotopy types, nerves and collapses, DCG 2012): star v
+and lk v are nonempty cones, so Mayer-Vietoris gives sigma the H~ of
+sigma - v over any ring, every GF(p) alike.  Only the rest are reduced.
 
 All of them lie inside the union U of every support, and the faces of the
 restriction to sigma are the faces of the restriction to U that miss every
@@ -288,33 +292,54 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
 
     Only sigma that are unions of generator supports can carry homology
     (anything else restricts to a cone), so the enumeration closes the
-    support set under unions instead of walking all 2^n subsets.
+    support set under unions instead of walking all 2^n subsets.  A sigma
+    with a dominated vertex v takes the ranks of sigma - v, done before it,
+    or none when sigma - v is no union, so a nonempty cone.
     """
     _check_input("betti_table", ideal, p, cap)
     complex_ = SimplicialComplex.of_ideal(ideal)
 
     closed = {0}
-    frontier = [0]
-    while frontier:
-        mask = frontier.pop()
-        for s in complex_.supports:
-            u = mask | s
-            if u not in closed:
-                closed.add(u)
-                frontier.append(u)
+    for s in complex_.supports:
+        closed |= {mask | s for mask in closed}
 
     # every sigma is a submask of the union of all supports, the largest
     table = _FaceTable(complex_, max(closed), p)
+    dominations = _dominations(table, complex_.supports)
+    homology = {}  # the nonzero ranks of the sigma done so far
     entries = {}
-    for mask in sorted(closed):
-        ranks = table.homology_ranks(mask)
-        size = bin(mask).count("1")
-        sigma = frozenset(_set_bits(mask))
-        for c, rank in enumerate(ranks):
-            if rank:
-                k = c - 1
-                entries[(size - 1 - k, sigma)] = rank
+    for mask in sorted(closed):  # each sigma after its submasks
+        v = _dominated(dominations, mask)
+        ranks = homology.get(mask ^ v, ()) if v else table.homology_ranks(mask)
+        if any(ranks):
+            homology[mask] = ranks
+            sigma = frozenset(_set_bits(mask))
+            # ranks[c] is that of H~_{c-1}, which sits in beta_{|sigma|-c}
+            for c, rank in enumerate(ranks):
+                if rank:
+                    entries[(len(sigma) - c, sigma)] = rank
     return BettiTable(ideal.nvars, entries)
+
+
+def _dominations(table, supports):
+    """(v's bit, {v, w}, blockers: the S through w with (S - w) + v a face).
+
+    In the restriction to sigma, w is a cone point of lk v exactly when {v, w}
+    but no blocker lies in sigma: a face G + v with G + v + w no face holds an
+    S through w, and (S - w) + v is in G + v; conversely (S - w) - v is a G.
+    """
+    verts, index = _set_bits(table.mask), table.index
+    return [(1 << v, 1 << v | 1 << w,
+             [s for s in supports if s >> w & 1 and (s ^ 1 << w) | 1 << v in index])
+            for v in verts for w in verts
+            if w != v and 1 << v | 1 << w in index]
+
+
+def _dominated(dominations, sigma):
+    """The bit of a vertex whose link in the restriction to sigma is a cone, or 0."""
+    out = ~sigma
+    return next((bit for bit, pair, blockers in dominations
+                 if not pair & out and all(s & out for s in blockers)), 0)
 
 
 def _coned(index, rests, face):

@@ -23,10 +23,13 @@ from gbei.errors import CapExceededError
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.rings import DEFAULT_PRIME
 from gbei.hochster import (
+    HOCHSTER_CAP,
     BettiTable,
     SimplicialComplex,
     _FaceTable,
     _coned,
+    _dominated,
+    _dominations,
     _pivot_rows,
     betti_table,
     depth_and_regularity,
@@ -485,12 +488,13 @@ def _table_invariants(ideal, p):
     return table.depth(), table.regularity()
 
 
-_SMALL_SPECS = [spec for spec in enumerate_specs(6, 6) if spec.m * spec.n <= 12]
+_SMALL_SPECS = [spec for spec in enumerate_specs(6, 6)
+                if spec.m * spec.n <= HOCHSTER_CAP]
 
 
 @pytest.mark.parametrize("p", [2, 32003])
 def test_links_match_the_betti_table_on_every_small_spec(p):
-    assert len(_SMALL_SPECS) == 35
+    assert len(_SMALL_SPECS) == 43
     for spec in _SMALL_SPECS:
         ini = _spec_initial_ideal(spec, p)
         assert depth_and_regularity(ini, p) == _table_invariants(ini, p), spec
@@ -673,3 +677,67 @@ def test_link_reduction_leaves_the_table_unchanged():
     for i in range(table.starts[-1]):
         table.ranks(table.star(i), relative=True)
     assert table.columns == before
+
+
+# ---------------------------------------------------------------------------
+# the strong collapses of the Betti table
+
+def _dominated_vertices(supports, nvars, sigma):
+    """Brute force: the v in sigma with a cone point in its link in the
+    restriction to sigma, the complex whose non-vertices are those outside."""
+    restricted = list(supports) + [1 << u for u in range(nvars) if not sigma >> u & 1]
+    return {v for v in range(nvars)
+            if sigma >> v & 1 and _cone_points(restricted, nvars, 1 << v)}
+
+
+def test_dominance_test_matches_the_links_on_every_sigma():
+    rng = random.Random(15)
+    dominated = undominated = 0
+    for _ in range(60):
+        nvars = rng.randrange(2, 8)
+        supports = _random_supports(rng, nvars)
+        table = _FaceTable(SimplicialComplex(nvars, supports), (1 << nvars) - 1,
+                           DEFAULT_PRIME)
+        dominations = _dominations(table, supports)
+        for sigma in range(1 << nvars):
+            want = _dominated_vertices(supports, nvars, sigma)
+            bit = _dominated(dominations, sigma)
+            assert bool(bit) == bool(want), (supports, sigma)
+            assert not bit or bit.bit_length() - 1 in want, (supports, sigma)
+            dominated += bool(want)
+            undominated += not want
+    assert dominated >= 1500 and undominated >= 600
+
+
+def _count_homology_calls(monkeypatch):
+    """The sigma masks reduced in full, recorded as they go."""
+    homology_ranks = _FaceTable.homology_ranks
+    reduced = []
+
+    def counted(self, sigma_mask):
+        reduced.append(sigma_mask)
+        return homology_ranks(self, sigma_mask)
+
+    monkeypatch.setattr(_FaceTable, "homology_ranks", counted)
+    return reduced
+
+
+def test_a_collapse_can_carry_homology(monkeypatch):
+    # I = (abc, cd): in sigma = abcd, lk d is the edge ab, a cone, and
+    # deleting d leaves the hollow triangle abc, so beta_{2,abcd} = 1
+    a, b, c, d = range(4)
+    ideal = _sq(4, (a, b, c), (c, d))
+    reduced = _count_homology_calls(monkeypatch)
+    table = betti_table(ideal)
+    assert table.rank(2, {a, b, c, d}) == 1
+    assert table.rank(1, {a, b, c}) == 1
+    assert 0b1111 not in reduced and 0b0111 in reduced
+    assert table.entries == _reference_betti(ideal, DEFAULT_PRIME)
+
+
+def test_few_sigma_are_reduced(monkeypatch):
+    ini = _spec_initial_ideal(PartiteSpec(2, (2, 2, 2)), DEFAULT_PRIME)
+    reduced = _count_homology_calls(monkeypatch)
+    betti_table(ini)
+    supports = SimplicialComplex.of_ideal(ini).supports
+    assert (len(reduced), len(_union_closure(supports))) == (33, 1636)
