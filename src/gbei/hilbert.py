@@ -18,7 +18,7 @@ is a subtraction, and divisibility is the guard test `groebner` uses too.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, zip_longest
 from math import comb
 from operator import add, mul, sub
 
@@ -228,15 +228,26 @@ class _Run:
 
     def node(self, gens):
         """The K-polynomial of a node, memoized.  A method, not __call__:
-        calling an instance would cost a C frame per level of recursion."""
-        got = self.memo.get(gens)
-        if got is None:
-            got = self.memo[gens] = _kpoly(gens, self)
+        calling an instance would cost a C frame per level of recursion.
+        A chain of colons runs in a loop, so the recursion is only as deep
+        as the chain of I + (x), at most one per variable."""
+        chain = []  # (node, K-polynomial of its I + (x)) down the colons
+        while (got := self.memo.get(gens)) is None:
+            got = _kpoly(gens, self)
+            if isinstance(got, list):
+                self.memo[gens] = got
+                break
+            chain.append((gens, got[0]))
+            gens = got[1]
+        for gens, plus in reversed(chain):  # K(I) = K(I + (x)) + t*K(I : x)
+            got = list(map(sum, zip_longest(plus, [0, *got], fillvalue=0)))
+            self.memo[gens] = got
         return got
 
 
 def _kpoly(gens, run):
-    """K-polynomial of the quotient by the packed minimal generators gens."""
+    """K-polynomial of the quotient by the packed minimal generators gens,
+    or at a split the pair (K-polynomial of I + (x), generators of I : x)."""
     if not gens:
         return [1]
     if not gens[0]:
@@ -281,12 +292,7 @@ def _kpoly(gens, run):
                 break
         else:
             kept.append(h)
-    colon = run.node(tuple(sorted(quotients + kept)))
-
-    out = plus + [0] * (len(colon) + 1 - len(plus))
-    for i, c in enumerate(colon, 1):
-        out[i] += c
-    return out
+    return plus, tuple(sorted(quotients + kept))
 
 
 def krull_dimension(series):

@@ -1,47 +1,42 @@
 """Depth, regularity and graded Betti numbers of squarefree quotients over GF(p).
 
-Depth and regularity come from Hochster's formula for local cohomology, from
-the homology of the link of each face of the Stanley-Reisner complex
-(`depth_and_regularity`).  A cone is contractible and not empty, so a link
-that is a cone is acyclic, H~_{-1} included, and is skipped; v is a cone
-point of lk F exactly when v is not in F, F + v is a face, and (S - v) + F
-is a face for no support S through v.  The full Betti table, from his
-formula for Tor (`betti_table`), serves the API and cross-checks the links.
+Both rest on strong collapses.  A vertex v whose link is a cone is
+dominated, and deleting it is a strong collapse (Barmak-Minian, Strong
+homotopy types, nerves and collapses, DCG 2012): star v and lk v are
+nonempty cones, so Mayer-Vietoris gives the complex the H~ of its deletion
+of v over any ring, every GF(p) alike.  A cone is acyclic, H~_{-1} too.
 
-For the table, beta_{i,sigma}(S/I) is the rank of the
-reduced homology H~_{|sigma|-i-1} of the Stanley-Reisner complex of I
-restricted to sigma.  A restriction contributes nothing whenever it is a
-cone, and it is a cone exactly unless sigma is a union of generator
-supports, so only those unions are ever enumerated.  A vertex v whose
-link is a cone is dominated, and deleting it is a strong collapse (Barmak-
-Minian, Strong homotopy types, nerves and collapses, DCG 2012): star v
-and lk v are nonempty cones, so Mayer-Vietoris gives sigma the H~ of
-sigma - v over any ring, every GF(p) alike.  Only the rest are reduced.
+Depth and regularity come from Hochster's formula for local cohomology,
+from the homology of the link of each face (`depth_and_regularity`).
+Links are small complexes of their own, walked as a tree: lk (F + u) is
+the link of u in lk F.  A coned link is skipped with every face above it
+that misses its cone point; the rest are collapsed, then reduced.
 
-All of them lie inside the union U of every support, and the faces of the
-restriction to sigma are the faces of the restriction to U that miss every
-vertex of U outside sigma.  So a Betti table enumerates faces once, into a
-face table for U: the faces in (size, lex) order, each face's boundary
-column over those global row indices, and for every vertex a bitset of the
-faces that contain it.  The faces of one sigma are all faces minus the OR
-of the bitsets of the vertices outside it, and each size is a bit range.
-The same table gives the faces containing a face F, the AND of the bitsets
-of F's vertices, and with it the link of F.
+The full Betti table, from his formula for Tor (`betti_table`), serves the
+API and cross-checks the links: beta_{i,sigma}(S/I) is the rank of
+H~_{|sigma|-i-1} of the restriction to sigma.  That is a cone unless sigma
+is a union of generator supports, so only those unions are enumerated, and
+a sigma with a dominated vertex v has the H~ of sigma - v.  All lie in the
+union U of the supports, so their faces go once into a face table for U:
+faces in (size, lex) order, boundary columns, and for every vertex a bitset
+of the faces that hold it.  The faces of one sigma are all faces minus the
+OR of the bitsets of the vertices outside it; each size is a bit range.
 
 Boundary ranks come from sparse column reduction over GF(p) on Python
 ints, so they are exact for every prime.  The maps are reduced from the
 top dimension down, and a column whose face was already a pivot row of the
 map above is skipped: it always reduces to zero (the "clearing" of
 Chen-Kerber, Persistent homology computation with a twist, EuroCG 2011).
-Every sigma and every link reduces the same shared columns, so the
-reduction copies a column the first time it subtracts from it
-(copy-on-write) and never changes the table.
+Shared columns are copied the first time the reduction subtracts from them
+(copy-on-write), so the table never changes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import accumulate, compress
+from operator import or_
 
 from .errors import CapExceededError
 from .rings import DEFAULT_PRIME, is_prime, mono_mask
@@ -104,14 +99,14 @@ class SimplicialComplex:
 class _FaceTable:
     """Faces of the restriction to `mask`, cut down to any subset of it.
 
-    faces[i] is the i-th face in (size, lex) order, and starts[c] is the
-    index of the first face of size c.  columns[i] is the boundary of face i
-    as {row index: coeff mod p}, where the j-th lowest vertex carries
-    (-1)^j.  Bit i of holders[v] is set when face i contains vertex v, and
-    index maps each face to its position.
+    index maps each face to its position i in (size, lex) order, and
+    starts[c] is the position of the first face of size c.  columns[i] is
+    the boundary of face i as {row index: coeff mod p}, where the j-th
+    lowest vertex carries (-1)^j.  Bit i of holders[v] is set when face i
+    contains vertex v.
     """
 
-    __slots__ = ("mask", "p", "faces", "index", "starts", "columns", "holders")
+    __slots__ = ("mask", "p", "index", "starts", "columns", "holders")
 
     def __init__(self, complex_, mask, p):
         grouped = complex_.faces_by_size(mask)
@@ -119,7 +114,6 @@ class _FaceTable:
         index = {face: i for i, face in enumerate(faces)}
         self.mask = mask
         self.p = p
-        self.faces = faces
         self.index = index
         self.starts = [0, *accumulate(map(len, grouped))]
         self.columns = [{index[face ^ 1 << v]: p - 1 if j & 1 else 1
@@ -132,43 +126,20 @@ class _FaceTable:
             for v in range(complex_.nvars)]
 
     def homology_ranks(self, sigma_mask):
-        """Reduced homology ranks of the restriction to a submask of the table.
-
-        The list runs over k = -1 .. d for the largest face dimension d.
-        """
+        """Ranks of H~_k, k = -1 .. d, of the restriction to a submask: at face
+        size c, the count of size-c faces minus the ranks of the boundary maps
+        on either side, reduced from the top size down with clearing."""
         gone = 0
         for v in _set_bits(self.mask & ~sigma_mask):
             gone |= self.holders[v]
-        return self.ranks(((1 << self.starts[-1]) - 1) & ~gone, relative=False)
-
-    def star(self, i):
-        """Bitset of the faces that contain face i (all faces for the empty one)."""
-        star = (1 << self.starts[-1]) - 1
-        for v in _set_bits(self.faces[i]):
-            star &= self.holders[v]
-        return star
-
-    def ranks(self, present_bits, relative):
-        """Homology ranks, by face size, of the chain complex on a set of faces.
-
-        The faces are the set bits of present_bits, each with its shared
-        boundary column.  With `relative`, rows outside the set are dropped:
-        that is the quotient by the faces outside it, when those are a
-        subcomplex.  The rank at size c is the count of size-c faces minus
-        the ranks of the boundary maps on either side, and the maps are
-        reduced from the top size down with clearing.
-        """
-        present = _set_bits(present_bits)
+        present = _set_bits(((1 << self.starts[-1]) - 1) & ~gone)
         top = bisect_right(self.starts, present[-1])
         cuts = [bisect_left(present, start) for start in self.starts[:top + 1]]
         columns = self.columns
-        kept = set(present) if relative else None
         boundary = [0] * (top + 1)  # boundary[c]: rank of the map out of size c
         cleared = ()
         for c in range(top - 1, 1, -1):
             cols = [columns[i] for i in present[cuts[c]:cuts[c + 1]] if i not in cleared]
-            if relative:
-                cols = [{r: x for r, x in col.items() if r in kept} for col in cols]
             cleared = _pivot_rows(cols, self.p)
             boundary[c] = len(cleared)
         # the vertices, if any, map onto the empty face when it is present
@@ -342,17 +313,78 @@ def _dominated(dominations, sigma):
                  if not pair & out and all(s & out for s in blockers)), 0)
 
 
-def _coned(index, rests, face):
-    """True when lk F, F = face, has a cone point; see depth_and_regularity.
+def _link(verts, nonfaces, u):
+    """lk u in the complex on `verts` with minimal non-faces `nonfaces`: the
+    v with {u, v} a face, and the minimal T - u among them.  Only a T - u
+    with u in T can lie in another T', and then only with u not in T'."""
+    bit = 1 << u
+    through = [t ^ bit for t in nonfaces if t & bit]
+    # a T = {u, v} takes v out, and u and v keep every other T out
+    verts &= ~bit & ~sum(t for t in through if not t & (t - 1))
+    through = [t for t in through if not t & ~verts]
+    rest = [t for t in nonfaces if not t & ~verts]
+    if through:
+        rest = [t for t in rest if all(r & ~t for r in through)]
+    return verts, through + rest
 
-    A face G of lk F with G + F + v no face holds a support S through v, so
-    (S - v) + F lies in the face G + F; conversely (S - v) - F is such a G.
+
+def _apexes(verts, nonfaces):
+    """The cone points of a complex: the vertices in no minimal non-face."""
+    return verts & ~reduce(or_, nonfaces, 0)
+
+
+def _non_coned_faces(complex_, wanted):
+    """Yield (F, V', L) for the faces F of the union of the supports with no
+    cone point in lk F, its vertices V' and minimal non-faces L, depth-first
+    over the lex tree: F + u for u in V' above max F are F's children.
+
+    If a is a cone point of lk F = a * K, a face G above F that misses a has
+    the cone link a * lk_K(G - F).  So F goes with its subtree when its
+    smallest a lies below max F, and else F grows only by u <= a.  F is
+    yielded only when wanted(|F|, |V'|), and its subtree entered only when
+    wanted(|F| + 1, |V'| - 1).
     """
-    # on a face F a non-face F + v already fails the scan, but one lookup first
-    # is 1.2 to 1.7 times faster on all faces of the BENCH_hochster_links.json specs
-    return any(not face >> v & 1 and face | 1 << v in index
-               and all(face | rest not in index for rest in rest_v)
-               for v, rest_v in rests)
+    minimal = []
+    for s in sorted(complex_.supports, key=int.bit_count):
+        if all(t & ~s for t in minimal):
+            minimal.append(s)
+    # a vertex whose singleton is a support is in no face
+    verts = reduce(or_, complex_.supports, 0) & ~sum(s for s in minimal if not s & (s - 1))
+    stack = [(0, verts, [s for s in minimal if s & (s - 1)])]
+    while stack:
+        face, verts, nonfaces = stack.pop()
+        low = face.bit_length()
+        grow = verts >> low << low
+        apex = _apexes(verts, nonfaces)
+        if apex:
+            apex &= -apex  # the smallest cone point a
+            if apex >> low == 0:
+                continue  # a < max F
+            grow &= (apex << 1) - 1
+        elif wanted(face.bit_count(), verts.bit_count()):
+            yield face, verts, nonfaces
+        if grow and wanted(face.bit_count() + 1, verts.bit_count() - 1):
+            for u in reversed(_set_bits(grow)):
+                stack.append((face | 1 << u, *_link(verts, nonfaces, u)))
+
+
+def _collapsed_ranks(verts, nonfaces, p):
+    """Ranks of H~_k, k = -1 .. d, of a complex with no cone point, after
+    one pass of collapses.  If its non-faces are disjoint, so cover it, it
+    is the join of their boundaries, a sphere of dimension |V| - |L| - 1."""
+    for v in _set_bits(verts):
+        if sum(map(int.bit_count, nonfaces)) == verts.bit_count():
+            break
+        if _apexes(*_link(verts, nonfaces, v)):
+            verts ^= 1 << v
+            nonfaces = [t for t in nonfaces if not t >> v & 1]
+            if _apexes(verts, nonfaces):
+                return []
+    size = verts.bit_count()
+    if sum(map(int.bit_count, nonfaces)) == size:
+        return [0] * (size - len(nonfaces)) + [1]
+    complex_ = SimplicialComplex(verts.bit_length(), nonfaces)
+    return _FaceTable(complex_, verts, p).homology_ranks(verts)
 
 
 def depth_and_regularity(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
@@ -362,48 +394,25 @@ def depth_and_regularity(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
     H~_{i-|F|-1}(lk F) with the summand of F in degree -|F| and below
     (Stanley, Combinatorics and Commutative Algebra, Thm II.4.1), gives
     depth = min(|F| + 1 + k) and reg = max(k + 1) over the nonzero
-    H~_k(lk F).  The vertices in no support are cone points: only faces
-    containing all of them have a non-acyclic link, which is the link of
-    the rest in the restriction to the union U of the supports, so the
-    faces of that restriction suffice and the cone points shift depth by
-    their number alone.  A cone link is contractible, so acyclic, H~_{-1}
-    too (it is not empty), and is skipped: v is a cone point of lk F
-    exactly when v is not in F, F + v is a face, and (S - v) + F is a
-    face for no support S through v (`_coned`), a few face-index lookups
-    that need no star.
-
-    The faces containing F are a face table's star of F, and the faces
-    missing F a subcomplex, so the star's columns with their rows cut to
-    the star are the relative complex of the pair, whose homology in size
-    |F| + k + 1 is H~_k(lk F).  Faces go by ascending size; a face is
-    reduced only while (cone points) + |F| can still lower depth or its
-    largest star face can still raise reg.
+    H~_k(lk F).  The vertices in no support are cone points of every link
+    that misses them, so only the faces of the union of the supports count,
+    and those vertices shift depth by their number alone.  Of those, the
+    faces with no coned link come from `_non_coned_faces` (recursive links,
+    pruned by their cone points), each link |V'| vertices wide, reduced by
+    `_collapsed_ranks` only while it can still lower depth or raise reg.
     """
     _check_input("depth_and_regularity", ideal, p, cap)
     complex_ = SimplicialComplex.of_ideal(ideal)
-    union = 0
-    for s in complex_.supports:
-        union |= s
-    table = _FaceTable(complex_, union, p)
-    cone = ideal.nvars - bin(union).count("1")
-    rests = [(v, [s ^ 1 << v for s in complex_.supports if s >> v & 1])
-             for v in _set_bits(union)]
-    faces, index, starts = table.faces, table.index, table.starts
-    top = len(starts) - 2  # the largest face size
+    cone = ideal.nvars - reduce(or_, complex_.supports, 0).bit_count()
     depth, reg = ideal.nvars + 1, -1
-    for size in range(top + 1):
-        if cone + size >= depth and top - size <= reg:
-            break  # depth only falls and reg only rises, so no later face counts
-        for i in range(starts[size], starts[size + 1]):
-            if _coned(index, rests, faces[i]):
-                continue
-            star = table.star(i)
-            widest = bisect_right(starts, star.bit_length() - 1) - 1
-            if cone + size >= depth and widest - size <= reg:
-                continue
-            # the rank in size c is that of H~_{c-size-1}(lk F)
-            for c, rank in enumerate(table.ranks(star, relative=True)):
-                if rank:
-                    depth = min(depth, cone + c)
-                    reg = max(reg, c - size)
+
+    def wanted(size, width):
+        return cone + size < depth or width > reg
+
+    for face, verts, nonfaces in _non_coned_faces(complex_, wanted):
+        # ranks[c] is that of H~_{c-1}(lk F), which sits in H^{|F|+c}_m
+        for c, rank in enumerate(_collapsed_ranks(verts, nonfaces, p)):
+            if rank:
+                depth = min(depth, cone + face.bit_count() + c)
+                reg = max(reg, c)
     return depth, reg

@@ -205,10 +205,19 @@ def test_exponents_past_one_byte(monkeypatch, a, b):
 
 
 def test_recursion_reaches_four_hundred_colons():
-    # (x^401 y, x^400 y^2, y^3) takes 400 colons by x in a row, each two
-    # Python frames deep, inside the default recursion limit of 1000
+    # (x^401 y, x^400 y^2, y^3) takes 400 colons by x in a row
     series = hilbert_series(MonomialIdeal(2, [(401, 1), (400, 2), (0, 3)]))
     assert series == HilbertSeries([1, 1, 1] + [0] * 399 + [-2], 1)
+
+
+def test_a_thousand_colons_in_a_row_take_no_stack():
+    # the chain of colons by x runs in a loop, so a thousand of them stay
+    # far inside the default recursion limit of 1000 frames
+    ideal = MonomialIdeal(2, [(1000, 1), (999, 2), (0, 3)])
+    coefficients = hilbert_series(ideal).coefficients(1004)
+    for d in (0, 1, 2, 3, 500, 998, 999, 1000, 1001, 1002, 1003, 1004):
+        assert coefficients[d] == _count_standard_monomials(ideal, d)
+    assert coefficients[999:1002] == [3, 3, 1]
 
 
 def _reference_nodes(ideal):

@@ -12,24 +12,30 @@ this module to an entirely independent computation.
 import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
 
 import pytest
 
 from gbei import (PartiteSpec, TermOrder, complete_multipartite,
-                  enumerate_specs, generalized_bei)
+                  enumerate_specs, generalized_bei, hochster)
 from gbei.errors import CapExceededError
+from gbei.formulas import predicted_depth, predicted_regularity
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.rings import DEFAULT_PRIME
 from gbei.hochster import (
     HOCHSTER_CAP,
     BettiTable,
     SimplicialComplex,
+    _apexes,
+    _collapsed_ranks,
     _FaceTable,
-    _coned,
     _dominated,
     _dominations,
+    _link,
+    _non_coned_faces,
     _pivot_rows,
     betti_table,
     depth_and_regularity,
@@ -537,44 +543,164 @@ def _cone_points(supports, nvars, face):
             if not face >> v & 1 and all(is_face(g | face | 1 << v) for g in link)}
 
 
-def _cone_test(supports, nvars):
-    """The face index and rests that `_coned` reads, for all of 0..nvars-1."""
-    complex_ = SimplicialComplex(nvars, supports)
-    index = _FaceTable(complex_, (1 << nvars) - 1, DEFAULT_PRIME).index
-    rests = [(v, [s ^ 1 << v for s in complex_.supports if s >> v & 1])
-             for v in range(nvars)]
-    return index, rests
+def _is_face(supports, mask):
+    return all(s & ~mask for s in supports)
 
 
-def test_cone_test_matches_the_link_on_every_vertex_set():
-    # faces and non-faces alike: on a non-face, whose link is void and so no
-    # cone, only the lookup of F + v rules v out, so each of the three
-    # conditions is needed
+def _bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _brute_link(supports, nvars, face):
+    """Brute force: the vertices of lk F, F = face, in the union of the
+    supports, and the minimal non-faces among them, sorted."""
+    union = reduce(or_, supports, 0)
+    verts = sum(1 << v for v in _bits(union & ~face) if _is_face(supports, face | 1 << v))
+    nonfaces = [g for g in range(1 << nvars)
+                if not g & ~verts and not _is_face(supports, face | g)]
+    return verts, sorted(g for g in nonfaces
+                         if not any(h != g and not h & ~g for h in nonfaces))
+
+
+def _union_faces(supports, nvars):
+    """Brute force: the faces inside the union of the supports."""
+    union = reduce(or_, supports, 0)
+    return [f for f in range(1 << nvars) if not f & ~union and _is_face(supports, f)]
+
+
+def test_recursive_links_match_the_link_on_every_face():
+    # lk (F + u) is the link of u in lk F, and a cone point of a link is a
+    # vertex in no minimal non-face; the vertices in no support are cone
+    # points of every link, and the walk leaves them out
     rng = random.Random(11)
-    coned = 0
-    for _ in range(60):
-        nvars = rng.randrange(2, 7)
+    coned = faces = 0
+    for _ in range(80):
+        nvars = rng.randrange(3, 9)
         supports = _random_supports(rng, nvars)
-        index, rests = _cone_test(supports, nvars)
-        for face in range(1 << nvars):
-            want = bool(_cone_points(supports, nvars, face))
-            assert _coned(index, rests, face) == want, (supports, face)
-            coned += want
-    assert coned >= 200
+        outside = set(range(nvars)) - set(_bits(reduce(or_, supports)))
+        root = _brute_link(supports, nvars, 0)
+        for face in _union_faces(supports, nvars):
+            verts, nonfaces = root
+            for u in _bits(face):
+                verts, nonfaces = _link(verts, nonfaces, u)
+            assert (verts, sorted(nonfaces)) == _brute_link(supports, nvars, face)
+            want = _cone_points(supports, nvars, face)
+            assert set(_bits(_apexes(verts, nonfaces))) | outside == want, (supports, face)
+            coned += bool(want - outside)
+            faces += 1
+    assert coned >= 80 and faces >= 400
 
 
 def test_a_cone_point_needs_every_support_through_it():
     # the path a-d-c-b: lk d is the two points a and c, no cone.  Of the
-    # supports through a, ab gives F + b = bd, no face, and only ac gives
-    # the face cd that rules a out; lk d carries the H~_0 behind reg 1
+    # supports through a, ab only takes b out of lk d, and ac is the
+    # non-face that keeps a from being a cone point; lk a is the point d,
+    # a cone.  lk d carries the H~_0 behind reg 1
     a, b, c, d = range(4)
-    ideal = _sq(4, (a, b), (a, c), (b, d))
     supports = [1 << a | 1 << b, 1 << a | 1 << c, 1 << b | 1 << d]
-    index, rests = _cone_test(supports, 4)
-    assert not _coned(index, rests, 1 << d)
-    assert _coned(index, rests, 1 << a)  # lk a is the point d
+    root = (0b1111, supports)
+    assert _link(*root, d) == (1 << a | 1 << c, [1 << a | 1 << c])
+    assert not _apexes(*_link(*root, d))
+    assert _apexes(*_link(*root, a)) == 1 << d
+    ideal = _sq(4, (a, b), (a, c), (b, d))
     assert depth_and_regularity(ideal) == (2, 1)
     assert _table_invariants(ideal, DEFAULT_PRIME) == (2, 1)
+
+
+def _kept_by_the_prune(supports, face):
+    """Brute force: the walk reaches F when for every lex prefix P of F,
+    with u the next vertex of F, lk P has no cone point below max P and u
+    is at most its smallest cone point, if any, in the union."""
+    union = reduce(or_, supports, 0)
+    prefix = 0
+    for u in _bits(face):
+        cones = [v for v in _cone_points(supports, union.bit_length(), prefix)
+                 if union >> v & 1]
+        if cones and (min(cones) < prefix.bit_length() or u > min(cones)):
+            return False
+        prefix |= 1 << u
+    return True
+
+
+def _walk(monkeypatch, complex_):
+    """What `_non_coned_faces` yields with no bound, by face, and the count
+    of faces it visits: the root and one per link it takes."""
+    taken = []
+    link = hochster._link
+    monkeypatch.setattr(hochster, "_link", lambda *args: taken.append(args) or link(*args))
+    walked = {face: (verts, sorted(nonfaces))
+              for face, verts, nonfaces in _non_coned_faces(complex_, lambda *_: True)}
+    monkeypatch.setattr(hochster, "_link", link)
+    return walked, 1 + len(taken)
+
+
+def _drawn_supports(rng, nvars):
+    """_random_supports, with now and then a support inside another, or a
+    singleton, which the walk must take out first."""
+    supports = _random_supports(rng, nvars)
+    if rng.random() < 0.5:
+        supports.append(supports[0] | 1 << rng.randrange(nvars))
+    if rng.random() < 0.3:
+        supports.append(1 << rng.randrange(nvars))
+    return supports
+
+
+# the case that needs both: with {0} and {4}, the rest are no minimal
+# non-faces, and 0 and 4 are in no face
+_TRAP = [0b00001, 0b10000, 0b00101, 0b10001, 0b10101]
+
+
+def test_the_walk_yields_every_non_coned_face_and_visits_no_more(monkeypatch):
+    rng = random.Random(23)
+    draws = [_drawn_supports(rng, rng.randrange(2, 8)) for _ in range(60)]
+    kept = yielded = 0
+    for supports in draws + [_TRAP]:
+        nvars = reduce(or_, supports).bit_length()
+        walked, visited = _walk(monkeypatch, SimplicialComplex(nvars, supports))
+        faces = _union_faces(supports, nvars)
+        outside = set(range(nvars)) - set(_bits(reduce(or_, supports)))
+        want = {face: _brute_link(supports, nvars, face) for face in faces
+                if not _cone_points(supports, nvars, face) - outside}
+        assert walked == want, supports
+        assert visited == sum(_kept_by_the_prune(supports, f) for f in faces), supports
+        kept += visited
+        yielded += len(walked)
+    assert _walk(monkeypatch, SimplicialComplex(5, _TRAP))[0] == {0b00100: (0, [])}
+    assert kept >= 200 and yielded >= 150
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_the_trap_case_gives_the_table_invariants(p):
+    ideal = _sq(5, *[_bits(s) for s in _TRAP])
+    assert depth_and_regularity(ideal, p) == _table_invariants(ideal, p) == (3, 0)
+
+
+def _strip(ranks):
+    return list(ranks[:max((c + 1 for c, r in enumerate(ranks) if r), default=0)])
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_collapsed_links_keep_their_homology(monkeypatch, p):
+    # each complex with no cone point against a full reduction of its own
+    # face table; RP2 keeps its torsion, and spheres need no table
+    tables = _count_homology_calls(monkeypatch)
+    rng = random.Random(30 + p % 1000)
+    cases = [(0b111111, list(SimplicialComplex.of_ideal(_rp2_ideal()).supports))]
+    while len(cases) < 150:
+        nvars = rng.randrange(4, 9)
+        drawn = {sum(1 << v for v in rng.sample(range(nvars), rng.randrange(2, 5)))
+                 for _ in range(rng.randrange(3, 9))}
+        supports = [s for s in drawn if not any(t != s and not t & ~s for t in drawn)]
+        verts = reduce(or_, supports)
+        if not _apexes(verts, supports):
+            cases.append((verts, supports))
+    for verts, supports in cases:
+        complex_ = SimplicialComplex(verts.bit_length(), supports)
+        full = _FaceTable(complex_, verts, p).homology_ranks(verts)
+        assert _strip(_collapsed_ranks(verts, supports, p)) == _strip(full), supports
+    assert _strip(_collapsed_ranks(*cases[0], p)) == ([0, 0, 1, 1] if p == 2 else [])
+    # besides the table for `full`, some cases reduce a table and most not
+    assert 30 <= len(tables) - len(cases) <= 120
 
 
 @pytest.mark.parametrize("p", [2, 32003])
@@ -629,53 +755,68 @@ def test_depth_and_regularity_guards():
 
 
 def _count_links(monkeypatch):
-    """The star bitsets of the links reduced, recorded as they go."""
-    ranks = _FaceTable.ranks
+    """The links reduced, as (V', L), recorded as they go."""
+    collapsed_ranks = hochster._collapsed_ranks
     reduced = []
 
-    def counted(self, present_bits, relative):
-        if relative:
-            reduced.append(present_bits)
-        return ranks(self, present_bits, relative)
+    def counted(verts, nonfaces, p):
+        reduced.append((verts, nonfaces))
+        return collapsed_ranks(verts, nonfaces, p)
 
-    monkeypatch.setattr(_FaceTable, "ranks", counted)
+    monkeypatch.setattr(hochster, "_collapsed_ranks", counted)
     return reduced
 
 
 def test_links_are_pruned(monkeypatch):
     # faces whose link is a cone, or that cannot lower depth or raise reg,
-    # are never reduced; the count pins all three prunes, since a looser
-    # one only costs time
-    reduced = _count_links(monkeypatch)
+    # are never reduced; the counts pin the prunes, since a looser one only
+    # costs time.  Every link collapses to a point or a sphere, so no face
+    # table is built
     ini = _spec_initial_ideal(PartiteSpec(3, (2, 2)), 32003)
-    assert depth_and_regularity(ini, 32003) == (5, 2)
     complex_ = SimplicialComplex.of_ideal(ini)
-    union = 0
-    for s in complex_.supports:
-        union |= s
-    faces = _FaceTable(complex_, union, 32003).starts[-1]
-    assert (len(reduced), faces) == (44, 368)
+    walked, visited = _walk(monkeypatch, complex_)
+    union = reduce(or_, complex_.supports)
+    assert (len(walked), visited, _FaceTable(complex_, union, 32003).starts[-1]) == (68, 162, 368)
+    reduced = _count_links(monkeypatch)
+    tables = _count_homology_calls(monkeypatch)
+    assert depth_and_regularity(ini, 32003) == (5, 2)
+    assert (len(reduced), len(tables)) == (47, 0)
 
 
 def test_reg_from_a_link_past_the_depth_prune(monkeypatch):
     # a point beside the cone v * (circle bcd): H~_0 of the whole complex
     # gives depth 1 and reg 1, and only the circle lk v gives reg 2.  Every
-    # vertex is past the depth prune; v is reduced for reg and b, c, d,
-    # whose links cannot beat reg 2, are not
+    # vertex is past the depth prune; v is reduced for reg, the void link
+    # of a cannot beat reg 1, and v is a cone point of lk b, lk c and lk d
     reduced = _count_links(monkeypatch)
     a, v, b, c, d = range(5)
     ideal = _sq(5, (a, v), (a, b), (a, c), (a, d), (b, c, d))
     assert depth_and_regularity(ideal) == (1, 2)
     assert _table_invariants(ideal, DEFAULT_PRIME) == (1, 2)
-    assert len(reduced) == 2
+    assert [verts for verts, _ in reduced] == [0b11111, 0b11100]
 
 
-def test_link_reduction_leaves_the_table_unchanged():
-    complex_ = SimplicialComplex.of_ideal(_rp2_ideal())
-    table = _FaceTable(complex_, (1 << 6) - 1, 2)
-    before = [dict(col) for col in table.columns]
-    for i in range(table.starts[-1]):
-        table.ranks(table.star(i), relative=True)
+@pytest.mark.parametrize("m, parts", [(2, (1, 8)), (3, (1, 5)), (2, (1, 10))])
+def test_links_past_the_cap_match_the_prediction(m, parts):
+    # 18 to 22 variables, up to 530,944 faces, of which a few hundred are
+    # visited
+    spec = PartiteSpec(m, parts)
+    ini = _spec_initial_ideal(spec, 32003)
+    want = predicted_depth(spec), predicted_regularity(spec)
+    assert depth_and_regularity(ini, 32003, cap=24) == want
+
+
+def test_betti_table_leaves_its_columns_unchanged(monkeypatch):
+    tables = []
+    init = _FaceTable.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        tables.append((self, [dict(col) for col in self.columns]))
+
+    monkeypatch.setattr(_FaceTable, "__init__", recorded)
+    assert betti_table(_rp2_ideal(), 2).entries == _reference_betti(_rp2_ideal(), 2)
+    [(table, before)] = tables
     assert table.columns == before
 
 

@@ -6,10 +6,19 @@
 gbei is imported from --src, so the same script measures a checkout of any
 commit.  The results are stored under --label in --output, beside the
 labels already there, so two runs give a before/after pair in one file.
-A link counts as reduced when `_FaceTable.ranks` is called with
-relative=True, as `tests/test_hochster.py::_count_links` counts them.
-Each spec's time is the best of REPEAT calls on its lex row-major
-initial ideal over GF(32003); building that ideal is not timed.
+Each spec's time is the best of REPEAT calls on its lex row-major initial
+ideal over GF(32003); building that ideal is not timed.  One more, untimed
+call counts, with the module's functions wrapped:
+
+- links_reduced: the links whose homology is taken, one per call of
+  `_collapsed_ranks` (with no such function, one per face-table reduction);
+- tables_reduced: the face-table reductions, calls of
+  `_FaceTable.homology_ranks` or `_FaceTable.ranks` under the call;
+- visited and non_coned: the faces the link walk enters, and all faces
+  `_non_coned_faces` yields with no depth or reg bound; null where there is
+  no walk.
+
+faces is the face count of the whole complex on the union of the supports.
 """
 
 from __future__ import annotations
@@ -32,40 +41,75 @@ SPECS = ((3, (1, 1, 2)), (3, (1, 3)), (3, (2, 2)), (3, (1, 1, 1, 1, 1)),
          (2, (1, 8)))
 
 
+def _wrap(owner, name, counts, key, during=None):
+    """Count the calls of owner.name under counts[key]; return the undo.
+    With `during`, a call counts only while counts[during] is 0."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if during is None or not counts[during]:
+            counts[key] += 1
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    return lambda: setattr(owner, name, original)
+
+
+def _counted_call(hochster, ini, complex_):
+    """(links_reduced, tables_reduced, visited) of one call."""
+    counts = {"links": 0, "tables": 0, "taken": 0, "inside": 0}
+    undo = [_wrap(hochster._FaceTable, name, counts, "tables")
+            for name in ("homology_ranks", "ranks")
+            if hasattr(hochster._FaceTable, name)]
+    if hasattr(hochster, "_collapsed_ranks"):
+        collapsed_ranks = hochster._collapsed_ranks
+
+        def collapsing(*args):
+            counts["links"] += 1
+            counts["inside"] += 1
+            try:
+                return collapsed_ranks(*args)
+            finally:
+                counts["inside"] -= 1
+
+        hochster._collapsed_ranks = collapsing
+        undo.append(lambda: setattr(hochster, "_collapsed_ranks", collapsed_ranks))
+        # a link the walk takes, not one the collapse tests a vertex by
+        undo.append(_wrap(hochster, "_link", counts, "taken", during="inside"))
+    try:
+        hochster.depth_and_regularity(ini, PRIME, cap=CAP)
+    finally:
+        for step in reversed(undo):
+            step()
+    if not hasattr(hochster, "_non_coned_faces"):
+        return counts["tables"], counts["tables"], None
+    return counts["links"], counts["tables"], 1 + counts["taken"]
+
+
 def _measure(m, parts):
     from gbei import (PartiteSpec, TermOrder, complete_multipartite,
-                      generalized_bei)
-    from gbei.hochster import (SimplicialComplex, _FaceTable,
-                               depth_and_regularity)
+                      generalized_bei, hochster)
 
     J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
     ini = J.initial_ideal(TermOrder.lex_row_major(J.ring))
-    complex_ = SimplicialComplex.of_ideal(ini)
+    complex_ = hochster.SimplicialComplex.of_ideal(ini)
     union = 0
     for s in complex_.supports:
         union |= s
-    faces = _FaceTable(complex_, union, PRIME).starts[-1]
+    faces = hochster._FaceTable(complex_, union, PRIME).starts[-1]
 
-    ranks = _FaceTable.ranks
-    reduced = []
-
-    def counted(self, present_bits, relative):
-        if relative:
-            reduced.append(present_bits)
-        return ranks(self, present_bits, relative)
-
-    _FaceTable.ranks = counted
-    try:
-        runs = []
-        for _ in range(REPEAT):
-            reduced.clear()
-            t0 = time.perf_counter()
-            depth, reg = depth_and_regularity(ini, PRIME, cap=CAP)
-            runs.append(round(time.perf_counter() - t0, 4))
-    finally:
-        _FaceTable.ranks = ranks
+    runs = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        depth, reg = hochster.depth_and_regularity(ini, PRIME, cap=CAP)
+        runs.append(round(time.perf_counter() - t0, 4))
+    links, tables, visited = _counted_call(hochster, ini, complex_)
+    non_coned = None
+    if hasattr(hochster, "_non_coned_faces"):
+        non_coned = sum(1 for _ in hochster._non_coned_faces(complex_, lambda *_: True))
     return {"spec": f"{m},({','.join(map(str, parts))})", "nvars": ini.nvars,
-            "faces": faces, "links_reduced": len(reduced),
+            "faces": faces, "visited": visited, "non_coned": non_coned,
+            "links_reduced": links, "tables_reduced": tables,
             "depth": depth, "reg": reg, "best_s": min(runs), "runs_s": runs}
 
 
