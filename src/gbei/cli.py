@@ -50,7 +50,8 @@ def build_parser():
     caps.add_argument("--groebner-max-vars", type=int, default=GROEBNER_CAP,
                       help=f"skip Groebner stages above this m*n (default {GROEBNER_CAP})")
     caps.add_argument("--hochster-max-vars", type=int, default=HOCHSTER_CAP,
-                      help=f"skip Betti stages above this m*n (default {HOCHSTER_CAP})")
+                      help=f"skip the depth and reg stages above this m*n "
+                           f"(default {HOCHSTER_CAP})")
 
     p = sub.add_parser("predict", parents=[specargs, common],
                        help="print the closed-form Prediction JSON")

@@ -6,36 +6,35 @@ homotopy types, nerves and collapses, DCG 2012): star v and lk v are
 nonempty cones, so Mayer-Vietoris gives the complex the H~ of its deletion
 of v over any ring, every GF(p) alike.  A cone is acyclic, H~_{-1} too.
 
+Every complex whose homology is taken is a small one of its own, kept as
+its vertices and its minimal non-faces.  One with a cone point has none;
+the rest lose their dominated vertices, and what is left is a cone, a
+sphere, or is reduced whole (`_collapsed_ranks`).
+
 Depth and regularity come from Hochster's formula for local cohomology,
 from the homology of the link of each face (`depth_and_regularity`).
-Links are small complexes of their own, walked as a tree: lk (F + u) is
-the link of u in lk F.  A coned link is skipped with every face above it
-that misses its cone point; the rest are collapsed, then reduced.
+Links are walked as a tree: lk (F + u) is the link of u in lk F.  A coned
+link is skipped with every face above it that misses its cone point.
 
 The full Betti table, from his formula for Tor (`betti_table`), serves the
 API and cross-checks the links: beta_{i,sigma}(S/I) is the rank of
 H~_{|sigma|-i-1} of the restriction to sigma.  That is a cone unless sigma
 is a union of generator supports, so only those unions are enumerated, and
-a sigma with a dominated vertex v has the H~ of sigma - v.  All lie in the
-union U of the supports, so their faces go once into a face table for U:
-faces in (size, lex) order, boundary columns, and for every vertex a bitset
-of the faces that hold it.  The faces of one sigma are all faces minus the
-OR of the bitsets of the vertices outside it; each size is a bit range.
+a sigma with a dominated vertex v has the H~ of sigma - v.  The rest are
+restricted (`_restriction`) and go the way of the links.
 
 Boundary ranks come from sparse column reduction over GF(p) on Python
 ints, so they are exact for every prime.  The maps are reduced from the
-top dimension down, and a column whose face was already a pivot row of the
-map above is skipped: it always reduces to zero (the "clearing" of
+top dimension down, and a face that was already a pivot row of the map
+above gets no column: it would reduce to zero (the "clearing" of
 Chen-Kerber, Persistent homology computation with a twist, EuroCG 2011).
-Shared columns are copied the first time the reduction subtracts from them
-(copy-on-write), so the table never changes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import compress
 from operator import or_
 
 from .errors import CapExceededError
@@ -96,58 +95,6 @@ class SimplicialComplex:
             grouped.append(level)
 
 
-class _FaceTable:
-    """Faces of the restriction to `mask`, cut down to any subset of it.
-
-    index maps each face to its position i in (size, lex) order, and
-    starts[c] is the position of the first face of size c.  columns[i] is
-    the boundary of face i as {row index: coeff mod p}, where the j-th
-    lowest vertex carries (-1)^j.  Bit i of holders[v] is set when face i
-    contains vertex v.
-    """
-
-    __slots__ = ("mask", "p", "index", "starts", "columns", "holders")
-
-    def __init__(self, complex_, mask, p):
-        grouped = complex_.faces_by_size(mask)
-        faces = [face for group in grouped for face in group]
-        index = {face: i for i, face in enumerate(faces)}
-        self.mask = mask
-        self.p = p
-        self.index = index
-        self.starts = [0, *accumulate(map(len, grouped))]
-        self.columns = [{index[face ^ 1 << v]: p - 1 if j & 1 else 1
-                         for j, v in enumerate(_set_bits(face))}
-                        for face in faces]
-        # one binary digit per face, the last face first
-        self.holders = [
-            int("".join("1" if face >> v & 1 else "0" for face in reversed(faces)), 2)
-            if mask >> v & 1 else 0
-            for v in range(complex_.nvars)]
-
-    def homology_ranks(self, sigma_mask):
-        """Ranks of H~_k, k = -1 .. d, of the restriction to a submask: at face
-        size c, the count of size-c faces minus the ranks of the boundary maps
-        on either side, reduced from the top size down with clearing."""
-        gone = 0
-        for v in _set_bits(self.mask & ~sigma_mask):
-            gone |= self.holders[v]
-        present = _set_bits(((1 << self.starts[-1]) - 1) & ~gone)
-        top = bisect_right(self.starts, present[-1])
-        cuts = [bisect_left(present, start) for start in self.starts[:top + 1]]
-        columns = self.columns
-        boundary = [0] * (top + 1)  # boundary[c]: rank of the map out of size c
-        cleared = ()
-        for c in range(top - 1, 1, -1):
-            cols = [columns[i] for i in present[cuts[c]:cuts[c + 1]] if i not in cleared]
-            cleared = _pivot_rows(cols, self.p)
-            boundary[c] = len(cleared)
-        # the vertices, if any, map onto the empty face when it is present
-        boundary[1] = int(top > 1 and present[0] == 0)
-        return [cuts[c + 1] - cuts[c] - boundary[c] - boundary[c + 1]
-                for c in range(top)]
-
-
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -157,18 +104,23 @@ def _set_bits(bits):
     return list(compress(range(len(digits)), digits))
 
 
+def _column(face, index, p):
+    """The boundary of a face as {row: coeff mod p}, its faces numbered by
+    index, where the j-th lowest vertex carries (-1)^j."""
+    return {index[face ^ 1 << v]: p - 1 if j & 1 else 1
+            for j, v in enumerate(_set_bits(face))}
+
+
 def _pivot_rows(columns, p):
     """Reduce sparse columns left to right over GF(p); return the pivot rows.
 
     A column's pivot is its largest row index; a column whose pivot is
     taken has that earlier column subtracted until its pivot is free or it
     vanishes.  There is one pivot per rank, so the rank is the count.  The
-    columns may be shared: one is copied before it is first changed, and a
-    stored pivot is never changed.
+    columns are changed in place.
     """
     pivots = {}
     for col in columns:
-        owned = False
         while col:
             low = max(col)
             prior = pivots.get(low)
@@ -179,9 +131,6 @@ def _pivot_rows(columns, p):
                     col = {r: c * inv % p for r, c in col.items()}
                 pivots[low] = col
                 break
-            if not owned:
-                col = dict(col)
-                owned = True
             f = col[low]
             for r, c in prior.items():
                 x = (col.get(r, 0) - f * c) % p
@@ -190,6 +139,24 @@ def _pivot_rows(columns, p):
                 else:
                     del col[r]
     return pivots.keys()
+
+
+def _homology_ranks(complex_, mask, p):
+    """Ranks of H~_k, k = -1 .. d, of the restriction to mask: at face size
+    c, the count of size-c faces minus the ranks of the boundary maps on
+    either side, reduced from the top size down with clearing."""
+    grouped = complex_.faces_by_size(mask)
+    top = len(grouped)
+    boundary = [0] * (top + 1)  # boundary[c]: rank of the map out of size c
+    cleared = ()  # positions in grouped[c] of the pivot rows of the map above
+    for c in range(top - 1, 1, -1):
+        index = {face: i for i, face in enumerate(grouped[c - 1])}
+        cleared = _pivot_rows([_column(face, index, p)
+                               for i, face in enumerate(grouped[c]) if i not in cleared], p)
+        boundary[c] = len(cleared)
+    # the vertices, if any, map onto the empty face
+    boundary[1] = int(top > 1)
+    return [len(grouped[c]) - boundary[c] - boundary[c + 1] for c in range(top)]
 
 
 def _check_prime(p):
@@ -205,7 +172,7 @@ def reduced_homology_ranks(complex_, sigma, p=DEFAULT_PRIME):
         if not 0 <= v < complex_.nvars:
             raise ValueError(f"vertex {v} is not in 0..{complex_.nvars - 1}")
         mask |= 1 << v
-    ranks = _FaceTable(complex_, mask, p).homology_ranks(mask)
+    ranks = _homology_ranks(complex_, mask, p)
     want = bin(mask).count("1") + 1
     return ranks + [0] * (want - len(ranks))
 
@@ -268,20 +235,23 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
     or none when sigma - v is no union, so a nonempty cone.
     """
     _check_input("betti_table", ideal, p, cap)
-    complex_ = SimplicialComplex.of_ideal(ideal)
+    supports = SimplicialComplex.of_ideal(ideal).supports
 
     closed = {0}
-    for s in complex_.supports:
+    for s in supports:
         closed |= {mask | s for mask in closed}
 
     # every sigma is a submask of the union of all supports, the largest
-    table = _FaceTable(complex_, max(closed), p)
-    dominations = _dominations(table, complex_.supports)
+    dominations = _dominations(max(closed), supports)
     homology = {}  # the nonzero ranks of the sigma done so far
     entries = {}
     for mask in sorted(closed):  # each sigma after its submasks
         v = _dominated(dominations, mask)
-        ranks = homology.get(mask ^ v, ()) if v else table.homology_ranks(mask)
+        if v:
+            ranks = homology.get(mask ^ v, ())
+        else:
+            verts, nonfaces = _restriction(supports, mask)
+            ranks = () if _apexes(verts, nonfaces) else _collapsed_ranks(verts, nonfaces, p)
         if any(ranks):
             homology[mask] = ranks
             sigma = frozenset(_set_bits(mask))
@@ -292,18 +262,20 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
     return BettiTable(ideal.nvars, entries)
 
 
-def _dominations(table, supports):
-    """(v's bit, {v, w}, blockers: the S through w with (S - w) + v a face).
+def _dominations(verts, supports):
+    """(v's bit, {v, w}, blockers: the minimal non-faces of lk v through w),
+    for the v and w of the restriction to verts with {v, w} a face.
 
-    In the restriction to sigma, w is a cone point of lk v exactly when {v, w}
-    but no blocker lies in sigma: a face G + v with G + v + w no face holds an
-    S through w, and (S - w) + v is in G + v; conversely (S - w) - v is a G.
+    The link of v in the restriction to sigma is lk v restricted to sigma, so
+    w is a cone point of it exactly when {v, w} but no blocker lies in sigma.
     """
-    verts, index = _set_bits(table.mask), table.index
-    return [(1 << v, 1 << v | 1 << w,
-             [s for s in supports if s >> w & 1 and (s ^ 1 << w) | 1 << v in index])
-            for v in verts for w in verts
-            if w != v and 1 << v | 1 << w in index]
+    verts, nonfaces = _restriction(supports, verts)
+    out = []
+    for v in _set_bits(verts):
+        link, blockers = _link(verts, nonfaces, v)
+        out += [(1 << v, 1 << v | 1 << w, [t for t in blockers if t >> w & 1])
+                for w in _set_bits(link)]
+    return out
 
 
 def _dominated(dominations, sigma):
@@ -333,6 +305,18 @@ def _apexes(verts, nonfaces):
     return verts & ~reduce(or_, nonfaces, 0)
 
 
+def _restriction(supports, mask):
+    """The restriction to mask as (V, L): V the v in mask with {v} a face,
+    L the minimal non-faces, the minimal supports inside V."""
+    minimal = []
+    for s in sorted((s for s in supports if not s & ~mask), key=int.bit_count):
+        if all(t & ~s for t in minimal):
+            minimal.append(s)
+    # a vertex whose singleton is a support is in no face and no other minimal one
+    verts = mask & ~sum(s for s in minimal if not s & (s - 1))
+    return verts, [s for s in minimal if s & (s - 1)]
+
+
 def _non_coned_faces(complex_, wanted):
     """Yield (F, V', L) for the faces F of the union of the supports with no
     cone point in lk F, its vertices V' and minimal non-faces L, depth-first
@@ -344,13 +328,8 @@ def _non_coned_faces(complex_, wanted):
     yielded only when wanted(|F|, |V'|), and its subtree entered only when
     wanted(|F| + 1, |V'| - 1).
     """
-    minimal = []
-    for s in sorted(complex_.supports, key=int.bit_count):
-        if all(t & ~s for t in minimal):
-            minimal.append(s)
-    # a vertex whose singleton is a support is in no face
-    verts = reduce(or_, complex_.supports, 0) & ~sum(s for s in minimal if not s & (s - 1))
-    stack = [(0, verts, [s for s in minimal if s & (s - 1)])]
+    supports = complex_.supports
+    stack = [(0, *_restriction(supports, reduce(or_, supports, 0)))]
     while stack:
         face, verts, nonfaces = stack.pop()
         low = face.bit_length()
@@ -384,7 +363,7 @@ def _collapsed_ranks(verts, nonfaces, p):
     if sum(map(int.bit_count, nonfaces)) == size:
         return [0] * (size - len(nonfaces)) + [1]
     complex_ = SimplicialComplex(verts.bit_length(), nonfaces)
-    return _FaceTable(complex_, verts, p).homology_ranks(verts)
+    return _homology_ranks(complex_, verts, p)
 
 
 def depth_and_regularity(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):

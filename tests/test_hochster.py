@@ -31,12 +31,14 @@ from gbei.hochster import (
     SimplicialComplex,
     _apexes,
     _collapsed_ranks,
-    _FaceTable,
+    _column,
     _dominated,
     _dominations,
+    _homology_ranks,
     _link,
     _non_coned_faces,
     _pivot_rows,
+    _restriction,
     betti_table,
     depth_and_regularity,
     reduced_homology_ranks,
@@ -169,12 +171,11 @@ def test_boundary_composition_vanishes():
                         assert sum(x * b[j][k] for j, x in enumerate(row)) % p == 0
 
 
-def _size_columns(table, size):
-    """The table's boundary columns out of the size-`size` faces, with rows
-    renumbered from 0 within the size-(size-1) faces."""
-    lo = table.starts[size - 1]
-    return [{r - lo: c for r, c in col.items()}
-            for col in table.columns[table.starts[size]:table.starts[size + 1]]]
+def _size_columns(grouped, size, p):
+    """The boundary columns out of the size-`size` faces, as `_homology_ranks`
+    builds them, with rows numbered from 0 within the size-(size-1) faces."""
+    index = {face: i for i, face in enumerate(grouped[size - 1])}
+    return [_column(face, index, p) for face in grouped[size]]
 
 
 def test_sparse_columns_match_dense_boundary():
@@ -183,7 +184,7 @@ def test_sparse_columns_match_dense_boundary():
     for c_size in range(1, len(grouped)):
         dense = _dense_boundary(grouped[c_size - 1], grouped[c_size])
         for p in (2, 7):
-            cols = _size_columns(_FaceTable(c, (1 << 6) - 1, p), c_size)
+            cols = _size_columns(grouped, c_size, p)
             for j, col in enumerate(cols):
                 want = {i: row[j] % p for i, row in enumerate(dense) if row[j]}
                 assert col == want
@@ -249,10 +250,9 @@ def test_rank_matches_sympy_on_random_boundaries(p):
         complexes.append(SimplicialComplex(nvars, supports))
     for c in complexes:
         grouped = c.faces_by_size((1 << c.nvars) - 1)
-        table = _FaceTable(c, (1 << c.nvars) - 1, 3)
         for size in range(1, len(grouped)):
             cols = [{r: (1 if v == 1 else -1) for r, v in col.items()}
-                    for col in _size_columns(table, size)]
+                    for col in _size_columns(grouped, size, 3)]
             assert _our_rank(cols, p) == _sympy_rank(cols, len(grouped[size - 1]), p)
 
 
@@ -260,13 +260,12 @@ def test_rank_matches_sympy_on_random_boundaries(p):
 def test_clearing_does_not_change_homology(p):
     complex_ = SimplicialComplex.of_ideal(_rp2_ideal())
     grouped = complex_.faces_by_size((1 << 6) - 1)
-    table = _FaceTable(complex_, (1 << 6) - 1, p)
     uncleared = [0] * (len(grouped) + 1)
     for size in range(1, len(grouped)):
-        uncleared[size] = len(_pivot_rows(_size_columns(table, size), p))
+        uncleared[size] = len(_pivot_rows(_size_columns(grouped, size, p), p))
     plain = [len(grouped[c]) - uncleared[c] - uncleared[c + 1]
              for c in range(len(grouped))]
-    assert table.homology_ranks((1 << 6) - 1) == plain
+    assert _homology_ranks(complex_, (1 << 6) - 1, p) == plain
     assert plain == ([0, 0, 1, 1] if p == 2 else [0, 0, 0, 0])
 
 
@@ -362,7 +361,7 @@ def test_depth_reads_off_the_table():
 
 
 # ---------------------------------------------------------------------------
-# the shared face table against a per-sigma reference
+# the Betti table against a per-sigma reference
 
 def _union_closure(supports):
     closed = {0}
@@ -431,17 +430,6 @@ def test_spec_betti_tables_match_reference(m, parts, nonzero, total, p):
     assert (len(entries), sum(entries.values())) == (nonzero, total)
 
 
-def test_shared_columns_survive_reduction():
-    complex_ = SimplicialComplex.of_ideal(_rp2_ideal())
-    table = _FaceTable(complex_, (1 << 6) - 1, 32003)
-    before = [dict(col) for col in table.columns]
-    sigmas = sorted(_union_closure(complex_.supports))
-    first = [table.homology_ranks(mask) for mask in sigmas]
-    second = [table.homology_ranks(mask) for mask in sigmas]
-    assert first == second
-    assert table.columns == before
-
-
 def _count_face_calls(monkeypatch):
     calls = []
     original = SimplicialComplex.faces_by_size
@@ -455,19 +443,17 @@ def _count_face_calls(monkeypatch):
     return calls
 
 
-def test_faces_are_enumerated_once_per_table(monkeypatch):
-    calls = _count_face_calls(monkeypatch)
-    table = betti_table(_rp2_ideal(), 2)
-    assert len(calls) == 1
-    assert table.entries == _reference_betti(_rp2_ideal(), 2)
-
-
 def test_face_table_covers_only_the_union_of_supports(monkeypatch):
     calls = _count_face_calls(monkeypatch)
     table = betti_table(_sq(15, (0, 1)))
-    # the restriction to {x1, x2} has the faces {}, {x1} and {x2}
-    assert calls == [(0b11, 3)]
+    # the restriction to {x1, x2} is the 0-sphere, read without its faces
+    assert calls == []
     assert table.entries == {(0, frozenset()): 1, (1, frozenset({0, 1})): 1}
+    # RP2 on the first six of 15 vertices: no restriction collapses, and
+    # the faces enumerated lie inside those six
+    ideal = _sq(15, *[_bits(s) for s in SimplicialComplex.of_ideal(_rp2_ideal()).supports])
+    assert betti_table(ideal, 2).entries == _reference_betti(ideal, 2)
+    assert calls and all(not mask & ~0b111111 for mask, _ in calls)
 
 
 @pytest.mark.parametrize("supports", [[0b1000], [-1]])
@@ -645,6 +631,35 @@ def _drawn_supports(rng, nvars):
     return supports
 
 
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def test_the_restriction_matches_brute_force_on_every_mask():
+    # V is the v in the mask with {v} a face, and L the minimal non-faces
+    # among them; singletons and supports inside others must drop out
+    rng = random.Random(29)
+    singletons = nested = 0
+    for _ in range(50):
+        nvars = rng.randrange(2, 8)
+        supports = _drawn_supports(rng, nvars)
+        singletons += any(not s & (s - 1) for s in supports)
+        nested += any(t != s and not t & ~s for s in supports for t in supports)
+        for mask in range(1 << nvars):
+            verts = sum(1 << v for v in _bits(mask) if _is_face(supports, 1 << v))
+            nonfaces = [g for g in _submasks(verts) if not _is_face(supports, g)]
+            minimal = sorted(g for g in nonfaces
+                             if not any(h != g and not h & ~g for h in nonfaces))
+            got_verts, got_nonfaces = _restriction(supports, mask)
+            assert (got_verts, sorted(got_nonfaces)) == (verts, minimal), (supports, mask)
+    assert singletons >= 30 and nested >= 20
+
+
 # the case that needs both: with {0} and {4}, the rest are no minimal
 # non-faces, and 0 and 4 are in no face
 _TRAP = [0b00001, 0b10000, 0b00101, 0b10001, 0b10101]
@@ -681,8 +696,9 @@ def _strip(ranks):
 
 @pytest.mark.parametrize("p", [2, 32003])
 def test_collapsed_links_keep_their_homology(monkeypatch, p):
-    # each complex with no cone point against a full reduction of its own
-    # face table; RP2 keeps its torsion, and spheres need no table
+    # each complex with no cone point against a full reduction on its own
+    # faces; RP2 keeps its torsion, and spheres need no faces
+    homology_ranks = hochster._homology_ranks
     tables = _count_homology_calls(monkeypatch)
     rng = random.Random(30 + p % 1000)
     cases = [(0b111111, list(SimplicialComplex.of_ideal(_rp2_ideal()).supports))]
@@ -696,11 +712,12 @@ def test_collapsed_links_keep_their_homology(monkeypatch, p):
             cases.append((verts, supports))
     for verts, supports in cases:
         complex_ = SimplicialComplex(verts.bit_length(), supports)
-        full = _FaceTable(complex_, verts, p).homology_ranks(verts)
+        full = homology_ranks(complex_, verts, p)
         assert _strip(_collapsed_ranks(verts, supports, p)) == _strip(full), supports
     assert _strip(_collapsed_ranks(*cases[0], p)) == ([0, 0, 1, 1] if p == 2 else [])
-    # besides the table for `full`, some cases reduce a table and most not
-    assert 30 <= len(tables) - len(cases) <= 120
+    # of the 151 calls of `_collapsed_ranks` (RP2 twice), these many reduce
+    # on their faces; the rest collapse to a cone or a sphere
+    assert len(tables) == (43 if p == 2 else 38)
 
 
 @pytest.mark.parametrize("p", [2, 32003])
@@ -770,13 +787,13 @@ def _count_links(monkeypatch):
 def test_links_are_pruned(monkeypatch):
     # faces whose link is a cone, or that cannot lower depth or raise reg,
     # are never reduced; the counts pin the prunes, since a looser one only
-    # costs time.  Every link collapses to a point or a sphere, so no face
-    # table is built
+    # costs time.  Every link collapses to a point or a sphere, so none is
+    # reduced on its faces
     ini = _spec_initial_ideal(PartiteSpec(3, (2, 2)), 32003)
     complex_ = SimplicialComplex.of_ideal(ini)
     walked, visited = _walk(monkeypatch, complex_)
-    union = reduce(or_, complex_.supports)
-    assert (len(walked), visited, _FaceTable(complex_, union, 32003).starts[-1]) == (68, 162, 368)
+    faces = sum(map(len, complex_.faces_by_size(reduce(or_, complex_.supports))))
+    assert (len(walked), visited, faces) == (68, 162, 368)
     reduced = _count_links(monkeypatch)
     tables = _count_homology_calls(monkeypatch)
     assert depth_and_regularity(ini, 32003) == (5, 2)
@@ -788,12 +805,12 @@ def test_reg_from_a_link_past_the_depth_prune(monkeypatch):
     # gives depth 1 and reg 1, and only the circle lk v gives reg 2.  Every
     # vertex is past the depth prune; v is reduced for reg, the void link
     # of a cannot beat reg 1, and v is a cone point of lk b, lk c and lk d
-    reduced = _count_links(monkeypatch)
     a, v, b, c, d = range(5)
     ideal = _sq(5, (a, v), (a, b), (a, c), (a, d), (b, c, d))
+    reduced = _count_links(monkeypatch)
     assert depth_and_regularity(ideal) == (1, 2)
-    assert _table_invariants(ideal, DEFAULT_PRIME) == (1, 2)
     assert [verts for verts, _ in reduced] == [0b11111, 0b11100]
+    assert _table_invariants(ideal, DEFAULT_PRIME) == (1, 2)
 
 
 @pytest.mark.parametrize("m, parts", [(2, (1, 8)), (3, (1, 5)), (2, (1, 10))])
@@ -804,20 +821,6 @@ def test_links_past_the_cap_match_the_prediction(m, parts):
     ini = _spec_initial_ideal(spec, 32003)
     want = predicted_depth(spec), predicted_regularity(spec)
     assert depth_and_regularity(ini, 32003, cap=24) == want
-
-
-def test_betti_table_leaves_its_columns_unchanged(monkeypatch):
-    tables = []
-    init = _FaceTable.__init__
-
-    def recorded(self, *args):
-        init(self, *args)
-        tables.append((self, [dict(col) for col in self.columns]))
-
-    monkeypatch.setattr(_FaceTable, "__init__", recorded)
-    assert betti_table(_rp2_ideal(), 2).entries == _reference_betti(_rp2_ideal(), 2)
-    [(table, before)] = tables
-    assert table.columns == before
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +840,7 @@ def test_dominance_test_matches_the_links_on_every_sigma():
     for _ in range(60):
         nvars = rng.randrange(2, 8)
         supports = _random_supports(rng, nvars)
-        table = _FaceTable(SimplicialComplex(nvars, supports), (1 << nvars) - 1,
-                           DEFAULT_PRIME)
-        dominations = _dominations(table, supports)
+        dominations = _dominations((1 << nvars) - 1, supports)
         for sigma in range(1 << nvars):
             want = _dominated_vertices(supports, nvars, sigma)
             bit = _dominated(dominations, sigma)
@@ -851,15 +852,16 @@ def test_dominance_test_matches_the_links_on_every_sigma():
 
 
 def _count_homology_calls(monkeypatch):
-    """The sigma masks reduced in full, recorded as they go."""
-    homology_ranks = _FaceTable.homology_ranks
+    """The vertex masks of the complexes reduced on their faces, recorded as
+    they go."""
+    homology_ranks = hochster._homology_ranks
     reduced = []
 
-    def counted(self, sigma_mask):
-        reduced.append(sigma_mask)
-        return homology_ranks(self, sigma_mask)
+    def counted(complex_, mask, p):
+        reduced.append(mask)
+        return homology_ranks(complex_, mask, p)
 
-    monkeypatch.setattr(_FaceTable, "homology_ranks", counted)
+    monkeypatch.setattr(hochster, "_homology_ranks", counted)
     return reduced
 
 
@@ -868,11 +870,14 @@ def test_a_collapse_can_carry_homology(monkeypatch):
     # deleting d leaves the hollow triangle abc, so beta_{2,abcd} = 1
     a, b, c, d = range(4)
     ideal = _sq(4, (a, b, c), (c, d))
-    reduced = _count_homology_calls(monkeypatch)
+    tables = _count_homology_calls(monkeypatch)
+    reduced = _count_links(monkeypatch)
     table = betti_table(ideal)
     assert table.rank(2, {a, b, c, d}) == 1
     assert table.rank(1, {a, b, c}) == 1
-    assert 0b1111 not in reduced and 0b0111 in reduced
+    # abcd copies abc, and the triangle is a sphere, read without its faces
+    reduced = [verts for verts, _ in reduced]
+    assert 0b1111 not in reduced and 0b0111 in reduced and tables == []
     assert table.entries == _reference_betti(ideal, DEFAULT_PRIME)
 
 
@@ -881,4 +886,4 @@ def test_few_sigma_are_reduced(monkeypatch):
     reduced = _count_homology_calls(monkeypatch)
     betti_table(ini)
     supports = SimplicialComplex.of_ideal(ini).supports
-    assert (len(reduced), len(_union_closure(supports))) == (33, 1636)
+    assert (len(reduced), len(_union_closure(supports))) == (8, 1636)

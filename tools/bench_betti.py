@@ -8,10 +8,11 @@ commit.  The results are stored under --label in --output, beside the
 labels already there, so two runs give a before/after pair in one file.
 Each ideal is the initial ideal of a spec's J over GF(32003) in one of the
 two lex orders, built outside the timed region, and its time is the best
-of REPEAT calls.  A sigma counts as reduced when
-`_FaceTable.homology_ranks` is called on it.  The sigma count (the union
-closure of the supports), the number of entries and a SHA-256 of the
-table's rows must be equal on every side.
+of REPEAT calls.  A sigma counts as reduced when its homology is taken on
+its faces: a call of `_homology_ranks`, or of `_FaceTable.homology_ranks`
+on a checkout that still has the shared table.  The sigma count (the
+union closure of the supports), the number of entries and a SHA-256 of
+the table's rows must be equal on every side.
 """
 
 from __future__ import annotations
@@ -43,29 +44,30 @@ def _sigma_count(ini):
 
 def _measure(m, parts, order):
     from gbei import (PartiteSpec, TermOrder, complete_multipartite,
-                      generalized_bei)
-    from gbei.hochster import _FaceTable, betti_table
+                      generalized_bei, hochster)
 
     J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
     ini = J.initial_ideal(getattr(TermOrder, order)(J.ring))
 
-    homology_ranks = _FaceTable.homology_ranks
+    owner = hochster if hasattr(hochster, "_homology_ranks") else hochster._FaceTable
+    name = "_homology_ranks" if owner is hochster else "homology_ranks"
+    homology_ranks = getattr(owner, name)
     reduced = []
 
-    def counted(self, sigma_mask):
-        reduced.append(sigma_mask)
-        return homology_ranks(self, sigma_mask)
+    def counted(*args):  # (complex_, mask, p), or (table, sigma_mask)
+        reduced.append(args[1])
+        return homology_ranks(*args)
 
-    _FaceTable.homology_ranks = counted
+    setattr(owner, name, counted)
     try:
         runs = []
         for _ in range(REPEAT):
             reduced.clear()
             t0 = time.perf_counter()
-            table = betti_table(ini, PRIME)
+            table = hochster.betti_table(ini, PRIME)
             runs.append(round(time.perf_counter() - t0, 4))
     finally:
-        _FaceTable.homology_ranks = homology_ranks
+        setattr(owner, name, homology_ranks)
     digest = hashlib.sha256(json.dumps(table.rows()).encode()).hexdigest()
     return {"spec": f"{m},({','.join(map(str, parts))})", "order": order,
             "nvars": ini.nvars, "sigma": _sigma_count(ini),

@@ -12,8 +12,9 @@ call counts, with the module's functions wrapped:
 
 - links_reduced: the links whose homology is taken, one per call of
   `_collapsed_ranks` (with no such function, one per face-table reduction);
-- tables_reduced: the face-table reductions, calls of
-  `_FaceTable.homology_ranks` or `_FaceTable.ranks` under the call;
+- tables_reduced: the reductions on faces, calls of `_homology_ranks`
+  (or, on older checkouts, `_FaceTable.homology_ranks` or `_FaceTable.ranks`)
+  under the call;
 - visited and non_coned: the faces the link walk enters, and all faces
   `_non_coned_faces` yields with no depth or reg bound; null where there is
   no walk.
@@ -58,9 +59,12 @@ def _wrap(owner, name, counts, key, during=None):
 def _counted_call(hochster, ini, complex_):
     """(links_reduced, tables_reduced, visited) of one call."""
     counts = {"links": 0, "tables": 0, "taken": 0, "inside": 0}
-    undo = [_wrap(hochster._FaceTable, name, counts, "tables")
-            for name in ("homology_ranks", "ranks")
-            if hasattr(hochster._FaceTable, name)]
+    if hasattr(hochster, "_homology_ranks"):
+        undo = [_wrap(hochster, "_homology_ranks", counts, "tables")]
+    else:
+        undo = [_wrap(hochster._FaceTable, name, counts, "tables")
+                for name in ("homology_ranks", "ranks")
+                if hasattr(hochster._FaceTable, name)]
     if hasattr(hochster, "_collapsed_ranks"):
         collapsed_ranks = hochster._collapsed_ranks
 
@@ -96,7 +100,7 @@ def _measure(m, parts):
     union = 0
     for s in complex_.supports:
         union |= s
-    faces = hochster._FaceTable(complex_, union, PRIME).starts[-1]
+    faces = sum(map(len, complex_.faces_by_size(union)))
 
     runs = []
     for _ in range(REPEAT):
