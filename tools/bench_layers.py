@@ -1,0 +1,299 @@
+"""Time one oracle layer on two checkouts, alternating them round by round.
+
+    python tools/bench_layers.py LAYER --parent DIR --change DIR --output FILE
+
+LAYER is one of
+
+- betti: `betti_table` on 7 specs x 2 lex orders, with the sigma of the
+  union closure, the sigma reduced on their faces (`_homology_ranks`
+  calls), the entries and a SHA-256 of the table's rows;
+- links: `depth_and_regularity` (cap 18) on 11 specs, lex row-major, with
+  the faces of the union of the supports, the faces the link walk visits,
+  the non-coned faces, the links reduced (`_collapsed_ranks` calls), the
+  reductions on faces under them, and (depth, reg);
+- hilbert: `hilbert_series` on 19 monomial ideals, with the generators,
+  the recursion nodes (`_kpoly` calls) and the series;
+- cutsets: `cut_sets` on 13 graphs on 16 vertices, the eight seeded ones
+  the cli-mix workload reads among them, with the edges and the cut sets.
+
+Each of ROUNDS rounds starts one fresh interpreter per side, which imports
+gbei from that side's DIR/src and measures every item of the layer; which
+side goes first alternates.  Every input is built outside the timed calls,
+over GF(32003), and an item's time in a round is the best of REPEAT calls.
+Its counts come from one more, untimed call, and must repeat in every
+round.  A count reads null on a side that lacks the function it counts.
+FILE gets, for each side and item, the per-round times and their median,
+and each side's total of medians.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from contextlib import ExitStack, contextmanager
+from pathlib import Path
+from types import SimpleNamespace
+
+PRIME = 32003
+CAP = 18
+ROUNDS = 10
+REPEAT = 3
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+BETTI_SPECS = ((2, (2, 2, 2)), (3, (1, 1, 2)), (3, (1, 3)), (3, (2, 2)),
+               (2, (3, 3)), (3, (1, 1, 1, 1, 1)), (3, (1, 1, 1, 2)))
+# the five verify-hochster specs, then specs past the default Hochster cap
+LINKS_SPECS = ((3, (1, 1, 2)), (3, (1, 3)), (3, (2, 2)), (3, (1, 1, 1, 1, 1)),
+               (3, (1, 1, 1, 2)),
+               (4, (2, 2)), (3, (3, 3)), (2, (2, 2, 2, 3)), (3, (1, 5)),
+               (2, (2, 7)), (2, (1, 8)))
+# the verify-elimination specs, then in(J) alone past the Groebner cap
+MEET_SPECS = ((4, (2, 2)), (3, (1, 1, 1, 3)), (3, (3, 3)), (2, (2, 2, 2, 3)))
+LARGE_SPECS = ((2, (1, 11)), (2, (3, 9)), (3, (1, 7)))
+
+
+@contextmanager
+def _counting(owner, name, outside=None):
+    """Count the calls of owner.name, but none made while the count
+    `outside` is inside a call; yield the count, or None if there is no
+    such name."""
+    original = getattr(owner, name, None)
+    if original is None:
+        yield None
+        return
+    count = SimpleNamespace(calls=0, active=0)
+
+    def counted(*args, **kwargs):
+        if not (outside and outside.active):
+            count.calls += 1
+        count.active += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            count.active -= 1
+
+    setattr(owner, name, counted)
+    try:
+        yield count
+    finally:
+        setattr(owner, name, original)
+
+
+def _calls(count, offset=0):
+    return None if count is None else offset + count.calls
+
+
+def _best(call):
+    """call()'s result and its best time over REPEAT calls."""
+    runs = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        out = call()
+        runs.append(time.perf_counter() - t0)
+    return out, min(runs)
+
+
+def _spec_name(m, parts):
+    return f"{m},({','.join(map(str, parts))})"
+
+
+def _initial(m, parts, order="lex_row_major"):
+    from gbei import PartiteSpec, TermOrder, complete_multipartite, generalized_bei
+
+    J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
+    return J.initial_ideal(getattr(TermOrder, order)(J.ring))
+
+
+def betti():
+    from gbei import hochster
+
+    for m, parts in BETTI_SPECS:
+        for order in ("lex_row_major", "lex_column_major"):
+            ini = _initial(m, parts, order)
+            closed = {0}
+            for s in hochster.SimplicialComplex.of_ideal(ini).supports:
+                closed |= {mask | s for mask in closed}
+            table, best = _best(lambda: hochster.betti_table(ini, PRIME))
+            with _counting(hochster, "_homology_ranks") as reduced:
+                hochster.betti_table(ini, PRIME)
+            rows = json.dumps(table.rows()).encode()
+            yield {"spec": _spec_name(m, parts), "order": order,
+                   "nvars": ini.nvars, "sigma": len(closed),
+                   "sigma_reduced": _calls(reduced),
+                   "entries": len(table.entries),
+                   "digest": hashlib.sha256(rows).hexdigest()}, best
+
+
+def links():
+    from gbei import hochster
+
+    for m, parts in LINKS_SPECS:
+        ini = _initial(m, parts)
+        complex_ = hochster.SimplicialComplex.of_ideal(ini)
+        union = 0
+        for s in complex_.supports:
+            union |= s
+        (depth, reg), best = _best(
+            lambda: hochster.depth_and_regularity(ini, PRIME, cap=CAP))
+        with ExitStack() as stack:
+            tables = stack.enter_context(_counting(hochster, "_homology_ranks"))
+            collapsed = stack.enter_context(_counting(hochster, "_collapsed_ranks"))
+            # a link the walk takes, not one a collapse tests a vertex by
+            taken = stack.enter_context(_counting(hochster, "_link", collapsed))
+            hochster.depth_and_regularity(ini, PRIME, cap=CAP)
+        walk = getattr(hochster, "_non_coned_faces", None)
+        yield {"spec": _spec_name(m, parts), "nvars": ini.nvars,
+               "faces": sum(map(len, complex_.faces_by_size(union))),
+               "visited": _calls(taken, 1),
+               "non_coned": None if walk is None else sum(
+                   1 for _ in walk(complex_, lambda *_: True)),
+               "links_reduced": _calls(collapsed),
+               "tables_reduced": _calls(tables),
+               "depth": depth, "reg": reg}, best
+
+
+def _hilbert_ideals():
+    """The monomial ideals whose series the oracle takes on the
+    verify-elimination specs, in(J), in(P_0), the meet M of the variable
+    components (by minimalized lcms) and in(P_0 + M), then in(J) alone for
+    the specs past the Groebner cap."""
+    from gbei import (Ideal, MonomialIdeal, PartiteSpec, Poly, TermOrder,
+                      complete_multipartite, predict, prime_component)
+    from gbei.rings import mono_lcm
+
+    for m, parts in MEET_SPECS + LARGE_SPECS:
+        name = _spec_name(m, parts)
+        yield f"{name} in(J)", _initial(m, parts)
+        if (m, parts) in LARGE_SPECS:
+            continue
+        spec = PartiteSpec(m, parts)
+        G = complete_multipartite(spec)
+        P, *variable = [prime_component(m, G, T, PRIME)
+                        for T in predict(spec).cut_sets]
+        monos = [next(iter(g.terms)) for g in variable[0].gens]
+        for A in variable[1:]:
+            monos = MonomialIdeal(P.ring.nvars, [
+                mono_lcm(a, next(iter(g.terms))) for a in monos
+                for g in A.gens]).gens
+        M = MonomialIdeal(P.ring.nvars, monos)
+        P_M = Ideal(P.ring, P.gens + tuple(Poly(P.ring, {g: 1}) for g in M.gens))
+        yield f"{name} in(P_0)", P.initial_ideal(TermOrder.lex_row_major(P.ring))
+        yield f"{name} M", M
+        yield f"{name} in(P_0 + M)", P_M.initial_ideal(TermOrder.lex_row_major(P.ring))
+
+
+def hilbert():
+    import gbei.hilbert as hilbert
+
+    for name, ideal in list(_hilbert_ideals()):
+        series, best = _best(lambda: hilbert.hilbert_series(ideal))
+        with _counting(hilbert, "_kpoly") as nodes:
+            hilbert.hilbert_series(ideal)
+        yield {"ideal": name, "nvars": ideal.nvars, "gens": len(ideal.gens),
+               "series": series.text(), "nodes": _calls(nodes)}, best
+
+
+def cutsets():
+    from benchmark.workloads import GRAPH_VARIANTS, random_graph
+    from gbei import (PartiteSpec, SimpleGraph, complete_graph,
+                      complete_multipartite, cut_sets, graph_from_json)
+
+    graphs = [(f"G(16,1/4) #{index}", graph_from_json(random_graph(index)))
+              for index in range(GRAPH_VARIANTS)]
+    graphs += [
+        ("P16", SimpleGraph.from_edges(16, [(v, v + 1) for v in range(1, 16)])),
+        ("C16", SimpleGraph.from_edges(16, [(v, v % 16 + 1) for v in range(1, 17)])),
+        ("K16", complete_graph(16))]
+    graphs += [(f"K({','.join(map(str, parts))})",
+                complete_multipartite(PartiteSpec(2, parts)))
+               for parts in ((8, 8), (4, 4, 4, 4))]
+    for name, G in graphs:
+        found, best = _best(lambda: cut_sets(G))
+        yield {"graph": name, "edges": len(G.edges), "cut_sets": len(found)}, best
+
+
+LAYERS = {layer.__name__: layer for layer in (betti, links, hilbert, cutsets)}
+
+
+def _worker(layer, checkout):
+    """Measure the layer on checkout's gbei; print [[counts, seconds], ...]."""
+    src = Path(checkout).resolve() / "src"
+    sys.path[:0] = [str(src), str(ROOT)]
+    import gbei
+    if Path(gbei.__file__).resolve().parent != src / "gbei":
+        sys.exit(f"error: imported gbei from {gbei.__file__}, not {src}")
+    print(json.dumps(list(LAYERS[layer]())))
+
+
+def _round(layer, checkout):
+    proc = subprocess.run(
+        [sys.executable, __file__, layer, "--worker", str(checkout)],
+        capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        sys.exit(f"error: the {layer} worker on {checkout} exited with "
+                 f"{proc.returncode}")
+    return json.loads(proc.stdout)
+
+
+def _side(rounds):
+    """The record of one side from its rounds, each [[counts, seconds], ...]."""
+    items = []
+    for index, (counts, _) in enumerate(rounds[0]):
+        if any(later[index][0] != counts for later in rounds[1:]):
+            sys.exit(f"error: the counts of {counts} differ between rounds")
+        times = [round(one[index][1], 6) for one in rounds]
+        items.append({**counts, "median_s": round(statistics.median(times), 6),
+                      "rounds_s": times})
+    return {"total_median_s": round(sum(item["median_s"] for item in items), 6),
+            "round_totals_s": [round(sum(t for _, t in one), 6) for one in rounds],
+            "items": items}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("layer", choices=LAYERS)
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, help="checkout of the change")
+    parser.add_argument("--output", type=Path, help="JSON file to write")
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _worker(args.layer, args.worker)
+        return
+    if None in (args.parent, args.change, args.output):
+        parser.error("--parent, --change and --output are required")
+
+    dirs = {"parent": args.parent, "change": args.change}
+    rounds = {side: [] for side in SIDES}
+    first = []
+    for index in range(ROUNDS):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            rounds[side].append(_round(args.layer, dirs[side]))
+        print(f"round {index + 1}/{ROUNDS}: " + ", ".join(
+            f"{side} {sum(t for _, t in rounds[side][-1]):.4f} s" for side in SIDES),
+            file=sys.stderr)
+
+    sides = {side: _side(rounds[side]) for side in SIDES}
+    record = {"layer": args.layer, "prime": PRIME, "cap": CAP,
+              "rounds": ROUNDS, "repeat": REPEAT, "first": first,
+              "host": {"python": platform.python_version(),
+                       "machine": platform.machine(), "cpus": os.cpu_count()},
+              "change_over_parent": round(sides["change"]["total_median_s"]
+                                          / sides["parent"]["total_median_s"], 4),
+              "sides": sides}
+    args.output.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
