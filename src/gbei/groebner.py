@@ -11,17 +11,23 @@ Polys and every public signature keep exponent tuples: `_table`,
 `normal_form`, `spolynomial` and `Ideal.contains` pack, and `_poly` unpacks.
 
 Division runs against a reducer table of (lm, monic tail, top) entries,
-the only form of the basis while `buchberger` runs; `_reduce_basis` alone
-turns a table back into Polys.  All callers share the one division and
-S-pair code.  Pair bookkeeping is on bitsets over table positions: each
-entry has a bitset of its pending partners, each variable one of the
-entries whose lm holds it.  The chain criterion tests for divisibility
-only the entries whose lm support lies inside the pair's lcm support and
-whose pairs with both ends are done.  Pairs with coprime leading terms,
-and pairs of two monomials, are never queued and count as done: their
-S-polynomials reduce to zero.  `Ideal.plus` opens its table with a
-reduced basis whose inner pairs count as done the same way, since each
-already reduces to zero by that basis.
+the only form of a basis here: Polys are built only for `buchberger` and
+`Ideal.groebner_basis` to return.  All callers share the one division
+and S-pair code.  Pair bookkeeping is on bitsets over table positions:
+each entry has a bitset of its pending partners, each variable one of
+the entries whose lm holds it.  A new entry pairs only with entries
+holding one of its lm's variables, and can divide only the lms of those
+holding all of them; the lms it divides turn redundant, and so does a
+generator's lm that an earlier lm divides or equals.  The entries left
+are the minimal basis, whose tails are reduced at the end.  The chain
+criterion tests for divisibility only the entries whose lm support lies
+inside the pair's lcm support and whose pairs with both ends are done.
+Pairs with coprime leading terms, and pairs of two monomials, are never
+queued and count as done: their S-polynomials reduce to zero.  `Ideal`
+keeps one (packing, reduced table) per term order, which `contains`,
+`initial_ideal` and `plus` read; `plus` opens its table with it, whose
+inner pairs count as done the same way, since each already reduces to
+zero by that basis.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, packed lcm, i, j), the
@@ -33,9 +39,11 @@ which makes them unique for the ideal and order.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import itemgetter, or_
 
 from .hilbert import MonomialIdeal
-from .rings import Poly, Ring, TermOrder, packed_divides
+from .rings import Poly, Ring, TermOrder, iter_bits, packed_divides
 
 # One byte per variable, whose top bit is the guard.
 MAX_EXPONENT = 0x7F
@@ -197,41 +205,61 @@ def buchberger(gens, order):
     criterion drops a pair whose lcm a third leading term divides once
     both companion pairs are done.
     """
-    if len({g.ring for g in gens}) > 1:
-        raise ValueError("ring mismatch")
-    packing = _Packing(order)
-    table = _table(gens, packing)
-    return _complete(table, 0, gens[0].ring, packing) if table else []
+    return Ideal(gens[0].ring, gens).groebner_basis(order) if gens else []
 
 
-def _complete(table, done, ring, packing):
-    """The reduced basis of the ideal of a reducer table's polys, grown in
-    place.  Pairs among the first `done` entries, which must form a
-    Groebner basis, count as done and are never queued."""
-    p = ring.prime
+def _complete(table, done, packing, p):
+    """The reduced basis, as a table by descending lm, of the ideal of a
+    reducer table's polys; the table grows in place.  Pairs among the
+    first `done` entries, which must form a Groebner basis, count as done
+    and are never queued."""
     guard = packing.guard
+    opening = len(table)
     heap = []
     supports = []  # per entry: packing.support of its lm
     partners = []  # per entry: bitset of the entries it has a pending pair with
-    holders = {}   # per variable's guard bit: bitset of the entries whose lm holds it
+    # per variable's guard bit: bitset of the entries whose lm holds it
+    holders = {1 << b: 0 for b in iter_bits(guard)}
+    tailed = 0     # bitset of the entries with a tail
+    redundant = 0  # bitset of the entries left out of the minimal basis
 
     def add(j):
+        nonlocal tailed, redundant
         lm, tail, _ = table[j]
         support = packing.support(lm)
         supports.append(support)
-        partners.append(0)
         bit = 1 << j
+        sharing = 0        # earlier entries whose lm shares a variable with lm
+        holding = bit - 1  # earlier entries whose lm holds every variable of lm
         rest = support
         while rest:
             low = rest & -rest
-            holders[low] = holders.get(low, 0) | bit
+            held = holders[low]
+            sharing |= held
+            holding &= held
+            holders[low] = held | bit
             rest ^= low
-        for i in range(j if j >= done else 0):
-            if supports[i] & support and (tail or table[i][1]):
-                lcm = _lcm(table[i][0], lm, guard)
-                heapq.heappush(heap, (packing.degree(lcm), lcm, i, j))
-                partners[i] |= bit
-                partners[j] |= 1 << i
+        if j < opening:
+            # a remainder's lm no lm of the table divides, but a generator's
+            # may be a multiple of an earlier lm, which holds no variable
+            # outside its support, or equal to it
+            outside = reduce(or_, (held for low, held in holders.items()
+                                   if not low & support), 0)
+            if any(packed_divides(table[i][0], lm, guard)
+                   for i in iter_bits((bit - 1) & ~(outside | redundant))):
+                redundant |= bit
+        if not redundant & bit:
+            for i in iter_bits(holding & ~redundant):
+                if packed_divides(lm, table[i][0], guard):
+                    redundant |= 1 << i
+        pending = 0 if j < done else sharing if tail else sharing & tailed
+        for i in iter_bits(pending):
+            lcm = _lcm(table[i][0], lm, guard)
+            heapq.heappush(heap, (packing.degree(lcm), lcm, i, j))
+            partners[i] |= bit
+        partners.append(pending)
+        if tail:
+            tailed |= bit
 
     for j in range(len(table)):
         add(j)
@@ -246,7 +274,7 @@ def _complete(table, done, ring, packing):
         outside = guard & ~(supports[i] | supports[j])
         while outside:
             low = outside & -outside
-            blocked |= holders.get(low, 0)
+            blocked |= holders[low]
             outside ^= low
         candidates = ~blocked & ((1 << len(table)) - 1)
         probe = lcm | guard
@@ -261,22 +289,16 @@ def _complete(table, done, ring, packing):
                 table.append(_reducer(remainder, p, guard))
                 add(len(table) - 1)
 
-    return _reduce_basis(table, ring, packing)
-
-
-def _reduce_basis(table, ring, packing):
-    """The reduced basis, by descending lm, as Polys, from a basis's table.
-
-    Tails are reduced by the whole minimal table: an element's leading
-    term is above its tail terms, so it never divides one of them.
-    """
-    guard = packing.guard
-    minimal = []
-    for entry in sorted(table, key=lambda e: e[0]):
-        if not any(packed_divides(h[0], entry[0], guard) for h in minimal):
-            minimal.append(entry)
-    return [_poly(ring, packing, {lm: 1, **_reduce(tail, minimal, guard, ring.prime)})
-            for lm, tail, _ in reversed(minimal)]
+    # the entries left are minimal with distinct lms; an element's lm is
+    # above its tail terms, so it never divides one of them
+    minimal = sorted((entry for j, entry in enumerate(table) if not redundant >> j & 1),
+                     key=itemgetter(0), reverse=True)
+    basis = []
+    for entry in minimal:
+        lm, tail, _ = entry
+        reduced = _reduce(tail, minimal, guard, p)
+        basis.append(entry if reduced == tail else _reducer({lm: 1, **reduced}, p, guard))
+    return basis
 
 
 def initial_ideal(gb, order, nvars=None):
@@ -289,7 +311,8 @@ def initial_ideal(gb, order, nvars=None):
 
 
 class Ideal:
-    """Finitely generated ideal with per-order caching of reduced bases."""
+    """Finitely generated ideal that keeps its reduced basis per term order
+    as one (packing, table) pair, the table by descending lm."""
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -297,21 +320,26 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("ring mismatch")
-        self._gb = {}
-        self._reducers = {}
+        self._bases = {}
 
     def default_order(self):
         return TermOrder.lex_row_major(self.ring)
 
+    def _basis(self, order):
+        """(packing, reduced basis table) for order, computed once."""
+        if order.perm not in self._bases:
+            packing = _Packing(order)
+            self._bases[order.perm] = packing, _complete(
+                _table(self.gens, packing), 0, packing, self.ring.prime)
+        return self._bases[order.perm]
+
     def groebner_basis(self, order=None):
-        order = order or self.default_order()
-        if order.perm not in self._gb:
-            self._gb[order.perm] = buchberger(list(self.gens), order)
-        return self._gb[order.perm]
+        packing, table = self._basis(order or self.default_order())
+        return [_poly(self.ring, packing, {lm: 1, **tail}) for lm, tail, _ in table]
 
     def initial_ideal(self, order=None):
-        order = order or self.default_order()
-        return initial_ideal(self.groebner_basis(order), order, self.ring.nvars)
+        packing, table = self._basis(order or self.default_order())
+        return MonomialIdeal(self.ring.nvars, [packing.unpack(lm) for lm, _, _ in table])
 
     def plus(self, gens):
         """self + (gens), with its default-order basis grown from self's.
@@ -323,23 +351,16 @@ class Ideal:
         gens = list(gens)
         total = Ideal(self.ring, self.gens + tuple(gens))
         order = self.default_order()
-        packing = _Packing(order)
-        basis = self.groebner_basis(order)
-        total._gb[order.perm] = _complete(_table(basis + gens, packing),
-                                          len(basis), self.ring, packing)
+        packing, basis = self._basis(order)
+        total._bases[order.perm] = packing, _complete(
+            basis + _table(gens, packing), len(basis), packing, self.ring.prime)
         return total
 
     def contains(self, f, order=None):
-        """Membership by division by the basis's reducer table, built once
-        per order."""
+        """Membership by division by the basis table."""
         if f.ring != self.ring:
             raise ValueError("ring mismatch")
-        order = order or self.default_order()
-        if order.perm not in self._reducers:
-            packing = _Packing(order)
-            self._reducers[order.perm] = (
-                packing, _table(self.groebner_basis(order), packing))
-        packing, table = self._reducers[order.perm]
+        packing, table = self._basis(order or self.default_order())
         return not _reduce(packing.pack_terms(f.terms), table, packing.guard,
                            self.ring.prime)
 
@@ -352,7 +373,7 @@ def ideals_equal(I, J, order=None):
     if I.ring != J.ring:
         raise ValueError("ring mismatch")
     order = order or I.default_order()
-    return I.groebner_basis(order) == J.groebner_basis(order)
+    return I._basis(order)[1] == J._basis(order)[1]
 
 
 def intersect(I, J):
@@ -381,5 +402,6 @@ def intersect(I, J):
             for g in gb if all(m[0] == 0 for m in g.terms)]
 
     result = Ideal(ring, kept)
-    result._gb[TermOrder.lex_row_major(ring).perm] = kept
+    packing = _Packing(TermOrder.lex_row_major(ring))
+    result._bases[packing.perm] = packing, _table(kept, packing)
     return result

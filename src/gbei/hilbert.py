@@ -18,11 +18,12 @@ is a subtraction, and divisibility is the guard test `groebner` uses too.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress, zip_longest
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul, not_, or_, sub
 
-from .rings import (mono_degree, mono_divides, mono_is_squarefree, mono_mask,
+from .rings import (iter_bits, mono_degree, mono_divides, mono_is_squarefree,
                     packed_divides)
 
 
@@ -45,16 +46,17 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != nvars:
                 raise ValueError(f"generator {g} has wrong length for {nvars} variables")
-        # a divisor's support lies inside g's: the masks are a prefilter only,
-        # since generators need not be squarefree
+        # a divisor's support lies inside g's: the candidates hold no variable
+        # outside it, and are tested, since generators need not be squarefree
         minimal = []
-        masks = []
+        holders = [0] * nvars  # per variable: bitset of the kept generators holding it
         for g in sorted(gens, key=_degree_lex):
-            outside = ~mono_mask(g)
-            if not any(h_mask & outside == 0 and mono_divides(h, g)
-                       for h_mask, h in zip(masks, minimal)):
+            outside = reduce(or_, compress(holders, map(not_, g)), 0)
+            kept = (1 << len(minimal)) - 1
+            if not any(mono_divides(minimal[i], g) for i in iter_bits(kept & ~outside)):
+                for v in compress(range(nvars), g):
+                    holders[v] |= 1 << len(minimal)
                 minimal.append(g)
-                masks.append(~outside)
         self.nvars = nvars
         self.gens = tuple(minimal)
 

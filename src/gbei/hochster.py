@@ -34,11 +34,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
-from itertools import compress
 from operator import or_
 
 from .errors import CapExceededError
-from .rings import DEFAULT_PRIME, is_prime, mono_mask
+from .rings import DEFAULT_PRIME, is_prime, iter_bits, mono_mask
 
 HOCHSTER_CAP = 15
 
@@ -95,20 +94,11 @@ class SimplicialComplex:
             grouped.append(level)
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _set_bits(bits):
-    """Positions of the set bits of a nonnegative int, ascending."""
-    digits = bin(bits).encode()[:1:-1].translate(_BIT_BYTES)
-    return list(compress(range(len(digits)), digits))
-
-
 def _column(face, index, p):
     """The boundary of a face as {row: coeff mod p}, its faces numbered by
     index, where the j-th lowest vertex carries (-1)^j."""
     return {index[face ^ 1 << v]: p - 1 if j & 1 else 1
-            for j, v in enumerate(_set_bits(face))}
+            for j, v in enumerate(iter_bits(face))}
 
 
 def _pivot_rows(columns, p):
@@ -254,7 +244,7 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
             ranks = () if _apexes(verts, nonfaces) else _collapsed_ranks(verts, nonfaces, p)
         if any(ranks):
             homology[mask] = ranks
-            sigma = frozenset(_set_bits(mask))
+            sigma = frozenset(iter_bits(mask))
             # ranks[c] is that of H~_{c-1}, which sits in beta_{|sigma|-c}
             for c, rank in enumerate(ranks):
                 if rank:
@@ -271,10 +261,10 @@ def _dominations(verts, supports):
     """
     verts, nonfaces = _restriction(supports, verts)
     out = []
-    for v in _set_bits(verts):
+    for v in iter_bits(verts):
         link, blockers = _link(verts, nonfaces, v)
         out += [(1 << v, 1 << v | 1 << w, [t for t in blockers if t >> w & 1])
-                for w in _set_bits(link)]
+                for w in iter_bits(link)]
     return out
 
 
@@ -343,7 +333,7 @@ def _non_coned_faces(complex_, wanted):
         elif wanted(face.bit_count(), verts.bit_count()):
             yield face, verts, nonfaces
         if grow and wanted(face.bit_count() + 1, verts.bit_count() - 1):
-            for u in reversed(_set_bits(grow)):
+            for u in reversed(list(iter_bits(grow))):
                 stack.append((face | 1 << u, *_link(verts, nonfaces, u)))
 
 
@@ -351,7 +341,7 @@ def _collapsed_ranks(verts, nonfaces, p):
     """Ranks of H~_k, k = -1 .. d, of a complex with no cone point, after
     one pass of collapses.  If its non-faces are disjoint, so cover it, it
     is the join of their boundaries, a sphere of dimension |V| - |L| - 1."""
-    for v in _set_bits(verts):
+    for v in iter_bits(verts):
         if sum(map(int.bit_count, nonfaces)) == verts.bit_count():
             break
         if _apexes(*_link(verts, nonfaces, v)):

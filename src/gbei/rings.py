@@ -5,7 +5,8 @@ Monomials are plain exponent tuples, and a pure lex comparison is just
 tuple comparison.  `mono_mask` gives a monomial's support as a bitmask, the
 cheap prefilter for divisibility.  `groebner` and the Hilbert recursion
 pack monomials into ints internally and hand exponent tuples back;
-`packed_divides` is their shared divisibility test.
+`packed_divides` is their shared divisibility test, and `iter_bits` walks
+the bitsets they and `hochster` keep.
 """
 
 from __future__ import annotations
@@ -96,6 +97,14 @@ def mono_mask(a):
         if e:
             mask |= 1 << v
     return mask
+
+
+def iter_bits(bits):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def packed_divides(a, b, guard):

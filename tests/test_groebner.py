@@ -22,6 +22,7 @@ from gbei.groebner import (
     _Packing,
     buchberger,
     ideals_equal,
+    initial_ideal,
     intersect,
     normal_form,
     spolynomial,
@@ -29,6 +30,7 @@ from gbei.groebner import (
 from gbei.hilbert import MonomialIdeal
 from gbei.rings import (Poly, Ring, TermOrder, mono_degree, mono_divides,
                         mono_is_squarefree, mono_lcm, packed_divides)
+from gbei.verify import _meet, _variables
 
 
 def _bei(m, parts):
@@ -489,3 +491,130 @@ def test_generators_from_two_rings_are_rejected():
         buchberger([f, g], order)
     with pytest.raises(ValueError, match="ring mismatch"):
         spolynomial(f, g, order)
+
+
+# ---------------------------------------------------------------------------
+# redundant generators: equal, dividing and constant leading terms
+
+def _ranked(R, order):
+    """The variables of R, largest in the order first."""
+    return [R.variable(v // R.cols + 1, v % R.cols + 1) for v in order.perm]
+
+
+def _special_sets(R, order):
+    """Generator sets whose leading terms repeat or divide one another,
+    named by how; the leading terms are the same in every order."""
+    x1, x2, x3, x4 = _ranked(R, order)
+    return {
+        "equal lms": [x1 * x2 + x3, 3 * x1 * x2 + x4 * x4, x3 * x4 - x2 * x2],
+        "equal generators": [x1 * x2 - x3, x1 * x2 - x3, x2 * x4 + 1],
+        "divisor first": [x1 + x2 * x3, x1 * x4 + x2, x3 * x3 - x4],
+        "divisor last": [x1 * x4 + x2, x3 * x3 - x4, x1 + x2 * x3],
+        "square, then a product it does not divide":
+            [x1 * x1 + x3, x1 * x2 + x4, x3 * x3],
+        "product, then a square it does not divide":
+            [x1 * x2 + x4, x1 * x1 + x3, x2 * x3 - 1],
+        "constant": [x1 * x2 - x3, 3 * R.one(), x4 * x4],
+        "constant last": [x1 * x2 - x3, x4 * x4 + x1, R.one()],
+    }
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+@pytest.mark.parametrize("order_name", ["lex-row-major", "lex-column-major"])
+def test_redundant_generators_match_sympy(order_name, prime):
+    R = Ring(2, 2, prime)
+    order = TermOrder.by_name(order_name, R)
+    for name, gens in _special_sets(R, order).items():
+        reference = _sympy_basis(gens, order)
+        assert buchberger(gens, order) == reference, name
+        I = Ideal(R, gens)
+        assert I.groebner_basis(order) == reference, name
+        assert I.initial_ideal(order) == initial_ideal(reference, order), name
+        assert all(I.contains(g, order) for g in gens), name
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+def test_plus_with_leading_terms_on_the_basis_matches_sympy(prime):
+    # extra generators whose leading terms equal, or properly divide, a
+    # leading term of the basis that opens the table
+    R = Ring(2, 2, prime)
+    order = _order(Ideal(R, []))
+    x1, x2, x3, x4 = _ranked(R, order)
+    I = Ideal(R, [x1 * x2 - x3 * x4, x1 * x3 - x2 * x4, x2 * x2 * x3 + x4])
+    lms = [g.leading_monomial(order) for g in I.groebner_basis()]
+    for extra in ([x1 * x2 + x4 * x4], [x1 * x3 - x4], [x1 + x4, x2 * x2 * x3],
+                  [x2 * x2 * x3 + x4, x2 * x4 + x3 * x4]):
+        for f in extra:
+            lm = f.leading_monomial(order)
+            assert any(mono_divides(lm, b) for b in lms)
+        gens = list(I.gens) + extra
+        assert I.plus(extra).groebner_basis() == _sympy_basis(gens, order)
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3)])
+def test_ideal_agrees_with_buchberger_on_random_ideals(rows, cols, prime):
+    # binomial ideals, and monomial ones every third trial: the cached
+    # table gives the initial ideal, membership and sums that Buchberger
+    # and division by its Polys give
+    R = Ring(rows, cols, prime)
+    rng = random.Random(f"table {rows}x{cols}/{prime}")
+    orders = (TermOrder.lex_row_major(R), TermOrder.lex_column_major(R))
+
+    def poly(size):
+        terms = {}
+        for _ in range(size):
+            exps = [0] * R.nvars
+            for v in rng.sample(range(R.nvars), rng.randrange(1, 4)):
+                exps[v] = rng.randrange(1, 3)
+            terms[tuple(exps)] = rng.randrange(1, prime)
+        return Poly(R, terms)
+
+    for trial in range(9):
+        size = 1 if trial % 3 == 0 else 2
+        gens = [poly(size) for _ in range(rng.randrange(1, 5))]
+        extra = [poly(rng.choice((1, 2))) for _ in range(rng.randrange(0, 4))]
+        I = Ideal(R, gens)
+        for order in orders:
+            gb = buchberger(gens, order)
+            assert I.initial_ideal(order) == initial_ideal(gb, order, R.nvars)
+            probes = [sum((poly(1) * g for g in rng.sample(gens, min(2, len(gens)))),
+                          R.zero()) for _ in range(4)]
+            probes += [probes[0] + poly(1), poly(2)]
+            for f in probes:
+                assert I.contains(f, order) == normal_form(f, gb, order).is_zero()
+        assert I.plus(extra).groebner_basis() == buchberger(gens + extra, orders[0])
+
+
+# ---------------------------------------------------------------------------
+# the S-pair sequence of the oracle's bases
+
+@pytest.mark.parametrize("m,parts,counts", [
+    (4, (2, 2), (393, 160, 76)),
+    (3, (1, 1, 1, 3), (487, 230, 36)),
+    (3, (3, 3), (735, 230, 126)),
+    (2, (2, 2, 2, 3), (502, 168, 84)),
+])
+def test_spair_counts_of_the_verify_bases(m, parts, counts, monkeypatch):
+    # the S-pairs `verify()` reduces for J, P_0 and P_0 + M at p = 32003:
+    # bookkeeping of the table must not add, drop or reorder any
+    calls = []
+    spair = groebner_module._spair
+
+    def counted(*args):
+        calls.append(None)
+        return spair(*args)
+
+    monkeypatch.setattr(groebner_module, "_spair", counted)
+    spec = PartiteSpec(m, parts)
+    G = complete_multipartite(spec)
+    seen = []
+    generalized_bei(m, G, 32003).initial_ideal()
+    seen.append(len(calls))
+    P, *variable = [prime_component(m, G, T, 32003) for T in predicted_cut_sets(spec)]
+    P.initial_ideal()
+    seen.append(len(calls) - sum(seen))
+    M = _meet(P.ring.nvars, [_variables(A) for A in variable])
+    P.plus(Poly(P.ring, {g: 1}) for g in M.gens).initial_ideal()
+    seen.append(len(calls) - sum(seen))
+    assert tuple(seen) == counts

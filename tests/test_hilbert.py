@@ -54,6 +54,23 @@ def test_minimal_generators_match_a_quadratic_reference():
         assert sorted(MonomialIdeal(nvars, gens).gens) == _minimal_reference(gens)
 
 
+def test_minimal_generators_by_holders_match_brute_force():
+    # not squarefree, with duplicates and sometimes 1 itself: the kept
+    # generators holding a variable outside g's support are never tested,
+    # the rest are, and the result is sorted by degree, then exponents
+    rng = random.Random(41)
+    for trial in range(300):
+        nvars = trial % 8 + 1
+        gens = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(nvars))
+                for _ in range(rng.randrange(1, 16))]
+        gens += rng.sample(gens, rng.randrange(1, len(gens) + 1))
+        if trial % 5 == 0:
+            gens.append((0,) * nvars)
+        rng.shuffle(gens)
+        expected = sorted(_minimal_reference(gens), key=lambda g: (sum(g), g))
+        assert MonomialIdeal(nvars, gens).gens == tuple(expected)
+
+
 def test_unit_and_squarefree():
     assert MonomialIdeal(2, [(0, 0)]).is_unit()
     assert not MonomialIdeal(2, [(1, 0)]).is_unit()

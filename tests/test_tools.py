@@ -8,7 +8,9 @@ loaded by path, as tests/test_tracer.py loads the tracer.
 """
 
 import ast
+import hashlib
 import importlib
+import json
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
@@ -66,6 +68,7 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.hochster._link", "gbei.hochster._non_coned_faces",
                  "gbei.hochster.betti_table", "gbei.hochster.depth_and_regularity",
                  "gbei.hilbert._kpoly", "gbei.hilbert.hilbert_series",
+                 "gbei.groebner._spair",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):
         assert name in found, name
     missing = [f"{dotted}.{name}" for dotted, owner, name in used
@@ -105,4 +108,24 @@ def test_the_cutsets_layer_counts_what_cut_sets_returns(monkeypatch):
     row, seconds = next(_load_bench().cutsets())
     assert row["graph"] == "G(16,1/4) #0"
     assert row["cut_sets"] == len(cut_sets(graph_from_json(random_graph(0))))
+    assert seconds > 0
+
+
+def test_the_groebner_layer_times_what_initial_ideal_builds(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    import gbei.groebner as groebner
+    from gbei import PartiteSpec, complete_multipartite, generalized_bei
+
+    bench = _load_bench()
+    row, seconds = next(bench.groebner())
+    assert row["item"] == "4,(2,2) in(J)"
+    J = generalized_bei(4, complete_multipartite(PartiteSpec(4, (2, 2))), bench.PRIME)
+    with bench._counting(groebner, "_spair") as spairs:
+        ini = J.initial_ideal()
+    basis = J.groebner_basis()
+    assert (row["gens"], row["basis"], row["spairs"]) == (
+        len(J.gens), len(ini.gens), spairs.calls)
+    assert len(basis) == len(ini.gens)
+    terms = json.dumps([sorted(g.terms.items()) for g in basis]).encode()
+    assert row["digest"] == hashlib.sha256(terms).hexdigest()
     assert seconds > 0

@@ -13,13 +13,18 @@ LAYER is one of
   reductions on faces under them, and (depth, reg);
 - hilbert: `hilbert_series` on 19 monomial ideals, with the generators,
   the recursion nodes (`_kpoly` calls) and the series;
+- groebner: the Groebner bases `verify()` builds, in(J) on 5 specs and
+  P_0's membership test then in(P_0), and in(P_0 + M), on 4, with the
+  generators, the basis size, the S-pairs reduced (`_spair` calls) and a
+  SHA-256 of the basis;
 - cutsets: `cut_sets` on 13 graphs on 16 vertices, the eight seeded ones
   the cli-mix workload reads among them, with the edges and the cut sets.
 
 Each of ROUNDS rounds starts one fresh interpreter per side, which imports
 gbei from that side's DIR/src and measures every item of the layer; which
 side goes first alternates.  Every input is built outside the timed calls,
-over GF(32003), and an item's time in a round is the best of REPEAT calls.
+over GF(32003), and an item's time in a round is the best of REPEAT calls,
+or of as many as take FILL_S seconds when that best is under a millisecond.
 Its counts come from one more, untimed call, and must repeat in every
 round.  A count reads null on a side that lacks the function it counts.
 FILE gets, for each side and item, the per-round times and their median,
@@ -45,6 +50,7 @@ PRIME = 32003
 CAP = 18
 ROUNDS = 10
 REPEAT = 3
+FILL_S = 0.05
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
@@ -58,6 +64,7 @@ LINKS_SPECS = ((3, (1, 1, 2)), (3, (1, 3)), (3, (2, 2)), (3, (1, 1, 1, 1, 1)),
 # the verify-elimination specs, then in(J) alone past the Groebner cap
 MEET_SPECS = ((4, (2, 2)), (3, (1, 1, 1, 3)), (3, (3, 3)), (2, (2, 2, 2, 3)))
 LARGE_SPECS = ((2, (1, 11)), (2, (3, 9)), (3, (1, 7)))
+CLI_HILBERT_SPECS = ((3, (3, 3)), (2, (4, 5)))
 
 
 @contextmanager
@@ -92,9 +99,10 @@ def _calls(count, offset=0):
 
 
 def _best(call):
-    """call()'s result and its best time over REPEAT calls."""
+    """call()'s result and its best time over REPEAT calls, or, if that
+    best is under a millisecond, over as many calls as take FILL_S."""
     runs = []
-    for _ in range(REPEAT):
+    while len(runs) < REPEAT or (min(runs) < 1e-3 and sum(runs) < FILL_S):
         t0 = time.perf_counter()
         out = call()
         runs.append(time.perf_counter() - t0)
@@ -160,30 +168,39 @@ def links():
                "depth": depth, "reg": reg}, best
 
 
+def _decomposition(m, parts):
+    """J, P_0 and M of a spec, as `verify()` forms them: P_0 the first
+    predicted component, M the meet of the variable components (by
+    minimalized lcms) as a MonomialIdeal."""
+    from gbei import (MonomialIdeal, PartiteSpec, complete_multipartite,
+                      generalized_bei, predict, prime_component)
+    from gbei.rings import mono_lcm
+
+    spec = PartiteSpec(m, parts)
+    G = complete_multipartite(spec)
+    J = generalized_bei(m, G, PRIME)
+    P, *variable = [prime_component(m, G, T, PRIME)
+                    for T in predict(spec).cut_sets]
+    monos = [next(iter(g.terms)) for g in variable[0].gens]
+    for A in variable[1:]:
+        monos = MonomialIdeal(P.ring.nvars, [
+            mono_lcm(a, next(iter(g.terms))) for a in monos
+            for g in A.gens]).gens
+    return J, P, MonomialIdeal(P.ring.nvars, monos)
+
+
 def _hilbert_ideals():
     """The monomial ideals whose series the oracle takes on the
-    verify-elimination specs, in(J), in(P_0), the meet M of the variable
-    components (by minimalized lcms) and in(P_0 + M), then in(J) alone for
-    the specs past the Groebner cap."""
-    from gbei import (Ideal, MonomialIdeal, PartiteSpec, Poly, TermOrder,
-                      complete_multipartite, predict, prime_component)
-    from gbei.rings import mono_lcm
+    verify-elimination specs, in(J), in(P_0), M and in(P_0 + M), then
+    in(J) alone for the specs past the Groebner cap."""
+    from gbei import Ideal, Poly, TermOrder
 
     for m, parts in MEET_SPECS + LARGE_SPECS:
         name = _spec_name(m, parts)
         yield f"{name} in(J)", _initial(m, parts)
         if (m, parts) in LARGE_SPECS:
             continue
-        spec = PartiteSpec(m, parts)
-        G = complete_multipartite(spec)
-        P, *variable = [prime_component(m, G, T, PRIME)
-                        for T in predict(spec).cut_sets]
-        monos = [next(iter(g.terms)) for g in variable[0].gens]
-        for A in variable[1:]:
-            monos = MonomialIdeal(P.ring.nvars, [
-                mono_lcm(a, next(iter(g.terms))) for a in monos
-                for g in A.gens]).gens
-        M = MonomialIdeal(P.ring.nvars, monos)
+        _, P, M = _decomposition(m, parts)
         P_M = Ideal(P.ring, P.gens + tuple(Poly(P.ring, {g: 1}) for g in M.gens))
         yield f"{name} in(P_0)", P.initial_ideal(TermOrder.lex_row_major(P.ring))
         yield f"{name} M", M
@@ -199,6 +216,52 @@ def hilbert():
             hilbert.hilbert_series(ideal)
         yield {"ideal": name, "nvars": ideal.nvars, "gens": len(ideal.gens),
                "series": series.text(), "nodes": _calls(nodes)}, best
+
+
+def _groebner_calls():
+    """(name, call) for the Groebner work `verify()` does, each call giving
+    a fresh ideal its basis and returning that ideal: in(J) on the
+    verify-elimination specs and the specs of cli-mix's hilbert calls;
+    then, on the verify-elimination specs, a fresh P_0's membership test
+    of J's generators followed by in(P_0), and in(P_0 + M) grown from a
+    P_0 whose basis is built untimed."""
+    from gbei import (Ideal, PartiteSpec, Poly, complete_multipartite,
+                      generalized_bei)
+
+    def initial(ideal):
+        ideal.initial_ideal()
+        return ideal
+
+    def contains(J, P):
+        fresh = Ideal(P.ring, P.gens)
+        for g in J.gens:
+            fresh.contains(g)
+        return initial(fresh)
+
+    for m, parts in dict.fromkeys(MEET_SPECS + CLI_HILBERT_SPECS):
+        J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
+        yield f"{_spec_name(m, parts)} in(J)", lambda J=J: initial(Ideal(J.ring, J.gens))
+    for m, parts in MEET_SPECS:
+        name = _spec_name(m, parts)
+        J, P, M = _decomposition(m, parts)
+        yield f"{name} contains, in(P_0)", lambda J=J, P=P: contains(J, P)
+        P.initial_ideal()
+        extra = [Poly(P.ring, {g: 1}) for g in M.gens]
+        yield f"{name} in(P_0 + M)", lambda P=P, extra=extra: initial(P.plus(extra))
+
+
+def groebner():
+    import gbei.groebner as groebner
+
+    for name, call in list(_groebner_calls()):
+        _, best = _best(call)
+        with _counting(groebner, "_spair") as spairs:
+            ideal = call()
+        basis = ideal.groebner_basis()
+        terms = json.dumps([sorted(g.terms.items()) for g in basis]).encode()
+        yield {"item": name, "gens": len(ideal.gens), "basis": len(basis),
+               "spairs": _calls(spairs),
+               "digest": hashlib.sha256(terms).hexdigest()}, best
 
 
 def cutsets():
@@ -220,7 +283,8 @@ def cutsets():
         yield {"graph": name, "edges": len(G.edges), "cut_sets": len(found)}, best
 
 
-LAYERS = {layer.__name__: layer for layer in (betti, links, hilbert, cutsets)}
+LAYERS = {layer.__name__: layer
+          for layer in (betti, links, hilbert, groebner, cutsets)}
 
 
 def _worker(layer, checkout):
@@ -286,7 +350,7 @@ def main(argv=None):
 
     sides = {side: _side(rounds[side]) for side in SIDES}
     record = {"layer": args.layer, "prime": PRIME, "cap": CAP,
-              "rounds": ROUNDS, "repeat": REPEAT, "first": first,
+              "rounds": ROUNDS, "repeat": REPEAT, "fill_s": FILL_S, "first": first,
               "host": {"python": platform.python_version(),
                        "machine": platform.machine(), "cpus": os.cpu_count()},
               "change_over_parent": round(sides["change"]["total_median_s"]
