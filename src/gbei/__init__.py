@@ -25,8 +25,8 @@ from .hilbert import (HilbertSeries, MonomialIdeal, hilbert_series,
 from .hochster import (BettiTable, SimplicialComplex, betti_table,
                        depth_and_regularity, reduced_homology_ranks)
 from .rings import DEFAULT_PRIME, Poly, Ring, TermOrder
-from .verify import (InvariantReport, enumerate_specs, konig_check,
-                     max_coprime_subset, summarize, sweep, verify)
+from .verify import (InvariantReport, enumerate_specs, konig_check, summarize,
+                     sweep, verify)
 
 __version__ = "0.1.0"
 
@@ -38,10 +38,9 @@ __all__ = [
     "betti_table", "bipartite_multiplicity", "buchberger",
     "complete_graph", "complete_multipartite", "connected_components",
     "cut_sets", "decomposition_components", "depth_and_regularity",
-    "enumerate_specs",
-    "generalized_bei", "graph_from_json", "hilbert_series", "ideals_equal",
-    "initial_ideal", "intersect", "konig_check",
-    "konig_path", "krull_dimension", "load_graph", "max_coprime_subset",
+    "enumerate_specs", "generalized_bei", "graph_from_json",
+    "hilbert_series", "ideals_equal", "initial_ideal", "intersect",
+    "konig_check", "konig_path", "krull_dimension", "load_graph",
     "multiplicity", "normal_form", "pair_ideal", "path_target_length",
     "predict", "predicted_cut_sets", "predicted_depth",
     "predicted_dimension", "predicted_hilbert", "predicted_regularity",

@@ -201,7 +201,7 @@ def _splits(adj, t_mask, rest):
     return True
 
 
-def cut_sets(G: SimpleGraph, cap: int = CUT_SET_CAP):
+def cut_sets(G: SimpleGraph):
     """All vertex subsets T such that every v in T is a cut point of G minus (T minus v).
 
     Returns (T, c) pairs where c is the component count of G minus T, ordered by
@@ -214,8 +214,8 @@ def cut_sets(G: SimpleGraph, cap: int = CUT_SET_CAP):
     with exactly two.  Dense graphs keep almost every subset, so n is capped.
     """
     n = G.n_vertices
-    if n > cap:
-        raise CapExceededError(f"cut set enumeration needs n <= {cap}, got {n}")
+    if n > CUT_SET_CAP:
+        raise CapExceededError(f"cut set enumeration needs n <= {CUT_SET_CAP}, got {n}")
     adj, full = G.adjacency_masks(), (1 << n) - 1
     # few[k]: the vertices that can have only two neighbours outside a k-set
     few = [sum(1 << (u - 1) for u in range(1, n + 1) if adj[u].bit_count() <= k + 1)

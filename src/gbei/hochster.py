@@ -37,7 +37,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import CapExceededError
-from .rings import DEFAULT_PRIME, is_prime, iter_bits, mono_mask
+from .rings import DEFAULT_PRIME, is_prime, iter_bits, minimal_masks, mono_mask
 
 HOCHSTER_CAP = 15
 
@@ -297,11 +297,8 @@ def _apexes(verts, nonfaces):
 
 def _restriction(supports, mask):
     """The restriction to mask as (V, L): V the v in mask with {v} a face,
-    L the minimal non-faces, the minimal supports inside V."""
-    minimal = []
-    for s in sorted((s for s in supports if not s & ~mask), key=int.bit_count):
-        if all(t & ~s for t in minimal):
-            minimal.append(s)
+    L the minimal non-faces, the minimal supports inside V (`minimal_masks`)."""
+    minimal = minimal_masks(s for s in supports if not s & ~mask)
     # a vertex whose singleton is a support is in no face and no other minimal one
     verts = mask & ~sum(s for s in minimal if not s & (s - 1))
     return verts, [s for s in minimal if s & (s - 1)]

@@ -6,7 +6,8 @@ tuple comparison.  `mono_mask` gives a monomial's support as a bitmask, the
 cheap prefilter for divisibility.  `groebner` and the Hilbert recursion
 pack monomials into ints internally and hand exponent tuples back;
 `packed_divides` is their shared divisibility test, and `iter_bits` walks
-the bitsets they and `hochster` keep.
+the bitsets they and `hochster` keep.  `minimal_masks` keeps the
+inclusion-minimal sets of a family of bitmasks, for `hochster` and `verify`.
 """
 
 from __future__ import annotations
@@ -107,6 +108,16 @@ def iter_bits(bits):
         bits ^= low
 
 
+def minimal_masks(masks):
+    """The inclusion-minimal sets among bitmasks, each once, smallest first
+    and in the given order among equal sizes."""
+    minimal = []
+    for s in sorted(masks, key=int.bit_count):
+        if all(t & ~s for t in minimal):
+            minimal.append(s)
+    return minimal
+
+
 def packed_divides(a, b, guard):
     """True if packed a divides packed b: ints of exponent fields whose top
     bits, `guard`, are clear.  b - a clears a field's guard bit exactly
@@ -174,15 +185,14 @@ class TermOrder:
     ``perm`` lists variable indices from most to least significant; a
     monomial's sort key is its exponents read in that sequence.  Pure lex
     orders are all this package needs; lex-row-major is the identity
-    permutation, so its key is the exponent tuple itself.
+    permutation, so its key equals the exponent tuple.
     """
 
-    __slots__ = ("name", "perm", "_identity")
+    __slots__ = ("name", "perm")
 
     def __init__(self, name, perm):
         self.name = name
         self.perm = tuple(perm)
-        self._identity = self.perm == tuple(range(len(self.perm)))
 
     @classmethod
     def lex_row_major(cls, ring):
@@ -204,8 +214,6 @@ class TermOrder:
         return TERM_ORDERS[name](ring)
 
     def key(self, mono):
-        if self._identity:
-            return mono
         return tuple(mono[v] for v in self.perm)
 
     def __repr__(self):

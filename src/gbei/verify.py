@@ -42,8 +42,8 @@ from .hilbert import (MonomialIdeal, hilbert_series, krull_dimension,
 from .hochster import HOCHSTER_CAP, depth_and_regularity
 # Unused here; kept because the benchmark tracer patches it by name.
 from .hochster import betti_table  # noqa: F401
-from .rings import (DEFAULT_PRIME, Poly, Ring, mono_coprime, mono_degree,
-                    mono_mask)
+from .rings import (DEFAULT_PRIME, Poly, Ring, minimal_masks, mono_coprime,
+                    mono_degree, mono_mask)
 
 GROEBNER_CAP = 18
 
@@ -111,16 +111,14 @@ def _meet(nvars, variable_sets):
 
     x^S lies in all of them exactly when S meets every set, so M is
     generated by the minimal such S, grown one set V at a time: an S that
-    misses V gains each variable of V in turn.
+    misses V gains each variable of V in turn, and `minimal_masks` keeps
+    the minimal results.
     """
     minimal = [0]
     for V in variable_sets:
         lows = [1 << v for v in range(nvars) if V >> v & 1]
-        grown = {S if S & V else S | low for S in minimal for low in lows}
-        minimal = []
-        for S in sorted(grown, key=int.bit_count):
-            if not any(T & S == T for T in minimal):
-                minimal.append(S)
+        minimal = minimal_masks({S if S & V else S | low
+                                 for S in minimal for low in lows})
     return MonomialIdeal(nvars, [tuple(S >> v & 1 for v in range(nvars))
                                  for S in minimal])
 
@@ -256,33 +254,6 @@ def konig_check(spec: PartiteSpec):
     }
 
 
-def max_coprime_subset(monomials) -> int:
-    """Size of the largest pairwise-coprime subset (exact backtracking).
-
-    Supports become bitmasks; the search includes each candidate before
-    excluding it and prunes any branch that cannot beat the best found.
-    """
-    supports = [mono_mask(mono) for mono in monomials]
-    if not supports:
-        raise ValueError("need at least one monomial")
-    best = 0
-    total = len(supports)
-
-    def walk(idx, used, count):
-        nonlocal best
-        if count > best:
-            best = count
-        if idx == total or count + (total - idx) <= best:
-            return
-        support = supports[idx]
-        if used & support == 0:
-            walk(idx + 1, used | support, count + 1)
-        walk(idx + 1, used, count)
-
-    walk(0, 0, 0)
-    return best
-
-
 def sweep(specs, **options):
     """verify() every spec, reports in input order."""
     return [verify(spec, **options) for spec in specs]
@@ -297,10 +268,10 @@ def summarize(reports):
     return totals
 
 
-def enumerate_specs(max_m, max_n, min_m=2):
-    """All specs with min_m <= m <= max_m and 2 <= n <= max_n, in sorted order."""
+def enumerate_specs(max_m, max_n):
+    """All specs with 2 <= m <= max_m and 2 <= n <= max_n, in sorted order."""
     out = []
-    for m in range(min_m, max_m + 1):
+    for m in range(2, max_m + 1):
         for n in range(2, max_n + 1):
             for parts in _ascending_partitions(n):
                 if len(parts) >= 2:

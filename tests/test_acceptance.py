@@ -23,7 +23,7 @@ from gbei.groebner import buchberger, normal_form, spolynomial
 from gbei.hilbert import MonomialIdeal, hilbert_series, multiplicity
 from gbei.hochster import SimplicialComplex, betti_table, reduced_homology_ranks
 from gbei.rings import TermOrder
-from gbei.verify import enumerate_specs, konig_check, max_coprime_subset, verify
+from gbei.verify import enumerate_specs, konig_check, verify
 
 
 def _announce(capsys, num, desc, ok, dt, limit, detail=""):
@@ -106,7 +106,7 @@ def test_criterion_05_tripartite_m2(capsys):
               not problems, time.perf_counter() - t0, 5.0, "; ".join(problems))
 
 
-def test_criterion_06_coprime_below_height(capsys):
+def test_criterion_06_coprime_below_height(capsys, max_coprime_subset):
     # K_{2,2} presented as the 4-cycle 1-2-3-4-1 (parts {1,3} and {2,4}):
     # the twelve lex initial terms admit five pairwise-coprime members, one
     # short of the height — initial terms depend on the labeling, the height

@@ -143,7 +143,7 @@ def test_cut_sets_cap():
     G = SimpleGraph.from_edges(17, [])
     with pytest.raises(CapExceededError):
         cut_sets(G)
-    assert cut_sets(SimpleGraph.from_edges(4, []), cap=4) == [(frozenset(), 4)]
+    assert cut_sets(SimpleGraph.from_edges(4, [])) == [(frozenset(), 4)]
 
 
 # Closed forms at the cap, n = 16.  A vertex of a path or cycle is a cut point

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from gbei.rings import (
     Ring,
     TermOrder,
     is_prime,
+    minimal_masks,
     mono_coprime,
     mono_degree,
     mono_divides,
@@ -58,6 +61,53 @@ def test_mask_is_a_divisibility_prefilter(a, b, c):
 def test_divides_is_componentwise():
     assert mono_divides((1, 0, 2), (1, 1, 2))
     assert not mono_divides((1, 1, 2), (1, 0, 2))
+
+
+# ---------------------------------------------------------------------------
+# inclusion-minimal bitmask sets
+
+def _brute_minimal(masks):
+    """The distinct masks with no other given mask inside them, smallest
+    first, and by first occurrence among equal sizes."""
+    distinct = list(dict.fromkeys(masks))
+    return sorted((s for s in distinct
+                   if not any(t != s and t & ~s == 0 for t in distinct)),
+                  key=int.bit_count)
+
+
+def test_minimal_masks_match_the_subset_definition():
+    for masks, want in [([], []), ([0], [0]), ([0b101], [0b101]),
+                        ([0b11, 0, 0b11, 0], [0]),
+                        ([0b110, 0b011, 0b110], [0b110, 0b011]),
+                        ([0b111, 0b011, 0b001, 0b011], [0b001]),
+                        ([0b1100, 0b0111, 0b0011], [0b1100, 0b0011])]:
+        assert minimal_masks(masks) == want == _brute_minimal(masks)
+    rng = random.Random(20)
+    seen = {"duplicate": 0, "nested": 0, "zero": 0, "single": 0, "several": 0}
+    for _ in range(300):
+        nvars = rng.randrange(1, 9)
+        masks = []
+        for _ in range(rng.randrange(1, 12)):
+            kind = rng.random()
+            if kind < 0.03:
+                masks.append(0)
+            elif masks and kind < 0.3:
+                masks.append(rng.choice(masks))
+            elif masks and kind < 0.6:
+                masks.append(rng.choice(masks) | rng.randrange(1 << nvars))
+            else:
+                masks.append(rng.randrange(1, 1 << nvars))
+        if rng.random() < 0.1:
+            masks = masks[:1]
+        want = _brute_minimal(masks)
+        seen["duplicate"] += len(set(masks)) < len(masks)
+        seen["nested"] += any(t != s and t & ~s == 0 for s in masks for t in masks)
+        seen["zero"] += 0 in masks
+        seen["single"] += len(masks) == 1
+        seen["several"] += len(want) > 1
+        assert minimal_masks(masks) == want, masks
+        assert minimal_masks(iter(masks)) == want, masks
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

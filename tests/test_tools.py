@@ -68,7 +68,7 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.hochster._link", "gbei.hochster._non_coned_faces",
                  "gbei.hochster.betti_table", "gbei.hochster.depth_and_regularity",
                  "gbei.hilbert._kpoly", "gbei.hilbert.hilbert_series",
-                 "gbei.groebner._spair",
+                 "gbei.groebner._spair", "gbei.verify._meet", "gbei.verify._variables",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):
         assert name in found, name
     missing = [f"{dotted}.{name}" for dotted, owner, name in used

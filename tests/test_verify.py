@@ -13,20 +13,20 @@ from gbei.graphs import PartiteSpec, complete_multipartite
 from gbei.groebner import Ideal, ideals_equal, intersect
 from gbei.hilbert import MonomialIdeal, hilbert_series
 from gbei.rings import Poly, mono_coprime, mono_lcm
-from gbei.verify import (
-    enumerate_specs,
-    konig_check,
-    max_coprime_subset,
-    summarize,
-    sweep,
-    verify,
-)
+from gbei.verify import enumerate_specs, konig_check, summarize, sweep, verify
 
 # the package re-exports verify(), which hides the submodule attribute
 verify_module = importlib.import_module("gbei.verify")
 
 ROW_NAMES = ["dim", "depth", "reg", "hilbert", "mult",
              "decomposition", "containment", "cutSets", "konig"]
+
+
+def test_every_exported_name_resolves():
+    gbei = importlib.import_module("gbei")
+    assert len(set(gbei.__all__)) == len(gbei.__all__)
+    assert [name for name in gbei.__all__ if not hasattr(gbei, name)] == []
+    assert "max_coprime_subset" not in gbei.__all__
 
 
 def test_full_run_all_match():
@@ -186,9 +186,9 @@ def test_konig_check_samples():
 
 
 # ---------------------------------------------------------------------------
-# max_coprime_subset
+# max_coprime_subset, from demo 06 (see conftest.py)
 
-def test_max_coprime_subset_edges():
+def test_max_coprime_subset_edges(max_coprime_subset):
     with pytest.raises(ValueError):
         max_coprime_subset([])
     assert max_coprime_subset([(1, 0), (0, 2)]) == 2
@@ -196,7 +196,7 @@ def test_max_coprime_subset_edges():
     assert max_coprime_subset([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == 1
 
 
-def test_max_coprime_subset_against_brute_force():
+def test_max_coprime_subset_against_brute_force(max_coprime_subset):
     rng = random.Random(11)
     for _ in range(40):
         nvars = rng.randrange(2, 7)

@@ -170,23 +170,18 @@ def links():
 
 def _decomposition(m, parts):
     """J, P_0 and M of a spec, as `verify()` forms them: P_0 the first
-    predicted component, M the meet of the variable components (by
-    minimalized lcms) as a MonomialIdeal."""
-    from gbei import (MonomialIdeal, PartiteSpec, complete_multipartite,
-                      generalized_bei, predict, prime_component)
-    from gbei.rings import mono_lcm
+    predicted component, M the meet of the others, by `verify._meet` on
+    their variable bitmasks."""
+    from gbei import (PartiteSpec, complete_multipartite, generalized_bei,
+                      predict, prime_component)
+    from gbei.verify import _meet, _variables
 
     spec = PartiteSpec(m, parts)
     G = complete_multipartite(spec)
     J = generalized_bei(m, G, PRIME)
     P, *variable = [prime_component(m, G, T, PRIME)
                     for T in predict(spec).cut_sets]
-    monos = [next(iter(g.terms)) for g in variable[0].gens]
-    for A in variable[1:]:
-        monos = MonomialIdeal(P.ring.nvars, [
-            mono_lcm(a, next(iter(g.terms))) for a in monos
-            for g in A.gens]).gens
-    return J, P, MonomialIdeal(P.ring.nvars, monos)
+    return J, P, _meet(P.ring.nvars, [_variables(A) for A in variable])
 
 
 def _hilbert_ideals():
