@@ -26,6 +26,12 @@ from .rings import DEFAULT_PRIME, Ring
 # --------------------------------------------------------------------------
 # ideal builders
 
+def _minor(ring, i, j, k, l):
+    """The 2-minor x[i,k]x[j,l] - x[i,l]x[j,k] of rows i, j and columns k, l."""
+    return (ring.variable(i, k) * ring.variable(j, l)
+            - ring.variable(i, l) * ring.variable(j, k))
+
+
 def pair_ideal(G1: SimpleGraph, G2: SimpleGraph, ring: Ring) -> Ideal:
     """The ideal of 2-minors p_{(e,f)} = x[i,k]x[j,l] - x[i,l]x[j,k].
 
@@ -34,12 +40,8 @@ def pair_ideal(G1: SimpleGraph, G2: SimpleGraph, ring: Ring) -> Ideal:
     """
     if ring.rows != G1.n_vertices or ring.cols != G2.n_vertices:
         raise ValueError("ring grid does not match the two vertex counts")
-    gens = []
-    for i, j in sorted(G1.edges):
-        for k, l in sorted(G2.edges):
-            gens.append(ring.variable(i, k) * ring.variable(j, l)
-                        - ring.variable(i, l) * ring.variable(j, k))
-    return Ideal(ring, gens)
+    return Ideal(ring, [_minor(ring, i, j, k, l)
+                        for i, j in sorted(G1.edges) for k, l in sorted(G2.edges)])
 
 
 def generalized_bei(m: int, G: SimpleGraph, prime: int = DEFAULT_PRIME) -> Ideal:
@@ -57,10 +59,8 @@ def prime_component(m: int, G: SimpleGraph, T, prime: int = DEFAULT_PRIME) -> Id
     gens = [ring.variable(i, j) for i in range(1, m + 1) for j in cols]
     rest = [v for v in range(1, G.n_vertices + 1) if v not in set(cols)]
     for comp in connected_components(G, within=rest):
-        for i, j in combinations(range(1, m + 1), 2):
-            for k, l in combinations(comp, 2):
-                gens.append(ring.variable(i, k) * ring.variable(j, l)
-                            - ring.variable(i, l) * ring.variable(j, k))
+        gens += [_minor(ring, i, j, k, l) for i, j in combinations(range(1, m + 1), 2)
+                 for k, l in combinations(comp, 2)]
     return Ideal(ring, gens)
 
 

@@ -16,18 +16,18 @@ the only form of a basis here: Polys are built only for `buchberger` and
 and S-pair code.  Pair bookkeeping is on bitsets over table positions:
 each entry has a bitset of its pending partners, each variable one of
 the entries whose lm holds it.  A new entry pairs only with entries
-holding one of its lm's variables, and can divide only the lms of those
-holding all of them; the lms it divides turn redundant, and so does a
-generator's lm that an earlier lm divides or equals.  The entries left
-are the minimal basis, whose tails are reduced at the end.  The chain
-criterion tests for divisibility only the entries whose lm support lies
-inside the pair's lcm support and whose pairs with both ends are done.
-Pairs with coprime leading terms, and pairs of two monomials, are never
-queued and count as done: their S-polynomials reduce to zero.  `Ideal`
-keeps one (packing, reduced table) per term order, which `contains`,
-`initial_ideal` and `plus` read; `plus` opens its table with it, whose
-inner pairs count as done the same way, since each already reduces to
-zero by that basis.
+holding one of its lm's variables.  The chain criterion tests for
+divisibility only the entries whose lm support lies inside the pair's
+lcm support and whose pairs with both ends are done.  Pairs with coprime
+leading terms, and pairs of two monomials, are never queued and count as
+done: their S-polynomials reduce to zero.  Once no pair is left, one pass
+picks the minimal basis: an entry is left out when another lm divides
+its lm, or an earlier lm equals it, and an lm's divisors are sought only
+among the entries whose lm holds no variable outside its support.  The
+basis's tails are reduced last.  `Ideal` keeps one (packing, reduced
+table) per term order, which `contains`, `initial_ideal` and `plus`
+read; `plus` opens its table with it, whose inner pairs count as done
+the same way, since each already reduces to zero by that basis.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, packed lcm, i, j), the
@@ -39,8 +39,7 @@ which makes them unique for the ideal and order.
 from __future__ import annotations
 
 import heapq
-from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter
 
 from .hilbert import MonomialIdeal
 from .rings import Poly, Ring, TermOrder, iter_bits, packed_divides
@@ -212,46 +211,39 @@ def _complete(table, done, packing, p):
     """The reduced basis, as a table by descending lm, of the ideal of a
     reducer table's polys; the table grows in place.  Pairs among the
     first `done` entries, which must form a Groebner basis, count as done
-    and are never queued."""
+    and are never queued.  The pair loop only grows the table; the
+    minimal basis is picked and its tails reduced once the heap is empty."""
     guard = packing.guard
-    opening = len(table)
     heap = []
     supports = []  # per entry: packing.support of its lm
     partners = []  # per entry: bitset of the entries it has a pending pair with
     # per variable's guard bit: bitset of the entries whose lm holds it
     holders = {1 << b: 0 for b in iter_bits(guard)}
-    tailed = 0     # bitset of the entries with a tail
-    redundant = 0  # bitset of the entries left out of the minimal basis
+    tailed = 0  # bitset of the entries with a tail
+
+    def holding_outside(support):
+        """Bitset of the entries whose lm holds a variable outside support."""
+        held = 0
+        rest = guard & ~support
+        while rest:
+            low = rest & -rest
+            held |= holders[low]
+            rest ^= low
+        return held
 
     def add(j):
-        nonlocal tailed, redundant
+        nonlocal tailed
         lm, tail, _ = table[j]
         support = packing.support(lm)
         supports.append(support)
         bit = 1 << j
-        sharing = 0        # earlier entries whose lm shares a variable with lm
-        holding = bit - 1  # earlier entries whose lm holds every variable of lm
+        sharing = 0  # earlier entries whose lm shares a variable with lm
         rest = support
         while rest:
             low = rest & -rest
-            held = holders[low]
-            sharing |= held
-            holding &= held
-            holders[low] = held | bit
+            sharing |= holders[low]
+            holders[low] |= bit
             rest ^= low
-        if j < opening:
-            # a remainder's lm no lm of the table divides, but a generator's
-            # may be a multiple of an earlier lm, which holds no variable
-            # outside its support, or equal to it
-            outside = reduce(or_, (held for low, held in holders.items()
-                                   if not low & support), 0)
-            if any(packed_divides(table[i][0], lm, guard)
-                   for i in iter_bits((bit - 1) & ~(outside | redundant))):
-                redundant |= bit
-        if not redundant & bit:
-            for i in iter_bits(holding & ~redundant):
-                if packed_divides(lm, table[i][0], guard):
-                    redundant |= 1 << i
         pending = 0 if j < done else sharing if tail else sharing & tailed
         for i in iter_bits(pending):
             lcm = _lcm(table[i][0], lm, guard)
@@ -270,12 +262,8 @@ def _complete(table, done, packing, p):
         partners[j] ^= 1 << i
         # entries whose lm leaves the lcm's support, or whose pair with i
         # or j is pending, cannot make the chain
-        blocked = partners[i] | partners[j] | 1 << i | 1 << j
-        outside = guard & ~(supports[i] | supports[j])
-        while outside:
-            low = outside & -outside
-            blocked |= holders[low]
-            outside ^= low
+        blocked = (partners[i] | partners[j] | 1 << i | 1 << j
+                   | holding_outside(supports[i] | supports[j]))
         candidates = ~blocked & ((1 << len(table)) - 1)
         probe = lcm | guard
         while candidates:
@@ -289,10 +277,19 @@ def _complete(table, done, packing, p):
                 table.append(_reducer(remainder, p, guard))
                 add(len(table) - 1)
 
-    # the entries left are minimal with distinct lms; an element's lm is
-    # above its tail terms, so it never divides one of them
-    minimal = sorted((entry for j, entry in enumerate(table) if not redundant >> j & 1),
-                     key=itemgetter(0), reverse=True)
+    # the minimal basis: an entry is left out when another lm divides its
+    # lm, or an earlier lm equals it
+    everyone = (1 << len(table)) - 1
+    minimal = []
+    for j, entry in enumerate(table):
+        lm = entry[0]
+        # a divisor's lm holds no variable outside lm's support
+        candidates = everyone & ~holding_outside(supports[j]) & ~(1 << j)
+        if not any(packed_divides(table[i][0], lm, guard) and (i < j or table[i][0] != lm)
+                   for i in iter_bits(candidates)):
+            minimal.append(entry)
+    # an element's lm is above its tail terms, so it never divides one of them
+    minimal.sort(key=itemgetter(0), reverse=True)
     basis = []
     for entry in minimal:
         lm, tail, _ = entry

@@ -100,6 +100,16 @@ def test_counts_must_repeat_in_every_round():
         bench._side([[[{"n": 3}, 0.2]], [[{"n": 4}, 0.2]]])
 
 
+def test_items_whose_counts_differ_between_the_sides_are_listed():
+    bench = _load_bench()
+    parent = bench._side([[[{"n": 3, "digest": "a"}, 0.2], [{"n": 5, "digest": "b"}, 0.1]]])
+    slower = bench._side([[[{"n": 3, "digest": "a"}, 0.4], [{"n": 5, "digest": "b"}, 0.3]]])
+    change = bench._side([[[{"n": 3, "digest": "a"}, 0.2], [{"n": 5, "digest": "c"}, 0.1]]])
+    assert bench._differing({"parent": parent, "change": slower}) == []
+    assert bench._differing({"parent": parent, "change": change}) == [
+        {"parent": {"n": 5, "digest": "b"}, "change": {"n": 5, "digest": "c"}}]
+
+
 def test_the_cutsets_layer_counts_what_cut_sets_returns(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     from benchmark.workloads import random_graph

@@ -14,9 +14,9 @@ LAYER is one of
 - hilbert: `hilbert_series` on 19 monomial ideals, with the generators,
   the recursion nodes (`_kpoly` calls) and the series;
 - groebner: the Groebner bases `verify()` builds, in(J) on 5 specs and
-  P_0's membership test then in(P_0), and in(P_0 + M), on 4, with the
-  generators, the basis size, the S-pairs reduced (`_spair` calls) and a
-  SHA-256 of the basis;
+  on 3 specs of 24 variables, and P_0's membership test then in(P_0),
+  and in(P_0 + M), on 4, with the generators, the basis size, the
+  S-pairs reduced (`_spair` calls) and a SHA-256 of the basis;
 - cutsets: `cut_sets` on 13 graphs on 16 vertices, the eight seeded ones
   the cli-mix workload reads among them, with the edges and the cut sets.
 
@@ -28,7 +28,8 @@ or of as many as take FILL_S seconds when that best is under a millisecond.
 Its counts come from one more, untimed call, and must repeat in every
 round.  A count reads null on a side that lacks the function it counts.
 FILE gets, for each side and item, the per-round times and their median,
-and each side's total of medians.
+and each side's total of medians.  It also lists the items whose counts
+differ between the sides, which are printed on stderr.
 """
 
 from __future__ import annotations
@@ -216,10 +217,11 @@ def hilbert():
 def _groebner_calls():
     """(name, call) for the Groebner work `verify()` does, each call giving
     a fresh ideal its basis and returning that ideal: in(J) on the
-    verify-elimination specs and the specs of cli-mix's hilbert calls;
-    then, on the verify-elimination specs, a fresh P_0's membership test
-    of J's generators followed by in(P_0), and in(P_0 + M) grown from a
-    P_0 whose basis is built untimed."""
+    verify-elimination specs, the specs of cli-mix's hilbert calls and
+    the specs past the Groebner cap; then, on the verify-elimination
+    specs, a fresh P_0's membership test of J's generators followed by
+    in(P_0), and in(P_0 + M) grown from a P_0 whose basis is built
+    untimed."""
     from gbei import (Ideal, PartiteSpec, Poly, complete_multipartite,
                       generalized_bei)
 
@@ -233,7 +235,7 @@ def _groebner_calls():
             fresh.contains(g)
         return initial(fresh)
 
-    for m, parts in dict.fromkeys(MEET_SPECS + CLI_HILBERT_SPECS):
+    for m, parts in dict.fromkeys(MEET_SPECS + CLI_HILBERT_SPECS + LARGE_SPECS):
         J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
         yield f"{_spec_name(m, parts)} in(J)", lambda J=J: initial(Ideal(J.ring, J.gens))
     for m, parts in MEET_SPECS:
@@ -317,6 +319,14 @@ def _side(rounds):
             "items": items}
 
 
+def _differing(sides):
+    """The items whose counts differ between the sides, as {side: counts}."""
+    counts = [[{key: value for key, value in item.items()
+                if key not in ("median_s", "rounds_s")}
+               for item in sides[side]["items"]] for side in SIDES]
+    return [dict(zip(SIDES, pair)) for pair in zip(*counts) if pair[0] != pair[1]]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("layer", choices=LAYERS)
@@ -344,13 +354,16 @@ def main(argv=None):
             file=sys.stderr)
 
     sides = {side: _side(rounds[side]) for side in SIDES}
+    differing = _differing(sides)
+    print(f"items whose counts differ between the sides: {json.dumps(differing)}",
+          file=sys.stderr)
     record = {"layer": args.layer, "prime": PRIME, "cap": CAP,
               "rounds": ROUNDS, "repeat": REPEAT, "fill_s": FILL_S, "first": first,
               "host": {"python": platform.python_version(),
                        "machine": platform.machine(), "cpus": os.cpu_count()},
               "change_over_parent": round(sides["change"]["total_median_s"]
                                           / sides["parent"]["total_median_s"], 4),
-              "sides": sides}
+              "differing": differing, "sides": sides}
     args.output.write_text(json.dumps(record, indent=1) + "\n")
 
 
