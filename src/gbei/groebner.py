@@ -49,7 +49,7 @@ MAX_EXPONENT = 0x7F
 
 
 def _overflow():
-    return ValueError(f"exponent above {MAX_EXPONENT}, the most a packed "
+    return ValueError(f"exponent outside 0..{MAX_EXPONENT}, the range a packed "
                       f"monomial holds per variable")
 
 

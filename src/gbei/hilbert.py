@@ -19,7 +19,7 @@ is a subtraction, and divisibility is the guard test `groebner` uses too.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, zip_longest
+from itertools import compress
 from math import comb
 from operator import add, mul, not_, or_, sub
 
@@ -46,6 +46,9 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != nvars:
                 raise ValueError(f"generator {g} has wrong length for {nvars} variables")
+            if not all(isinstance(e, int) and e >= 0 for e in g):
+                raise ValueError(f"generator {g} has an exponent that is not a "
+                                 f"nonnegative integer")
         # a divisor's support lies inside g's: the candidates hold no variable
         # outside it, and are tested, since generators need not be squarefree
         minimal = []
@@ -135,6 +138,8 @@ class HilbertSeries:
 
     def coefficients(self, upto):
         """The first upto+1 coefficients of the power-series expansion."""
+        if upto < 0:
+            raise ValueError("upto must be nonnegative")
         coeffs = list(self.numerator[:upto + 1])
         coeffs += [0] * (upto + 1 - len(coeffs))
         for _ in range(self.pole):
@@ -201,19 +206,30 @@ def hilbert_series(ideal):
     along divisibility by x into K(I) = K(I + (x)) + t*K(I : x).  The pivot
     is a most frequent variable among the generators (ties to the smallest
     index); both branches strictly shrink the generators, so the recursion
-    bottoms out at the split-free base cases.  Each node is memoized on its
-    minimal generators in degree-lex order, the order MonomialIdeal keeps
-    and the packed ints' order.
+    bottoms out at the split-free base cases.  It runs as one loop over a
+    stack of (node, power of t), I + (x) on top so that nodes are visited
+    as a depth-first recursion would, I : x one power of t higher; each
+    base case adds its K-polynomial at its power into one running sum.
     """
     run = _Run(ideal)
-    return HilbertSeries(run.node(run.root), ideal.nvars)
+    total = []
+    stack = [(run.root, 0)]
+    while stack:
+        gens, shift = stack.pop()
+        got = _kpoly(gens, run)
+        if isinstance(got, tuple):  # (I + (x), I : x)
+            stack += (got[1], shift + 1), (got[0], shift)
+        else:
+            total += [0] * (shift + len(got) - len(total))
+            total[shift:shift + len(got)] = map(add, total[shift:], got)
+    return HilbertSeries(total, ideal.nvars)
 
 
 class _Run:
-    """The memoized recursion on one ideal, packed as the module says:
-    fields of `width` bits, their top bits `guard` and low bits `ones`."""
+    """One ideal's generators, packed as the module says: fields of `width`
+    bits, their top bits `guard` and low bits `ones`."""
 
-    __slots__ = ("nvars", "width", "guard", "ones", "root", "memo")
+    __slots__ = ("nvars", "width", "guard", "ones", "root")
 
     def __init__(self, ideal):
         self.nvars = nvars = ideal.nvars
@@ -226,30 +242,12 @@ class _Run:
         self.root = tuple(
             sum(map(mul, compress(g, g), compress(lows, g)), d << width * nvars)
             for g, d in zip(ideal.gens, degrees))
-        self.memo = {}
-
-    def node(self, gens):
-        """The K-polynomial of a node, memoized.  A method, not __call__:
-        calling an instance would cost a C frame per level of recursion.
-        A chain of colons runs in a loop, so the recursion is only as deep
-        as the chain of I + (x), at most one per variable."""
-        chain = []  # (node, K-polynomial of its I + (x)) down the colons
-        while (got := self.memo.get(gens)) is None:
-            got = _kpoly(gens, self)
-            if isinstance(got, list):
-                self.memo[gens] = got
-                break
-            chain.append((gens, got[0]))
-            gens = got[1]
-        for gens, plus in reversed(chain):  # K(I) = K(I + (x)) + t*K(I : x)
-            got = list(map(sum, zip_longest(plus, [0, *got], fillvalue=0)))
-            self.memo[gens] = got
-        return got
 
 
 def _kpoly(gens, run):
     """K-polynomial of the quotient by the packed minimal generators gens,
-    or at a split the pair (K-polynomial of I + (x), generators of I : x)."""
+    or at a split the pair of children (generators of I + (x), generators
+    of I : x), each minimal and sorted."""
     if not gens:
         return [1]
     if not gens[0]:
@@ -279,13 +277,11 @@ def _kpoly(gens, run):
     field = ((1 << width) - 1) << width * (nvars - 1 - pivot)
     var = (1 << width * nvars) | (field & ones)
 
-    # I + (x): x and the pivot-free generators, already minimal
-    free = [g for g in gens if not g & field]
-    plus = run.node(tuple(sorted(free + [var])))
-
+    # I + (x): x and the pivot-free generators, already minimal.
     # I : x: every g/x stays minimal, since g/x | h/x would mean g | h and
     # h | g/x would mean h | g; only a pivot-free h that some g/x divides
     # stops being minimal.  Subtraction keeps the quotients sorted.
+    free = [g for g in gens if not g & field]
     quotients = [g - var for g in gens if g & field]
     kept = []
     for h in free:
@@ -294,7 +290,7 @@ def _kpoly(gens, run):
                 break
         else:
             kept.append(h)
-    return plus, tuple(sorted(quotients + kept))
+    return tuple(sorted(free + [var])), tuple(sorted(quotients + kept))
 
 
 def krull_dimension(series):

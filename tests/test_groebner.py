@@ -283,10 +283,10 @@ def test_packing_agrees_with_exponent_tuples(case):
     assert packing.degree(pa) == mono_degree(a)
 
 
-@pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 255, 256, 1000])
+@pytest.mark.parametrize("exponent", [-1, MAX_EXPONENT + 1, 255, 256, 1000])
 def test_packing_rejects_exponents_past_the_limit(exponent):
     packing = _Packing(TermOrder.lex_row_major(Ring(1, 3)))
-    with pytest.raises(ValueError, match=f"exponent above {MAX_EXPONENT}"):
+    with pytest.raises(ValueError, match=f"exponent outside 0..{MAX_EXPONENT}"):
         packing.pack((0, exponent, 1))
 
 
@@ -296,9 +296,9 @@ def test_exponent_overflow_in_a_product_raises():
     x, y = R.variable(1, 1), R.variable(1, 2)
     order = TermOrder.lex_row_major(R)
     big = Poly(R, {(0, 64): 1})
-    with pytest.raises(ValueError, match=f"exponent above {MAX_EXPONENT}"):
+    with pytest.raises(ValueError, match=f"exponent outside 0..{MAX_EXPONENT}"):
         normal_form(x * x, [x - big], order)
-    with pytest.raises(ValueError, match=f"exponent above {MAX_EXPONENT}"):
+    with pytest.raises(ValueError, match=f"exponent outside 0..{MAX_EXPONENT}"):
         buchberger([x - big, x * x], order)
 
 

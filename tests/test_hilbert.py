@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -71,6 +73,12 @@ def test_minimal_generators_by_holders_match_brute_force():
         assert MonomialIdeal(nvars, gens).gens == tuple(expected)
 
 
+@pytest.mark.parametrize("gens", [[(-1, 1), (0, 2)], [(1.5, 0)], [(1, "2")]])
+def test_exponents_must_be_nonnegative_integers(gens):
+    with pytest.raises(ValueError, match="not a nonnegative integer"):
+        MonomialIdeal(2, gens)
+
+
 def test_unit_and_squarefree():
     assert MonomialIdeal(2, [(0, 0)]).is_unit()
     assert not MonomialIdeal(2, [(1, 0)]).is_unit()
@@ -105,6 +113,12 @@ def test_coefficients_free_module():
     s = HilbertSeries((1,), 4)
     assert s.coefficients(6) == [math.comb(d + 3, 3) for d in range(7)]
     assert HilbertSeries((), 0).coefficients(3) == [0, 0, 0, 0]
+
+
+def test_coefficients_refuse_a_negative_bound():
+    assert HilbertSeries((1, 2, 3), 0).coefficients(0) == [1]
+    with pytest.raises(ValueError, match="nonnegative"):
+        HilbertSeries((1, 2, 3, 4, 5, 6), 0).coefficients(-3)
 
 
 def test_at_one_and_text():
@@ -228,13 +242,28 @@ def test_recursion_reaches_four_hundred_colons():
 
 
 def test_a_thousand_colons_in_a_row_take_no_stack():
-    # the chain of colons by x runs in a loop, so a thousand of them stay
-    # far inside the default recursion limit of 1000 frames
+    # the nodes wait on an explicit stack, so a thousand colons by x in a
+    # row stay far inside the default recursion limit of 1000 frames
     ideal = MonomialIdeal(2, [(1000, 1), (999, 2), (0, 3)])
     coefficients = hilbert_series(ideal).coefficients(1004)
     for d in (0, 1, 2, 3, 500, 998, 999, 1000, 1001, 1002, 1003, 1004):
         assert coefficients[d] == _count_standard_monomials(ideal, d)
     assert coefficients[999:1002] == [3, 3, 1]
+
+
+def test_a_long_chain_of_i_plus_x_takes_no_stack():
+    # the edge ideal of K_40 pivots 38 times in a row down I + (x) before
+    # its generators turn coprime; 25 frames past the caller's depth suffice
+    nvars = 40
+    ideal = MonomialIdeal(nvars, [tuple(int(v in (i, j)) for v in range(nvars))
+                                  for i, j in combinations(range(nvars), 2)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    try:
+        series = hilbert_series(ideal)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert series == HilbertSeries((1, nvars - 1), 1)
 
 
 def _reference_nodes(ideal):
@@ -245,8 +274,6 @@ def _reference_nodes(ideal):
     nodes = []
 
     def run(gens):
-        if gens in nodes:
-            return
         nodes.append(gens)
         if not gens or not any(gens[0]):
             return
@@ -302,9 +329,9 @@ def test_staircase_example():
     (2, (2, 2, 2, 3), 29),
     (3, (1, 1, 1, 3), 57),
 ])
-def test_recursion_nodes_are_shared(monkeypatch, m, parts, count):
-    # canonical memo keys let equal ideals reached by different pivot paths
-    # meet in one node; a non-canonical order can raise the count
+def test_recursion_node_counts(monkeypatch, m, parts, count):
+    # every node is visited once, keyed on its minimal generators in
+    # MonomialIdeal's order
     nodes = _record_nodes(monkeypatch)
     J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), 32003)
     hilbert_series(J.initial_ideal(TermOrder.lex_row_major(J.ring)))
