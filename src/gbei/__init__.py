@@ -13,7 +13,8 @@ from .formulas import (Prediction, bipartite_multiplicity,
                        decomposition_components, generalized_bei, pair_ideal,
                        predict, predicted_cut_sets, predicted_dimension,
                        predicted_depth, predicted_hilbert,
-                       predicted_regularity, prime_component)
+                       predicted_multiplicity, predicted_regularity,
+                       prime_component)
 from .graphs import (PartiteSpec, PathWitness, SimpleGraph, complete_graph,
                      complete_multipartite, connected_components, cut_sets,
                      graph_from_json, konig_path, load_graph,
@@ -43,7 +44,7 @@ __all__ = [
     "konig_check", "konig_path", "krull_dimension", "load_graph",
     "multiplicity", "normal_form", "pair_ideal", "path_target_length",
     "predict", "predicted_cut_sets", "predicted_depth",
-    "predicted_dimension", "predicted_hilbert", "predicted_regularity",
-    "prime_component", "reduced_homology_ranks", "spolynomial", "summarize",
-    "sweep", "validate_path", "verify",
+    "predicted_dimension", "predicted_hilbert", "predicted_multiplicity",
+    "predicted_regularity", "prime_component", "reduced_homology_ranks",
+    "spolynomial", "summarize", "sweep", "validate_path", "verify",
 ]

@@ -19,7 +19,7 @@ from .graphs import (PartiteSpec, PathWitness, SimpleGraph, complete_graph,
                      complete_multipartite, connected_components, konig_path,
                      path_target_length)
 from .groebner import Ideal
-from .hilbert import HilbertSeries, multiplicity
+from .hilbert import HilbertSeries
 from .rings import DEFAULT_PRIME, Ring
 
 
@@ -130,6 +130,17 @@ def predicted_hilbert(spec: PartiteSpec) -> HilbertSeries:
     return series
 
 
+def predicted_multiplicity(spec: PartiteSpec) -> int:
+    """N(1) of `predicted_hilbert` in closed form.  Only the terms whose pole
+    is the dimension d count: the clique closure's C(m+n-2, m-1) when
+    m+n-1 = d, and 1 for each part n_k >= 2 with m*n_k = d; a part's own
+    determinantal pole m+n_k-1 stays below m*n_k."""
+    m, n = spec.m, spec.n
+    d = predicted_dimension(spec)
+    closure = math.comb(m + n - 2, m - 1) if m + n - 1 == d else 0
+    return closure + sum(nk >= 2 and m * nk == d for nk in spec.parts)
+
+
 def bipartite_multiplicity(spec: PartiteSpec) -> int:
     """Case-table multiplicity for r = 2; cross-checks N(1) of the series."""
     if spec.r != 2:
@@ -221,7 +232,7 @@ def predict(spec: PartiteSpec, char_zero: bool = False) -> Prediction:
         depth=predicted_depth(spec),
         reg=predicted_regularity(spec),
         hilbert=series,
-        mult=multiplicity(series),
+        mult=predicted_multiplicity(spec),
         cd=cd,
         height=m * n - dim,
         konig=konig_path(spec),

@@ -70,7 +70,7 @@ class _Packing:
     def pack(self, mono):
         try:
             x = int.from_bytes(bytes(map(mono.__getitem__, self.perm)), "big")
-        except ValueError:
+        except (TypeError, ValueError):  # not an integer, or outside 0..255
             x = self.guard
         if x & self.guard:
             raise _overflow()

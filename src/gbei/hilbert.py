@@ -19,12 +19,12 @@ is a subtraction, and divisibility is the guard test `groebner` uses too.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
+from itertools import accumulate, compress, pairwise, zip_longest
 from math import comb
 from operator import add, mul, not_, or_, sub
 
 from .rings import (iter_bits, mono_degree, mono_divides, mono_is_squarefree,
-                    packed_divides)
+                    packed_divides, terms_text)
 
 
 def _degree_lex(mono):
@@ -104,17 +104,11 @@ class HilbertSeries:
             raise ValueError("pole order must be nonnegative")
         if not num:
             pole = 0
-        # cancel factors of (1-t): N(1) == 0 means exact synthetic division
+        # cancel factors of (1-t): N(1) == 0 means exact synthetic division,
+        # the quotient's prefix sums, whose last one is -N's last, not 0
         while num and pole > 0 and sum(num) == 0:
-            acc = 0
-            quotient = []
-            for c in num[:-1]:
-                acc += c
-                quotient.append(acc)
-            num = quotient
+            num = list(accumulate(num[:-1]))
             pole -= 1
-            while num and num[-1] == 0:
-                num.pop()
         self.numerator = tuple(num)
         self.pole = pole
 
@@ -128,10 +122,7 @@ class HilbertSeries:
         d = max(self.pole, other.pole)
         a = _mul_one_minus_t_power(self.numerator, d - self.pole)
         b = _mul_one_minus_t_power(other.numerator, d - other.pole)
-        n = max(len(a), len(b))
-        a = a + (0,) * (n - len(a))
-        b = b + (0,) * (n - len(b))
-        return HilbertSeries([x + y for x, y in zip(a, b)], d)
+        return HilbertSeries([x + y for x, y in zip_longest(a, b, fillvalue=0)], d)
 
     def __sub__(self, other):
         return self + HilbertSeries([-c for c in other.numerator], other.pole)
@@ -140,14 +131,10 @@ class HilbertSeries:
         """The first upto+1 coefficients of the power-series expansion."""
         if upto < 0:
             raise ValueError("upto must be nonnegative")
-        coeffs = list(self.numerator[:upto + 1])
-        coeffs += [0] * (upto + 1 - len(coeffs))
-        for _ in range(self.pole):
-            acc = 0
-            for i in range(upto + 1):
-                acc += coeffs[i]
-                coeffs[i] = acc
-        return coeffs
+        coeffs = self.numerator[:upto + 1] + (0,) * (upto + 1 - len(self.numerator))
+        for _ in range(self.pole):  # each 1/(1-t) takes prefix sums
+            coeffs = accumulate(coeffs)
+        return list(coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, HilbertSeries)
@@ -160,26 +147,9 @@ class HilbertSeries:
         return {"numerator": list(self.numerator), "pole": self.pole}
 
     def text(self):
-        if not self.numerator:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.numerator):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                body = "t" if i == 1 else f"t^{i}"
-                if c == 1:
-                    parts.append(body)
-                elif c == -1:
-                    parts.append("-" + body)
-                else:
-                    parts.append(f"{c}*{body}")
-        num = " + ".join(parts)
-        if self.pole == 0:
-            return num
-        return f"({num})/(1-t)^{self.pole}"
+        num = terms_text((c, "" if i == 0 else "t" if i == 1 else f"t^{i}")
+                         for i, c in enumerate(self.numerator) if c)
+        return num if self.pole == 0 else f"({num})/(1-t)^{self.pole}"
 
     def __repr__(self):
         return f"<HilbertSeries {self.text()}>"
@@ -187,13 +157,9 @@ class HilbertSeries:
 
 def _mul_one_minus_t_power(coeffs, k):
     """Multiply a coefficient tuple by (1-t)^k."""
-    out = list(coeffs)
-    for _ in range(k):
-        nxt = out + [0]
-        for i in range(len(out)):
-            nxt[i + 1] -= out[i]
-        out = nxt
-    return tuple(out)
+    for _ in range(k):  # c_i - c_(i-1), one term longer
+        coeffs = tuple(b - a for a, b in pairwise((0, *coeffs, 0)))
+    return tuple(coeffs)
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ pack monomials into ints internally and hand exponent tuples back;
 `packed_divides` is their shared divisibility test, and `iter_bits` walks
 the bitsets they and `hochster` keep.  `minimal_masks` keeps the
 inclusion-minimal sets of a family of bitmasks, for `hochster` and `verify`.
+`terms_text` writes the terms of a polynomial or of a Hilbert numerator.
 """
 
 from __future__ import annotations
@@ -236,6 +237,17 @@ TERM_ORDERS = {
 # --------------------------------------------------------------------------
 # polynomials
 
+def terms_text(terms):
+    """Render (coefficient, body) pairs joined by " + ": the coefficient
+    alone for an empty body, the body for 1, -body for -1, c*body
+    otherwise, and "0" for no pairs."""
+    return " + ".join(str(c) if not body
+                      else body if c == 1
+                      else f"-{body}" if c == -1
+                      else f"{c}*{body}"
+                      for c, body in terms) or "0"
+
+
 class Poly:
     """Polynomial as a map from exponent tuple to coefficient in [1, p-1]."""
 
@@ -337,33 +349,14 @@ class Poly:
     # -- presentation --------------------------------------------------------
 
     def text(self, order=None):
-        """Render as e.g. "3*x[1,2]*x[2,3] + -1*x[1,1]", terms descending."""
-        if not self.terms:
-            return "0"
-        if order is None:
-            monos = sorted(self.terms, reverse=True)
-        else:
-            monos = sorted(self.terms, key=order.key, reverse=True)
-        half = self.ring.prime // 2
-        parts = []
-        for m in monos:
-            c = self.terms[m]
-            if c > half:
-                c -= self.ring.prime
-            factors = []
-            for v, e in enumerate(m):
-                if e:
-                    name = self.ring.var_name(v)
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
+        """Render as e.g. "3*x[1,2]*x[2,3] + -x[1,1]", terms descending."""
+        p, name = self.ring.prime, self.ring.var_name
+        monos = sorted(self.terms, key=None if order is None else order.key,
+                       reverse=True)
+        signed = [c - p if c > p // 2 else c for c in map(self.terms.get, monos)]
+        bodies = ["*".join(name(v) if e == 1 else f"{name(v)}^{e}"
+                           for v, e in enumerate(m) if e) for m in monos]
+        return terms_text(zip(signed, bodies))
 
     def __repr__(self):
         return f"<Poly {self.text()}>"

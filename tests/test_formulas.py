@@ -18,6 +18,7 @@ from gbei.formulas import (
     predicted_depth,
     predicted_dimension,
     predicted_hilbert,
+    predicted_multiplicity,
     predicted_regularity,
     prime_component,
 )
@@ -30,6 +31,7 @@ from gbei.graphs import (
 )
 from gbei.hilbert import krull_dimension, multiplicity
 from gbei.rings import Ring
+from gbei.verify import enumerate_specs
 
 
 def _partitions(n, least=1):
@@ -128,6 +130,14 @@ def test_series_knows_dimension_and_multiplicity():
         series = predicted_hilbert(spec)
         assert krull_dimension(series) == predicted_dimension(spec)
         assert multiplicity(series) >= 1
+
+
+def test_multiplicity_closed_form_is_n_of_one_of_the_series():
+    specs = list(enumerate_specs(12, 12))
+    assert len(specs) == 2849
+    for spec in specs:
+        assert predicted_multiplicity(spec) == \
+            multiplicity(predicted_hilbert(spec)), spec
 
 
 def test_bipartite_table_against_series():

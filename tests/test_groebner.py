@@ -283,11 +283,14 @@ def test_packing_agrees_with_exponent_tuples(case):
     assert packing.degree(pa) == mono_degree(a)
 
 
-@pytest.mark.parametrize("exponent", [-1, MAX_EXPONENT + 1, 255, 256, 1000])
+@pytest.mark.parametrize("exponent", [-1, MAX_EXPONENT + 1, 255, 256, 1000, 1.5])
 def test_packing_rejects_exponents_past_the_limit(exponent):
-    packing = _Packing(TermOrder.lex_row_major(Ring(1, 3)))
+    R = Ring(1, 3)
+    packing = _Packing(TermOrder.lex_row_major(R))
     with pytest.raises(ValueError, match=f"exponent outside 0..{MAX_EXPONENT}"):
         packing.pack((0, exponent, 1))
+    with pytest.raises(ValueError, match=f"exponent outside 0..{MAX_EXPONENT}"):
+        Ideal(R, [Poly(R, {(0, exponent, 1): 1})]).initial_ideal()
 
 
 def test_exponent_overflow_in_a_product_raises():

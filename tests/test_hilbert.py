@@ -128,6 +128,11 @@ def test_at_one_and_text():
     assert HilbertSeries((1,), 0).text() == "1"
     assert HilbertSeries((), 0).text() == "0"
     assert HilbertSeries((1, 0, -1, 5), 1).text() == "(1 + -t^2 + 5*t^3)/(1-t)^1"
+    assert HilbertSeries((-1,), 0).text() == "-1"
+    assert HilbertSeries((0, 1), 2).text() == "(t)/(1-t)^2"
+    assert HilbertSeries((2, -1, 0, -2), 3).text() == \
+        "(2 + -t + -2*t^3)/(1-t)^3"
+    assert HilbertSeries((0, 0, 0, -1, -2, 1), 0).text() == "-t^3 + -2*t^4 + t^5"
 
 
 # ---------------------------------------------------------------------------

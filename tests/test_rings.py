@@ -254,3 +254,16 @@ def test_text_rendering():
     assert R.zero().text() == "0"
     assert R.constant(5).text() == "5"
     assert (-R.one()).text() == "-1"
+    assert (-2 * x(1, 1)).text() == "-2*x[1,1]"
+    assert (x(1, 3) * x(1, 3) - 2 * x(2, 1) + 7).text() == \
+        "x[1,3]^2 + -2*x[2,1] + 7"
+    # p - 1 is written as -1, and (p - 1) / 2 + 1 as its negative
+    small = Ring(2, 3, 7)
+    y = small.variable
+    assert (6 * y(1, 2) + 4 * y(2, 1) + 3 * y(2, 2)).text() == \
+        "-x[1,2] + -3*x[2,1] + 3*x[2,2]"
+    # under lex-column-major x[2,1] > x[1,2], row-major puts x[1,2] first
+    f = x(1, 2) + 5 * x(2, 1) * x(2, 3) - x(1, 3)
+    assert f.text() == "x[1,2] + -x[1,3] + 5*x[2,1]*x[2,3]"
+    assert f.text(TermOrder.lex_column_major(R)) == \
+        "5*x[2,1]*x[2,3] + x[1,2] + -x[1,3]"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 import random
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from gbei.verify import enumerate_specs, konig_check, summarize, sweep, verify
 
 # the package re-exports verify(), which hides the submodule attribute
 verify_module = importlib.import_module("gbei.verify")
+formulas_module = importlib.import_module("gbei.formulas")
 
 ROW_NAMES = ["dim", "depth", "reg", "hilbert", "mult",
              "decomposition", "containment", "cutSets", "konig"]
@@ -50,6 +52,31 @@ def test_smallest_instance():
     assert report.row("dim")["computed"] == 3
     assert report.row("mult")["computed"] == 2
     assert report.row("cutSets")["computed"] == [[]]
+
+
+def _binomial_term(spec):
+    m, n = spec.m, spec.n
+    d = formulas_module.predicted_dimension(spec)
+    return math.comb(m + n - 2, m - 1) if m + n - 1 == d else 0
+
+
+def _parts_term(spec):
+    d = formulas_module.predicted_dimension(spec)
+    return sum(nk >= 2 and spec.m * nk == d for nk in spec.parts)
+
+
+@pytest.mark.parametrize("parts,mutant,predicted,computed", [
+    ((1, 3), _binomial_term, 0, 1),  # without the parts term
+    ((2, 2), _parts_term, 0, 4),  # without the binomial term
+])
+def test_the_mult_row_checks_the_closed_form(parts, mutant, predicted,
+                                              computed, monkeypatch):
+    spec = PartiteSpec(2, parts)
+    assert verify(spec).row("mult")["status"] == "match"
+    monkeypatch.setattr(formulas_module, "predicted_multiplicity", mutant)
+    row = verify(spec).row("mult")
+    assert (row["status"], row["predicted"], row["computed"]) == \
+        ("mismatch", predicted, computed)
 
 
 def test_report_json_schema():
