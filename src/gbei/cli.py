@@ -194,6 +194,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args.prime = _resolve_prime(args, parser)
+    for cap in ("groebner_max_vars", "hochster_max_vars"):
+        if getattr(args, cap, 0) < 0:
+            parser.error(f"--{cap.replace('_', '-')} must be at least 0")
     if args.output:
         # Probed before any stage runs; a file the probe creates is removed
         # again, and an existing device or FIFO is opened by _emit alone.

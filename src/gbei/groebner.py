@@ -13,21 +13,15 @@ Polys and every public signature keep exponent tuples: `_table`,
 Division runs against a reducer table of (lm, monic tail, top) entries,
 the only form of a basis here: Polys are built only for `buchberger` and
 `Ideal.groebner_basis` to return.  All callers share the one division
-and S-pair code.  Pair bookkeeping is on bitsets over table positions:
-each entry has a bitset of its pending partners, each variable one of
-the entries whose lm holds it.  A new entry pairs only with entries
-holding one of its lm's variables.  The chain criterion tests for
-divisibility only the entries whose lm support lies inside the pair's
-lcm support and whose pairs with both ends are done.  Pairs with coprime
-leading terms, and pairs of two monomials, are never queued and count as
-done: their S-polynomials reduce to zero.  Once no pair is left, one pass
-picks the minimal basis: an entry is left out when another lm divides
-its lm, or an earlier lm equals it, and an lm's divisors are sought only
-among the entries whose lm holds no variable outside its support.  The
+and S-pair code.  Pairs are chosen when an entry joins, by the
+Gebauer-Moeller criteria (see `_complete`), and every queued pair is
+reduced.  Once no pair is left, one pass picks the minimal basis: an
+entry is left out when another lm divides its lm, or an earlier lm
+equals it, and an lm's divisors are sought only among the entries whose
+lm holds no variable outside its support (a bitset per variable).  The
 basis's tails are reduced last.  `Ideal` keeps one (packing, reduced
 table) per term order, which `contains`, `initial_ideal` and `plus`
-read; `plus` opens its table with it, whose inner pairs count as done
-the same way, since each already reduces to zero by that basis.
+read; `plus` opens its table with it.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, packed lcm, i, j), the
@@ -198,25 +192,31 @@ def buchberger(gens, order):
 
     The generators must share one ring (else ValueError).  The basis is a
     reducer table: each S-pair is formed from two entries by `_spair` and
-    reduced by the whole table, and a nonzero remainder joins it.  Pairs
-    that are coprime or of two monomials are never queued; the rest are
-    processed in (lcm degree, lcm, i, j) heap order, and the chain
-    criterion drops a pair whose lcm a third leading term divides once
-    both companion pairs are done.
+    reduced by the whole table, and a nonzero remainder joins it.  The
+    pairs are chosen as each entry joins (see `_complete`) and reduced in
+    (lcm degree, lcm, i, j) heap order.
     """
     return Ideal(gens[0].ring, gens).groebner_basis(order) if gens else []
 
 
 def _complete(table, done, packing, p):
     """The reduced basis, as a table by descending lm, of the ideal of a
-    reducer table's polys; the table grows in place.  Pairs among the
-    first `done` entries, which must form a Groebner basis, count as done
-    and are never queued.  The pair loop only grows the table; the
-    minimal basis is picked and its tails reduced once the heap is empty."""
+    reducer table's polys; the table grows in place.
+
+    Pairs are chosen when an entry joins.  Entry j pairs with the earlier
+    entries whose lm shares a variable with its lm, only the tailed ones
+    when j is a monomial, and none when j < `done`: the first `done`
+    entries must form a Groebner basis.  Taken by (lcm degree, lcm, i), a
+    pair is queued only when no lcm already queued for j divides its lcm
+    (Gebauer-Moeller's M, and F on equal lcms: the lowest i is kept), and
+    every queued pair is reduced.  A pair (i, j) left out is covered by a
+    queued (k, j) whose lcm divides its lcm and by (i, k), whose lcm is
+    smaller or whose later end is k < j; so an induction on (lcm, later
+    end) never cites the pair it covers.  Pairs never formed reduce to
+    zero but cover none.  Once the heap is empty, the minimal basis is
+    picked and its tails reduced."""
     guard = packing.guard
     heap = []
-    supports = []  # per entry: packing.support of its lm
-    partners = []  # per entry: bitset of the entries it has a pending pair with
     # per variable's guard bit: bitset of the entries whose lm holds it
     holders = {1 << b: 0 for b in iter_bits(guard)}
     tailed = 0  # bitset of the entries with a tail
@@ -234,48 +234,39 @@ def _complete(table, done, packing, p):
     def add(j):
         nonlocal tailed
         lm, tail, _ = table[j]
-        support = packing.support(lm)
-        supports.append(support)
         bit = 1 << j
         sharing = 0  # earlier entries whose lm shares a variable with lm
-        rest = support
+        rest = packing.support(lm)
         while rest:
             low = rest & -rest
             sharing |= holders[low]
             holders[low] |= bit
             rest ^= low
-        pending = 0 if j < done else sharing if tail else sharing & tailed
-        for i in iter_bits(pending):
-            lcm = _lcm(table[i][0], lm, guard)
-            heapq.heappush(heap, (packing.degree(lcm), lcm, i, j))
-            partners[i] |= bit
-        partners.append(pending)
         if tail:
             tailed |= bit
+        if j < done:
+            return
+        pairs = []
+        for i in iter_bits(sharing if tail else sharing & tailed):
+            lcm = _lcm(table[i][0], lm, guard)
+            pairs.append((packing.degree(lcm), lcm, i))
+        pairs.sort()
+        queued = []  # the lcms queued for j
+        for degree, lcm, i in pairs:
+            probe = lcm | guard
+            if all((probe - q) & guard != guard for q in queued):
+                queued.append(lcm)
+                heapq.heappush(heap, (degree, lcm, i, j))
 
     for j in range(len(table)):
         add(j)
 
     while heap:
-        _, lcm, i, j = heapq.heappop(heap)
-        partners[i] ^= 1 << j
-        partners[j] ^= 1 << i
-        # entries whose lm leaves the lcm's support, or whose pair with i
-        # or j is pending, cannot make the chain
-        blocked = (partners[i] | partners[j] | 1 << i | 1 << j
-                   | holding_outside(supports[i] | supports[j]))
-        candidates = ~blocked & ((1 << len(table)) - 1)
-        probe = lcm | guard
-        while candidates:
-            low = candidates & -candidates
-            if (probe - table[low.bit_length() - 1][0]) & guard == guard:
-                break
-            candidates ^= low
-        else:
-            remainder = _reduce(_spair(table[i], table[j], guard, p), table, guard, p)
-            if remainder:
-                table.append(_reducer(remainder, p, guard))
-                add(len(table) - 1)
+        _, _, i, j = heapq.heappop(heap)
+        remainder = _reduce(_spair(table[i], table[j], guard, p), table, guard, p)
+        if remainder:
+            table.append(_reducer(remainder, p, guard))
+            add(len(table) - 1)
 
     # the minimal basis: an entry is left out when another lm divides its
     # lm, or an earlier lm equals it
@@ -284,7 +275,7 @@ def _complete(table, done, packing, p):
     for j, entry in enumerate(table):
         lm = entry[0]
         # a divisor's lm holds no variable outside lm's support
-        candidates = everyone & ~holding_outside(supports[j]) & ~(1 << j)
+        candidates = everyone & ~holding_outside(packing.support(lm)) & ~(1 << j)
         if not any(packed_divides(table[i][0], lm, guard) and (i < j or table[i][0] != lm)
                    for i in iter_bits(candidates)):
             minimal.append(entry)
@@ -341,9 +332,8 @@ class Ideal:
     def plus(self, gens):
         """self + (gens), with its default-order basis grown from self's.
 
-        self's reduced basis opens the reducer table, and the pairs inside
-        it count as done: each already reduces to zero by that basis, part
-        of the table, so the chain criterion may use them too.
+        self's reduced basis opens the reducer table, and no pair inside
+        it is formed: each already reduces to zero by that basis.
         """
         gens = list(gens)
         total = Ideal(self.ring, self.gens + tuple(gens))

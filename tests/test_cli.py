@@ -205,6 +205,29 @@ def test_usage_errors(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--m", "2", "--parts", "1,2"],
+    ["sweep", "--max-m", "2", "--max-n", "2"],
+    ["hilbert", "--m", "2", "--parts", "1,2"],
+])
+@pytest.mark.parametrize("cap", [["--groebner-max-vars", "-1"],
+                                 ["--hochster-max-vars", "-5"]])
+def test_negative_caps_are_usage_errors(command, cap, capsys):
+    # a negative cap would skip stages silently and still exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(command + cap)
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_zero_cap_skips_the_stage(capsys):
+    code, doc, err = run_json(["hilbert", "--m", "2", "--parts", "1,2",
+                               "--groebner-max-vars", "0"], capsys)
+    assert code == 0
+    assert doc["computed"] is None
+    assert "exceeds the Groebner cap" in err
+
+
 def test_prime_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("GBEI_PRIME", "101")
     code, doc, _ = run_json(["verify", "--m", "2", "--parts", "1,1"], capsys)

@@ -5,6 +5,8 @@ the suite its sharpest checks: shuffled generators must reproduce the exact
 same basis, and every S-polynomial of the final basis must reduce to zero.
 """
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -228,25 +230,138 @@ def test_mask_subset_is_not_divisibility():
         x1 * x1 - x2, x1 * x2, x2 * x2]
     # S(x1*x2 + 1, x2^2) = x2 joins the basis; the pair (x1*x2 + 1, x2) has
     # lcm x1*x2, whose support holds x2^2's, yet x2^2 does not divide it, so
-    # the chain criterion must keep the pair, which gives 1
+    # the pair must be reduced, which gives 1
     assert buchberger([x1 * x2 + 1, x2 * x2], order) == [R.one()]
 
 
 # ---------------------------------------------------------------------------
-# the chain criterion
+# the pair choice when an entry joins
 
-def test_chain_criterion_waits_for_pending_companion_pairs():
+def _reduced_pairs(gens, order, monkeypatch):
+    """buchberger(gens, order), and the (lm, lm) exponent tuples of the
+    S-pairs it reduces, in the order reduced."""
+    packing = _Packing(order)
+    pairs = []
+    spair = groebner_module._spair
+
+    def recorded(a, b, guard, p):
+        pairs.append((packing.unpack(a[0]), packing.unpack(b[0])))
+        return spair(a, b, guard, p)
+
+    monkeypatch.setattr(groebner_module, "_spair", recorded)
+    return buchberger(gens, order), pairs
+
+
+def test_pairs_are_chosen_when_an_entry_joins(monkeypatch):
     R = Ring(1, 4)
     a, b, c, d = (R.variable(1, j) for j in (1, 2, 3, 4))
     order = TermOrder.lex_row_major(R)
-    # all three lms ab, bc, ac divide every pair's lcm abc; (ab, bc) is
-    # popped first, while both its companion pairs with ac are pending
-    assert buchberger([a * b - 1, b * c - 1, a * c - 1], order) == [
-        a - c, b - c, c * c - 1]
-    # b divides the lcm ab of the first pair popped, (ab - c, a - d); b's
-    # pair with a - d is done (coprime), but its pair with ab - c is still
-    # pending, so the pair must be reduced: it gives c
-    assert buchberger([a * b - c, a - d, b], order) == [a - d, b, c]
+    ab, bc, ac = ((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0))
+    # all three pairs of ab, bc, ac have the lcm abc: (ab, bc) is queued
+    # when bc joins, and of ac's two pairs only (ab, ac), the one with the
+    # lower partner; (bc, ac) is covered by (ab, ac) and by (ab, bc),
+    # whose later end comes first.  (ab, ac) is reduced last, after the
+    # pairs of lower degree that a - c and c^2 - 1 bring
+    gb, pairs = _reduced_pairs([a * b - 1, b * c - 1, a * c - 1], order, monkeypatch)
+    assert gb == [a - c, b - c, c * c - 1]
+    assert pairs[0] == (ab, bc)
+    assert pairs[-1] == (ab, ac)
+    assert (bc, ac) not in pairs
+    # b divides the lcm ab of the pair (ab - c, a - d), queued before b
+    # joined; a later entry never drops a queued pair, and this one gives c
+    gb, pairs = _reduced_pairs([a * b - c, a - d, b], order, monkeypatch)
+    assert gb == [a - d, b, c]
+    assert pairs == [(ab, (1, 0, 0, 0)), (ab, (0, 1, 0, 0))]
+
+
+def _plain_buchberger(gens, order):
+    """The reduced basis of gens by Buchberger with no criterion: every
+    pair of the growing basis is reduced, in the order it was formed."""
+    basis = [g for g in gens if g]
+    pairs = list(combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop(0)
+        remainder = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
+        if remainder:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(remainder)
+    lms = [g.leading_monomial(order) for g in basis]
+    minimal = [g for j, g in enumerate(basis)
+               if not any(mono_divides(lm, lms[j]) and (lm != lms[j] or i < j)
+                          for i, lm in enumerate(lms) if i != j)]
+    reduced = []
+    for g in minimal:
+        lm = g.leading_monomial(order)
+        head = Poly(g.ring, {lm: g.terms[lm]})
+        tail = normal_form(g - head, minimal, order)
+        reduced.append(pow(g.terms[lm], -1, g.ring.prime) * (head + tail))
+    reduced.sort(key=lambda f: order.key(f.leading_monomial(order)), reverse=True)
+    return reduced
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+@pytest.mark.parametrize("rows,cols", [(1, 4), (2, 2), (2, 3)])
+def test_pair_choice_matches_a_buchberger_with_no_criterion(rows, cols, prime):
+    # monomial, binomial and non-homogeneous ideals whose terms mostly lie
+    # on four variables, so that many pairs of one entry share an lcm
+    R = Ring(rows, cols, prime)
+    rng = random.Random(f"criteria {rows}x{cols}/{prime}")
+    orders = {TermOrder.lex_row_major(R), TermOrder.lex_column_major(R)}
+
+    def mono(degree):
+        exps = [0] * R.nvars
+        for v in rng.sample(range(4) if rng.random() < 0.8 else range(R.nvars), degree):
+            exps[v] += 1
+        return tuple(exps)
+
+    def poly(kind):
+        degrees = ([rng.choice((1, 2, 2, 3))], [2, 2], [2, 1, rng.choice((0, 1))])[kind]
+        return Poly(R, {mono(k): rng.randrange(1, prime) for k in degrees})
+
+    ties = 0
+    for trial in range(12):
+        gens = [poly(trial % 3) for _ in range(rng.randrange(3, 6))]
+        extra = [poly(rng.randrange(3)) for _ in range(rng.randrange(0, 3))]
+        for order in orders:
+            lms = [g.leading_monomial(order) for g in gens]
+            ties += sum(mono_lcm(lms[i], lms[j]) == mono_lcm(lms[k], lms[j])
+                        for i, k, j in combinations(range(len(lms)), 3))
+            assert buchberger(gens, order) == _plain_buchberger(gens, order)
+        I = Ideal(R, gens)
+        assert I.plus(extra).groebner_basis() == _plain_buchberger(gens + extra, _order(I))
+    assert ties >= 12
+
+
+# the SHA-256 of J's reduced basis in both lex orders, recorded before the
+# pair choice moved to the moment an entry joins
+_J_DIGESTS = {
+    (4, (2, 2)): ("c96e94a9b593a40c9913a9ed38fee77570d63f8c050be7754a0696ad63083d73",
+                  "9b08c1b0487cd0ae274c0128b6d8a778dada17c66213a719d745741f4563cc1c"),
+    (3, (1, 1, 1, 3)): ("e7bb30ad79c61b775a415cbf76b52b8890bf5a802ec74956a748797f2223a288",
+                        "e5a8fd023bf3ef3d0bedfd2211842568ba50097ae31730af914e6801546ad64a"),
+    (3, (3, 3)): ("9b3cf0de1a5692508970452e7b9d58d65785ddd8eb1d80fe7299957f3594b091",
+                  "70273cc25d193864c86e3e531f7f784aeee856baa50ab256d112b34a86764082"),
+    (2, (2, 2, 2, 3)): ("0de67c9219452b2ec7e5c2c341ee09236fc6276f10b0e95cd0ccec4a4908cf3e",
+                        "51d2d6e87ec4e5a63663332d6690d702d26e491292d876631c93617246c5c0a5"),
+    (2, (1, 11)): ("34fc3dcc9349ed4eb848c7ff1b20eeaabe0cad30b1a081aef9995f53da42c585",
+                   "34fc3dcc9349ed4eb848c7ff1b20eeaabe0cad30b1a081aef9995f53da42c585"),
+    (2, (3, 9)): ("fafd6f437c6bc77c658198934539b9663bfce6adf607090c1f8b83dfcb295665",
+                  "59f6da8f3799390eeaf4d75ff68aabc5e842177d82fa7b7d82dfd6592105e453"),
+    (3, (1, 7)): ("9ab61093e66aa761cd7fdbe7998818da7a88a735377ba3ad3b64bc4071aa0708",
+                  "7b02fb77bcbac74d2f611edc43777b1c189c7e461c7871c159b0fb04a0dc39ef"),
+}
+
+
+@pytest.mark.parametrize("m,parts", list(_J_DIGESTS))
+def test_verify_bases_match_the_recorded_digests(m, parts):
+    # the four verify-elimination specs, then three of 24 variables
+    J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), 32003)
+    digests = []
+    for name in ("lex-row-major", "lex-column-major"):
+        gb = J.groebner_basis(TermOrder.by_name(name, J.ring))
+        terms = json.dumps([sorted(g.terms.items()) for g in gb]).encode()
+        digests.append(hashlib.sha256(terms).hexdigest())
+    assert tuple(digests) == _J_DIGESTS[m, parts]
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +708,18 @@ def test_ideal_agrees_with_buchberger_on_random_ideals(rows, cols, prime):
 # the S-pair sequence of the oracle's bases
 
 @pytest.mark.parametrize("m,parts,counts", [
-    (4, (2, 2), (393, 160, 76)),
-    (3, (1, 1, 1, 3), (487, 230, 36)),
-    (3, (3, 3), (735, 230, 126)),
-    (2, (2, 2, 2, 3), (502, 168, 84)),
+    (4, (2, 2), (393, 160, 264)),
+    (3, (1, 1, 1, 3), (490, 230, 45)),
+    (3, (3, 3), (744, 230, 387)),
+    (2, (2, 2, 2, 3), (502, 168, 510)),
 ])
 def test_spair_counts_of_the_verify_bases(m, parts, counts, monkeypatch):
-    # the S-pairs `verify()` reduces for J, P_0 and P_0 + M at p = 32003:
-    # bookkeeping of the table must not add, drop or reorder any
+    # the S-pairs `verify()` reduces for J, P_0 and P_0 + M at p = 32003,
+    # with the pairs chosen when an entry joins.  P_0 + M reduces many
+    # pairs of a P_0 entry with a monomial of M: only a queued pair covers
+    # one, never the unformed pair of two monomials of M, nor a pair with
+    # a later entry.  Bookkeeping of the table must not add, drop or
+    # reorder any
     calls = []
     spair = groebner_module._spair
 
