@@ -68,7 +68,8 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.hochster._link", "gbei.hochster._non_coned_faces",
                  "gbei.hochster.betti_table", "gbei.hochster.depth_and_regularity",
                  "gbei.hilbert._kpoly", "gbei.hilbert.hilbert_series",
-                 "gbei.groebner._spair", "gbei.verify._meet", "gbei.verify._variables",
+                 "gbei.groebner._spair", "gbei.groebner.Ideal.plus",
+                 "gbei.verify.verify", "gbei.verify._meet", "gbei.verify._variables",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):
         assert name in found, name
     missing = [f"{dotted}.{name}" for dotted, owner, name in used
@@ -138,4 +139,22 @@ def test_the_groebner_layer_times_what_initial_ideal_builds(monkeypatch):
     assert len(basis) == len(ini.gens)
     terms = json.dumps([sorted(g.terms.items()) for g in basis]).encode()
     assert row["digest"] == hashlib.sha256(terms).hexdigest()
+    assert seconds > 0
+
+
+def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    import gbei.groebner as groebner
+    from gbei import PartiteSpec, verify
+
+    bench = _load_bench()
+    row, seconds = next(bench.decomposition())
+    assert (row["spec"], row["nvars"]) == ("4,(2,2)", 16)
+    with bench._counting(groebner.Ideal, "plus") as plus, \
+            bench._counting(groebner, "_spair") as spairs:
+        report = verify(PartiteSpec(4, (2, 2)), prime=bench.PRIME,
+                        groebner_cap=bench.WIDE_CAP, hochster_cap=0)
+    assert row["statuses"] == {r["name"]: r["status"] for r in report.invariants}
+    assert row["statuses"]["decomposition"] == "match"
+    assert (row["plus_calls"], row["spairs"]) == (plus.calls, spairs.calls)
     assert seconds > 0

@@ -12,8 +12,8 @@ from gbei.cli import main
 from gbei.formulas import generalized_bei, prime_component
 from gbei.graphs import PartiteSpec, complete_multipartite
 from gbei.groebner import Ideal, ideals_equal, intersect
-from gbei.hilbert import MonomialIdeal, hilbert_series
-from gbei.rings import Poly, mono_coprime, mono_lcm
+from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
+from gbei.rings import DEFAULT_PRIME, Poly, Ring, mono_coprime, mono_lcm
 from gbei.verify import enumerate_specs, konig_check, summarize, sweep, verify
 
 # the package re-exports verify(), which hides the submodule attribute
@@ -287,6 +287,19 @@ def _flip_x11(P):
         for g in P.gens])
 
 
+def _count_plus(monkeypatch):
+    """The ideals Ideal.plus is called on, from now on."""
+    calls = []
+    original = Ideal.plus
+
+    def counted(self, gens):
+        calls.append(self)
+        return original(self, gens)
+
+    monkeypatch.setattr(Ideal, "plus", counted)
+    return calls
+
+
 def _rows(report):
     return (report.row("containment")["status"],
             report.row("decomposition")["status"])
@@ -323,8 +336,10 @@ def test_shifted_cut_set_is_a_mismatch(monkeypatch):
         return original(m, G, right if tuple(T) == wrong else T, prime)
 
     monkeypatch.setattr(verify_module, "prime_component", shifted)
+    plus = _count_plus(monkeypatch)
     report = verify(spec, hochster_cap=0)
     assert _rows(report) == ("match", "mismatch")
+    assert len(plus) == 1  # the mismatch comes from the exact series
 
 
 def test_series_preserving_automorphism_is_caught_by_containment(monkeypatch):
@@ -334,14 +349,43 @@ def test_series_preserving_automorphism_is_caught_by_containment(monkeypatch):
     G = complete_multipartite(spec)
     J = generalized_bei(spec.m, G)
     parts = [prime_component(spec.m, G, T) for T in verify_module.predict(spec).cut_sets]
+    target = hilbert_series(J.initial_ideal())
     flipped = verify_module._meet_series(
         _flip_x11(parts[0]),
-        [verify_module._variables(A) for A in parts[1:]])
-    assert flipped == hilbert_series(J.initial_ideal())
+        [verify_module._variables(A) for A in parts[1:]], target)
+    assert flipped == target
 
     _patch_components(monkeypatch, lambda T, P: P if T else _flip_x11(P))
     report = verify(spec, hochster_cap=0)
     assert _rows(report) == ("mismatch", "mismatch")
+
+
+# the specs of the benchmark's verify-elimination workload
+ELIMINATION_SPECS = [PartiteSpec(4, (2, 2)), PartiteSpec(3, (1, 1, 1, 3)),
+                     PartiteSpec(3, (3, 3)), PartiteSpec(2, (2, 2, 2, 3))]
+
+
+@pytest.mark.parametrize("order", ["lex-row-major", "lex-column-major"])
+def test_the_bound_settles_every_true_spec(order, monkeypatch):
+    def refuse(self, gens):
+        raise AssertionError("Ideal.plus ran")
+
+    monkeypatch.setattr(Ideal, "plus", refuse)
+    for spec in enumerate_specs(3, 5) + ELIMINATION_SPECS:
+        report = verify(spec, order=order, hochster_cap=0)
+        assert report.row("decomposition")["status"] == "match", spec
+
+
+def test_a_strict_bound_falls_back_to_the_exact_series(monkeypatch):
+    # on k[x, y], P = (x - y) and M = (x): in(P) + M = (x) gives the bound
+    # 1/(1-t), but P ∩ M = (x^2 - xy) has (1+t)/(1-t)
+    ring = Ring(1, 2, DEFAULT_PRIME)
+    x, y = ring.variable(1, 1), ring.variable(1, 2)
+    exact = hilbert_series(Ideal(ring, [x * x - x * y]).initial_ideal())
+    assert exact == HilbertSeries((1, 1), 1)
+    plus = _count_plus(monkeypatch)
+    assert verify_module._meet_series(Ideal(ring, [x - y]), [0b01], exact) == exact
+    assert len(plus) == 1
 
 
 def _elimination_verdict(spec, prime, cut_sets):

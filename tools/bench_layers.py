@@ -16,7 +16,12 @@ LAYER is one of
 - groebner: the Groebner bases `verify()` builds, in(J) on 5 specs and
   on 3 specs of 24 variables, and P_0's membership test then in(P_0),
   and in(P_0 + M), on 4, with the generators, the basis size, the
-  S-pairs reduced (`_spair` calls) and a SHA-256 of the basis;
+  S-pairs reduced (`_spair` calls) and a SHA-256 of the basis; `verify()`
+  builds in(P_0 + M) only when the Hilbert-series bound falls short;
+- decomposition: `verify()` (Groebner cap 30, Hochster cap 0) on the 4
+  verify-elimination specs and on 5 specs of 24 to 30 variables, with the
+  row statuses, the `Ideal.plus` calls and the S-pairs reduced (`_spair`
+  calls);
 - cutsets: `cut_sets` on 13 graphs on 16 vertices, the eight seeded ones
   the cli-mix workload reads among them, with the edges and the cut sets.
 
@@ -66,6 +71,9 @@ LINKS_SPECS = ((3, (1, 1, 2)), (3, (1, 3)), (3, (2, 2)), (3, (1, 1, 1, 1, 1)),
 MEET_SPECS = ((4, (2, 2)), (3, (1, 1, 1, 3)), (3, (3, 3)), (2, (2, 2, 2, 3)))
 LARGE_SPECS = ((2, (1, 11)), (2, (3, 9)), (3, (1, 7)))
 CLI_HILBERT_SPECS = ((3, (3, 3)), (2, (4, 5)))
+# the slowest specs of 19-24 and of 25-30 variables with both caps raised
+WIDE_SPECS = ((4, (3, 3)), (3, (3, 7)))
+WIDE_CAP = 30
 
 
 @contextmanager
@@ -261,6 +269,26 @@ def groebner():
                "digest": hashlib.sha256(terms).hexdigest()}, best
 
 
+def decomposition():
+    import gbei.groebner as groebner
+    from gbei import PartiteSpec
+    from gbei.groebner import Ideal
+    from gbei.verify import verify
+
+    for m, parts in MEET_SPECS + LARGE_SPECS + WIDE_SPECS:
+        spec = PartiteSpec(m, parts)
+
+        def run():
+            return verify(spec, prime=PRIME, groebner_cap=WIDE_CAP, hochster_cap=0)
+
+        _, best = _best(run)
+        with _counting(Ideal, "plus") as plus, _counting(groebner, "_spair") as spairs:
+            report = run()
+        yield {"spec": _spec_name(m, parts), "nvars": spec.m * spec.n,
+               "statuses": {row["name"]: row["status"] for row in report.invariants},
+               "plus_calls": _calls(plus), "spairs": _calls(spairs)}, best
+
+
 def cutsets():
     from benchmark.workloads import GRAPH_VARIANTS, random_graph
     from gbei import (PartiteSpec, SimpleGraph, complete_graph,
@@ -281,7 +309,7 @@ def cutsets():
 
 
 LAYERS = {layer.__name__: layer
-          for layer in (betti, links, hilbert, groebner, cutsets)}
+          for layer in (betti, links, hilbert, groebner, decomposition, cutsets)}
 
 
 def _worker(layer, checkout):
