@@ -20,16 +20,18 @@ from .graphs import (PartiteSpec, PathWitness, SimpleGraph, complete_graph,
                      path_target_length)
 from .groebner import Ideal
 from .hilbert import HilbertSeries
-from .rings import DEFAULT_PRIME, Ring
+from .rings import DEFAULT_PRIME, Poly, Ring
 
 
 # --------------------------------------------------------------------------
 # ideal builders
 
 def _minor(ring, i, j, k, l):
-    """The 2-minor x[i,k]x[j,l] - x[i,l]x[j,k] of rows i, j and columns k, l."""
-    return (ring.variable(i, k) * ring.variable(j, l)
-            - ring.variable(i, l) * ring.variable(j, k))
+    """The 2-minor x[i,k]x[j,l] - x[i,l]x[j,k], i < j and k < l, by terms."""
+    diagonal, anti = [0] * ring.nvars, [0] * ring.nvars
+    diagonal[ring.var_index(i, k)] = diagonal[ring.var_index(j, l)] = 1
+    anti[ring.var_index(i, l)] = anti[ring.var_index(j, k)] = 1
+    return Poly(ring, {tuple(diagonal): 1, tuple(anti): -1})
 
 
 def pair_ideal(G1: SimpleGraph, G2: SimpleGraph, ring: Ring) -> Ideal:

@@ -206,15 +206,17 @@ def _complete(table, done, packing, p):
     Pairs are chosen when an entry joins.  Entry j pairs with the earlier
     entries whose lm shares a variable with its lm, only the tailed ones
     when j is a monomial, and none when j < `done`: the first `done`
-    entries must form a Groebner basis.  Taken by (lcm degree, lcm, i), a
-    pair is queued only when no lcm already queued for j divides its lcm
+    entries must form a Groebner basis.  Taken by (lcm, i), a pair is
+    queued only when no lcm already queued for j divides its lcm
     (Gebauer-Moeller's M, and F on equal lcms: the lowest i is kept), and
-    every queued pair is reduced.  A pair (i, j) left out is covered by a
-    queued (k, j) whose lcm divides its lcm and by (i, k), whose lcm is
-    smaller or whose later end is k < j; so an induction on (lcm, later
-    end) never cites the pair it covers.  Pairs never formed reduce to
-    zero but cover none.  Once the heap is empty, the minimal basis is
-    picked and its tails reduced."""
+    every queued pair is reduced.  Their (lcm degree, lcm, i) order queues
+    the same pairs: an lcm a dividing an lcm b has a <= b and deg a <=
+    deg b, so both orders take an lcm's divisors first, equal ones by i.  A
+    pair (i, j) left out is covered by a queued (k, j) whose lcm divides
+    its lcm and by (i, k), whose lcm is smaller or whose later end is
+    k < j; so an induction on (lcm, later end) never cites the pair it
+    covers.  Pairs never formed reduce to zero but cover none.  Once the
+    heap is empty, the minimal basis is picked and its tails reduced."""
     guard = packing.guard
     heap = []
     # per variable's guard bit: bitset of the entries whose lm holds it
@@ -246,17 +248,17 @@ def _complete(table, done, packing, p):
             tailed |= bit
         if j < done:
             return
-        pairs = []
-        for i in iter_bits(sharing if tail else sharing & tailed):
-            lcm = _lcm(table[i][0], lm, guard)
-            pairs.append((packing.degree(lcm), lcm, i))
-        pairs.sort()
+        pairs = sorted((_lcm(table[i][0], lm, guard), i)
+                       for i in iter_bits(sharing if tail else sharing & tailed))
         queued = []  # the lcms queued for j
-        for degree, lcm, i in pairs:
+        for lcm, i in pairs:
             probe = lcm | guard
-            if all((probe - q) & guard != guard for q in queued):
+            for q in queued:
+                if (probe - q) & guard == guard:
+                    break
+            else:
                 queued.append(lcm)
-                heapq.heappush(heap, (degree, lcm, i, j))
+                heapq.heappush(heap, (packing.degree(lcm), lcm, i, j))
 
     for j in range(len(table)):
         add(j)
@@ -327,7 +329,8 @@ class Ideal:
 
     def initial_ideal(self, order=None):
         packing, table = self._basis(order or self.default_order())
-        return MonomialIdeal(self.ring.nvars, [packing.unpack(lm) for lm, _, _ in table])
+        return MonomialIdeal._of_minimal(  # a reduced basis's lms are minimal
+            self.ring.nvars, [packing.unpack(lm) for lm, _, _ in table])
 
     def plus(self, gens):
         """self + (gens), with its default-order basis grown from self's.

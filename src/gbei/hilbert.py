@@ -63,6 +63,14 @@ class MonomialIdeal:
         self.nvars = nvars
         self.gens = tuple(minimal)
 
+    @classmethod
+    def _of_minimal(cls, nvars, gens):
+        """The ideal of generators known minimal and distinct: only sorts."""
+        ideal = cls.__new__(cls)
+        ideal.nvars = nvars
+        ideal.gens = tuple(sorted(gens, key=_degree_lex))
+        return ideal
+
     def is_unit(self):
         """True iff 1 lies in the ideal."""
         return bool(self.gens) and not any(self.gens[0])

@@ -9,10 +9,13 @@ beyond the spec itself, so a "match" row is a genuine independent check.
 
 The decomposition J = I := ∩ P_T is checked without computing I.  The
 containment row shows J ⊆ P_T for every T, so S/J → S/I is a graded
-surjection, and it is an isomorphism iff HS(S/J) = HS(S/I).  Every P_T
-but P_∅ is a variable ideal, so M = ∩_{T≠∅} P_T is generated by the
-squarefree monomials on the minimal variable sets that meet each P_T's,
-found on bitmasks, and HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)).
+surjection, and it is an isomorphism iff HS(S/J) = HS(S/I).  It divides
+by P_∅'s basis only: every other P_T is a variable ideal, which holds a
+polynomial exactly when each of its terms holds one of P_T's variables,
+a test on support bitmasks.  Their meet M = ∩_{T≠∅} P_T is generated
+by the squarefree monomials on the minimal variable sets that meet each
+P_T's, found on bitmasks, and
+HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)).
 With in(P_∅) + M in place of P_∅ + M the sum is a lower bound on HS(S/I),
 which settles the row when it reaches HS(S/J); only otherwise does P_∅ + M
 get a basis, grown from P_∅'s.  A component generator that is not a single
@@ -94,8 +97,8 @@ class InvariantReport:
 def _variables(ideal):
     """The bitmask of the variables that generate a variable ideal.
 
-    A generator that is not a single variable raises ValueError: the meet
-    in _meet is exact only for variable ideals.
+    A generator that is not a single variable raises ValueError: the
+    support test and the meet in _meet are exact only for variable ideals.
     """
     mask = 0
     for g in ideal.gens:
@@ -105,6 +108,13 @@ def _variables(ideal):
                              f"monomial of degree one")
         mask |= mono_mask(mono)
     return mask
+
+
+def _in_variable_ideals(polys, variable_sets):
+    """Whether every poly lies in each variable ideal on the bitmasks: a
+    poly does exactly when each of its terms holds one of the variables."""
+    supports = [mono_mask(mono) for f in polys for mono in f.terms]
+    return all(s & V for V in variable_sets for s in supports)
 
 
 def _meet(nvars, variable_sets):
@@ -120,8 +130,8 @@ def _meet(nvars, variable_sets):
         lows = [1 << v for v in range(nvars) if V >> v & 1]
         minimal = minimal_masks({S if S & V else S | low
                                  for S in minimal for low in lows})
-    return MonomialIdeal(nvars, [tuple(S >> v & 1 for v in range(nvars))
-                                 for S in minimal])
+    return MonomialIdeal._of_minimal(
+        nvars, [tuple(S >> v & 1 for v in range(nvars)) for S in minimal])
 
 
 def _meet_series(P, variable_sets, target):
@@ -203,7 +213,8 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
         t0 = time.perf_counter()
         parts = [prime_component(spec.m, G, T, prime) for T in pred.cut_sets]
         variable_sets = [_variables(A) for A in parts[1:]]
-        contained = all(P.contains(g) for P in parts for g in J.gens)
+        contained = (all(parts[0].contains(g) for g in J.gens)
+                     and _in_variable_ideals(J.gens, variable_sets))
         computed["containment"] = contained
         computed["decomposition"] = contained and (  # _meet_series needs J ⊆ P_∅ ∩ M
             _meet_series(parts[0], variable_sets, series) == series)

@@ -6,9 +6,12 @@ consistency (the series must know the dimension and the multiplicity), and
 the cut-set description against enumeration from the definition.
 """
 
+from itertools import combinations
+
 import pytest
 
 from gbei.formulas import (
+    _minor,
     bipartite_multiplicity,
     decomposition_components,
     generalized_bei,
@@ -63,6 +66,18 @@ def test_pair_ideal_generators():
         "x[1,1]*x[2,3] + -x[1,3]*x[2,1]",
         "x[1,2]*x[2,3] + -x[1,3]*x[2,2]",
     ]
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 4)])
+def test_minor_equals_the_minor_built_by_poly_arithmetic(prime, rows, cols):
+    ring = Ring(rows, cols, prime)
+    x = ring.variable
+    for i, j in combinations(range(1, rows + 1), 2):
+        for k, l in combinations(range(1, cols + 1), 2):
+            minor = _minor(ring, i, j, k, l)
+            assert minor == x(i, k) * x(j, l) - x(i, l) * x(j, k)
+            assert len(minor) == 2
 
 
 def test_generalized_bei_shape():

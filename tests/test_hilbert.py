@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import math
 import random
@@ -7,7 +8,8 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 import gbei.hilbert as hilbert_module
-from gbei import PartiteSpec, complete_multipartite, generalized_bei
+from gbei import (PartiteSpec, complete_multipartite, generalized_bei, predict,
+                  prime_component)
 from gbei.hilbert import (
     HilbertSeries,
     MonomialIdeal,
@@ -16,6 +18,10 @@ from gbei.hilbert import (
     multiplicity,
 )
 from gbei.rings import TermOrder
+from gbei.verify import enumerate_specs
+
+# the package re-exports verify(), which hides the submodule attribute
+verify_module = importlib.import_module("gbei.verify")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +77,28 @@ def test_minimal_generators_by_holders_match_brute_force():
         rng.shuffle(gens)
         expected = sorted(_minimal_reference(gens), key=lambda g: (sum(g), g))
         assert MonomialIdeal(nvars, gens).gens == tuple(expected)
+
+
+@pytest.mark.parametrize("order", ["lex-row-major", "lex-column-major"])
+def test_known_minimal_constructor_equals_the_checked_one(order):
+    # in(J) and in(P_0) from reduced bases, M from `verify._meet`: the
+    # generators are minimal by construction, so sorting them is enough
+    rng = random.Random(order)
+    for spec in enumerate_specs(3, 5):
+        G = complete_multipartite(spec)
+        J = generalized_bei(spec.m, G)
+        P, *variable = [prime_component(spec.m, G, T) for T in predict(spec).cut_sets]
+        term_order = TermOrder.by_name(order, J.ring)
+        M = verify_module._meet(J.ring.nvars,
+                                [verify_module._variables(A) for A in variable])
+        ideals = [[g.leading_monomial(term_order) for g in I.groebner_basis(term_order)]
+                  for I in (J, P)] + [list(M.gens)]
+        for gens in ideals:
+            rng.shuffle(gens)
+            known = MonomialIdeal._of_minimal(J.ring.nvars, gens)
+            assert known.gens == MonomialIdeal(J.ring.nvars, gens).gens, spec
+        assert J.initial_ideal(term_order) == MonomialIdeal(J.ring.nvars, ideals[0])
+        assert P.initial_ideal(term_order) == MonomialIdeal(J.ring.nvars, ideals[1])
 
 
 @pytest.mark.parametrize("gens", [[(-1, 1), (0, 2)], [(1.5, 0)], [(1, "2")]])

@@ -360,6 +360,79 @@ def test_series_preserving_automorphism_is_caught_by_containment(monkeypatch):
     assert _rows(report) == ("mismatch", "mismatch")
 
 
+def _variable_components(spec):
+    """J and the components P_T with T ≠ ∅ of a spec, as verify() builds them."""
+    G = complete_multipartite(spec)
+    J = generalized_bei(spec.m, G)
+    cut_sets = verify_module.predict(spec).cut_sets[1:]
+    return J, [prime_component(spec.m, G, T) for T in cut_sets]
+
+
+def test_support_test_agrees_with_division_on_the_variable_components():
+    members = 0
+    for spec in enumerate_specs(3, 5):
+        J, variable = _variable_components(spec)
+        for A in variable:
+            V = verify_module._variables(A)
+            for g in J.gens:
+                holds = A.contains(g)
+                assert verify_module._in_variable_ideals([g], [V]) is holds, spec
+                members += holds
+    assert members  # both answers occur
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_term_outside_the_variables_is_no_member(seed):
+    rng = random.Random(seed)
+    ring = Ring(rng.randrange(2, 4), rng.randrange(2, 5), rng.choice([2, 32003]))
+    variables = rng.sample(range(ring.nvars), rng.randrange(1, ring.nvars))
+    V = sum(1 << v for v in variables)
+    A = Ideal(ring, [Poly(ring, {tuple(int(u == v) for u in range(ring.nvars)): 1})
+                     for v in variables])
+
+    def term(inside):
+        while True:
+            mono = tuple(rng.randrange(3) for _ in range(ring.nvars))
+            if any(mono[v] for v in variables) is inside:
+                return mono
+
+    terms = {term(True): rng.randrange(1, ring.prime) for _ in range(rng.randrange(0, 5))}
+    inside = Poly(ring, terms)
+    outside = Poly(ring, {**terms, term(False): rng.randrange(1, ring.prime)})
+    assert verify_module._in_variable_ideals([inside], [V]) is A.contains(inside) is True
+    assert verify_module._in_variable_ideals([outside], [V]) is A.contains(outside) is False
+    assert verify_module._in_variable_ideals([inside, outside], [V]) is False
+
+
+def test_first_row_only_component_fails_containment(monkeypatch):
+    # P_T keeps x[1,j] for j in T but drops the other rows' variables over T
+    def first_row(T, P):
+        if not T:
+            return P
+        return Ideal(P.ring, [P.ring.variable(1, j) for j in T])
+
+    _patch_components(monkeypatch, first_row)
+    spec = PartiteSpec(3, (1, 2))
+    report = verify(spec, hochster_cap=0)
+    assert _rows(report) == ("mismatch", "mismatch")
+
+
+def test_no_basis_for_a_variable_component(monkeypatch):
+    built = []
+    original = Ideal._basis
+
+    def recorded(self, order):
+        built.append(self.gens)
+        return original(self, order)
+
+    monkeypatch.setattr(Ideal, "_basis", recorded)
+    for spec in enumerate_specs(3, 4):
+        J, variable = _variable_components(spec)
+        built.clear()
+        assert verify(spec, hochster_cap=0).row("containment")["status"] == "match"
+        assert built and not set(built) & {A.gens for A in variable}, spec
+
+
 # the specs of the benchmark's verify-elimination workload
 ELIMINATION_SPECS = [PartiteSpec(4, (2, 2)), PartiteSpec(3, (1, 1, 1, 3)),
                      PartiteSpec(3, (3, 3)), PartiteSpec(2, (2, 2, 2, 3))]

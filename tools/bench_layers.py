@@ -14,10 +14,9 @@ LAYER is one of
 - hilbert: `hilbert_series` on 19 monomial ideals, with the generators,
   the recursion nodes (`_kpoly` calls) and the series;
 - groebner: the Groebner bases `verify()` builds, in(J) on 5 specs and
-  on 3 specs of 24 variables, and P_0's membership test then in(P_0),
-  and in(P_0 + M), on 4, with the generators, the basis size, the
-  S-pairs reduced (`_spair` calls) and a SHA-256 of the basis; `verify()`
-  builds in(P_0 + M) only when the Hilbert-series bound falls short;
+  on 3 specs of 24 variables, and the containment test then in(P_0) on 4,
+  with the generators, the basis size, the S-pairs reduced (`_spair`
+  calls) and a SHA-256 of the basis;
 - decomposition: `verify()` (Groebner cap 30, Hochster cap 0) on the 4
   verify-elimination specs and on 5 specs of 24 to 30 variables, with the
   row statuses, the `Ideal.plus` calls and the S-pairs reduced (`_spair`
@@ -178,9 +177,8 @@ def links():
 
 
 def _decomposition(m, parts):
-    """J, P_0 and M of a spec, as `verify()` forms them: P_0 the first
-    predicted component, M the meet of the others, by `verify._meet` on
-    their variable bitmasks."""
+    """J, P_0, the variable bitmasks of the other predicted components and
+    M, their meet by `verify._meet`, as `verify()` forms them."""
     from gbei import (PartiteSpec, complete_multipartite, generalized_bei,
                       predict, prime_component)
     from gbei.verify import _meet, _variables
@@ -190,7 +188,8 @@ def _decomposition(m, parts):
     J = generalized_bei(m, G, PRIME)
     P, *variable = [prime_component(m, G, T, PRIME)
                     for T in predict(spec).cut_sets]
-    return J, P, _meet(P.ring.nvars, [_variables(A) for A in variable])
+    variable_sets = [_variables(A) for A in variable]
+    return J, P, variable_sets, _meet(P.ring.nvars, variable_sets)
 
 
 def _hilbert_ideals():
@@ -204,7 +203,7 @@ def _hilbert_ideals():
         yield f"{name} in(J)", _initial(m, parts)
         if (m, parts) in LARGE_SPECS:
             continue
-        _, P, M = _decomposition(m, parts)
+        _, P, _, M = _decomposition(m, parts)
         P_M = Ideal(P.ring, P.gens + tuple(Poly(P.ring, {g: 1}) for g in M.gens))
         yield f"{name} in(P_0)", P.initial_ideal(TermOrder.lex_row_major(P.ring))
         yield f"{name} M", M
@@ -227,32 +226,31 @@ def _groebner_calls():
     a fresh ideal its basis and returning that ideal: in(J) on the
     verify-elimination specs, the specs of cli-mix's hilbert calls and
     the specs past the Groebner cap; then, on the verify-elimination
-    specs, a fresh P_0's membership test of J's generators followed by
-    in(P_0), and in(P_0 + M) grown from a P_0 whose basis is built
-    untimed."""
-    from gbei import (Ideal, PartiteSpec, Poly, complete_multipartite,
-                      generalized_bei)
+    specs, the containment row's test, J's generators divided by a fresh
+    P_0 and tested on their support bitmasks against the other
+    components' variables, followed by in(P_0)."""
+    from gbei import Ideal, PartiteSpec, complete_multipartite, generalized_bei
+    from gbei.rings import mono_mask
 
     def initial(ideal):
         ideal.initial_ideal()
         return ideal
 
-    def contains(J, P):
+    def containment(J, P, variable_sets):
         fresh = Ideal(P.ring, P.gens)
-        for g in J.gens:
-            fresh.contains(g)
+        supports = [mono_mask(mono) for g in J.gens for mono in g.terms]
+        if not (all(fresh.contains(g) for g in J.gens)
+                and all(s & V for V in variable_sets for s in supports)):
+            sys.exit("error: J is not inside the predicted components")
         return initial(fresh)
 
     for m, parts in dict.fromkeys(MEET_SPECS + CLI_HILBERT_SPECS + LARGE_SPECS):
         J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
         yield f"{_spec_name(m, parts)} in(J)", lambda J=J: initial(Ideal(J.ring, J.gens))
     for m, parts in MEET_SPECS:
-        name = _spec_name(m, parts)
-        J, P, M = _decomposition(m, parts)
-        yield f"{name} contains, in(P_0)", lambda J=J, P=P: contains(J, P)
-        P.initial_ideal()
-        extra = [Poly(P.ring, {g: 1}) for g in M.gens]
-        yield f"{name} in(P_0 + M)", lambda P=P, extra=extra: initial(P.plus(extra))
+        J, P, variable_sets, _ = _decomposition(m, parts)
+        yield (f"{_spec_name(m, parts)} containment, in(P_0)",
+               lambda J=J, P=P, V=variable_sets: containment(J, P, V))
 
 
 def groebner():
