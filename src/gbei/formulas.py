@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (PartiteSpec, PathWitness, SimpleGraph, complete_graph,
-                     complete_multipartite, connected_components, konig_path,
-                     path_target_length)
+                     complete_multipartite, connected_components, konig_path)
 from .groebner import Ideal
 from .hilbert import HilbertSeries
 from .rings import DEFAULT_PRIME, Poly, Ring

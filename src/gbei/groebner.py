@@ -19,9 +19,9 @@ reduced.  Once no pair is left, one pass picks the minimal basis: an
 entry is left out when another lm divides its lm, or an earlier lm
 equals it, and an lm's divisors are sought only among the entries whose
 lm holds no variable outside its support (a bitset per variable).  The
-basis's tails are reduced last.  `Ideal` keeps one (packing, reduced
-table) per term order, which `contains`, `initial_ideal` and `plus`
-read; `plus` opens its table with it.
+basis's tails are reduced last.  `Ideal._basis` is the one place a basis
+is built: it keeps one (packing, reduced table) per term order, which
+`contains` and `initial_ideal` read.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, packed lcm, i, j), the
@@ -199,24 +199,23 @@ def buchberger(gens, order):
     return Ideal(gens[0].ring, gens).groebner_basis(order) if gens else []
 
 
-def _complete(table, done, packing, p):
+def _complete(table, packing, p):
     """The reduced basis, as a table by descending lm, of the ideal of a
     reducer table's polys; the table grows in place.
 
     Pairs are chosen when an entry joins.  Entry j pairs with the earlier
     entries whose lm shares a variable with its lm, only the tailed ones
-    when j is a monomial, and none when j < `done`: the first `done`
-    entries must form a Groebner basis.  Taken by (lcm, i), a pair is
-    queued only when no lcm already queued for j divides its lcm
-    (Gebauer-Moeller's M, and F on equal lcms: the lowest i is kept), and
-    every queued pair is reduced.  Their (lcm degree, lcm, i) order queues
-    the same pairs: an lcm a dividing an lcm b has a <= b and deg a <=
-    deg b, so both orders take an lcm's divisors first, equal ones by i.  A
-    pair (i, j) left out is covered by a queued (k, j) whose lcm divides
-    its lcm and by (i, k), whose lcm is smaller or whose later end is
-    k < j; so an induction on (lcm, later end) never cites the pair it
-    covers.  Pairs never formed reduce to zero but cover none.  Once the
-    heap is empty, the minimal basis is picked and its tails reduced."""
+    when j is a monomial.  Taken by (lcm, i), a pair is queued only when
+    no lcm already queued for j divides its lcm (Gebauer-Moeller's M, and
+    F on equal lcms: the lowest i is kept), and every queued pair is
+    reduced.  Their (lcm degree, lcm, i) order queues the same pairs: an
+    lcm a dividing an lcm b has a <= b and deg a <= deg b, so both orders
+    take an lcm's divisors first, equal ones by i.  A pair (i, j) left out
+    is covered by a queued (k, j) whose lcm divides its lcm and by (i, k),
+    whose lcm is smaller or whose later end is k < j; so an induction on
+    (lcm, later end) never cites the pair it covers.  Pairs never formed
+    reduce to zero but cover none.  Once the heap is empty, the minimal
+    basis is picked and its tails reduced."""
     guard = packing.guard
     heap = []
     # per variable's guard bit: bitset of the entries whose lm holds it
@@ -246,8 +245,6 @@ def _complete(table, done, packing, p):
             rest ^= low
         if tail:
             tailed |= bit
-        if j < done:
-            return
         pairs = sorted((_lcm(table[i][0], lm, guard), i)
                        for i in iter_bits(sharing if tail else sharing & tailed))
         queued = []  # the lcms queued for j
@@ -320,7 +317,7 @@ class Ideal:
         if order.perm not in self._bases:
             packing = _Packing(order)
             self._bases[order.perm] = packing, _complete(
-                _table(self.gens, packing), 0, packing, self.ring.prime)
+                _table(self.gens, packing), packing, self.ring.prime)
         return self._bases[order.perm]
 
     def groebner_basis(self, order=None):
@@ -331,20 +328,6 @@ class Ideal:
         packing, table = self._basis(order or self.default_order())
         return MonomialIdeal._of_minimal(  # a reduced basis's lms are minimal
             self.ring.nvars, [packing.unpack(lm) for lm, _, _ in table])
-
-    def plus(self, gens):
-        """self + (gens), with its default-order basis grown from self's.
-
-        self's reduced basis opens the reducer table, and no pair inside
-        it is formed: each already reduces to zero by that basis.
-        """
-        gens = list(gens)
-        total = Ideal(self.ring, self.gens + tuple(gens))
-        order = self.default_order()
-        packing, basis = self._basis(order)
-        total._bases[order.perm] = packing, _complete(
-            basis + _table(gens, packing), len(basis), packing, self.ring.prime)
-        return total
 
     def contains(self, f, order=None):
         """Membership by division by the basis table."""
@@ -373,7 +356,8 @@ def intersect(I, J):
     whose first variable x[1,1] plays t and whose other variables are the
     grid's, in order.  Lex-row-major there ranks t above the whole grid, a
     block elimination order, so the t-free part of the reduced basis is
-    the reduced basis of the intersection, which the returned ideal caches.
+    the reduced basis of the intersection, which the returned ideal holds
+    as its generators.
     """
     if I.ring != J.ring:
         raise ValueError("ring mismatch")
@@ -390,8 +374,4 @@ def intersect(I, J):
     gb = buchberger(gens, TermOrder.lex_row_major(ext))
     kept = [Poly(ring, {m[1:]: c for m, c in g.terms.items()})
             for g in gb if all(m[0] == 0 for m in g.terms)]
-
-    result = Ideal(ring, kept)
-    packing = _Packing(TermOrder.lex_row_major(ring))
-    result._bases[packing.perm] = packing, _table(kept, packing)
-    return result
+    return Ideal(ring, kept)

@@ -18,8 +18,8 @@ P_T's, found on bitmasks, and
 HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)).
 With in(P_∅) + M in place of P_∅ + M the sum is a lower bound on HS(S/I),
 which settles the row when it reaches HS(S/J); only otherwise does P_∅ + M
-get a basis, grown from P_∅'s.  A component generator that is not a single
-variable raises ValueError instead of giving a verdict.
+get a basis, built from its generators.  A component generator that is
+not a single variable raises ValueError instead of giving a verdict.
 
 Caps are per stage: an instance too big for Buchberger still gets its cut
 sets and path checked, and one past the Hochster cap still gets
@@ -142,7 +142,7 @@ def _meet_series(P, variable_sets, target):
     → S/(P + M) → 0.  The ideals are homogeneous, A ⊆ B gives HS(S/A) ≥
     HS(S/B) coefficientwise, and in(P) + M ⊆ in(P + M); so `low`, the sum
     over in(P) + M, has target ≥ HS(S/(P ∩ M)) ≥ low, and low == target
-    settles it.  Otherwise P + M grows P's basis for the exact series.
+    settles it.  Otherwise P + M's basis, from its generators, gives it.
     """
     ini = P.initial_ideal()
     series = hilbert_series(ini)
@@ -153,7 +153,7 @@ def _meet_series(P, variable_sets, target):
     low = series - hilbert_series(MonomialIdeal(M.nvars, ini.gens + M.gens))
     if low == target:
         return low
-    total = P.plus(Poly(P.ring, {g: 1}) for g in M.gens)
+    total = Ideal(P.ring, P.gens + tuple(Poly(P.ring, {g: 1}) for g in M.gens))
     return series - hilbert_series(total.initial_ideal())
 
 

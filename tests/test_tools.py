@@ -30,8 +30,9 @@ def _load_bench():
 
 def _used_names():
     """(dotted owner, owner, name) for each name the script imports from
-    gbei or the benchmark, reads as an attribute of what it imported, or
-    passes as a string to `_counting` or `getattr`."""
+    gbei or the benchmark, reads as an attribute of what it imported
+    (`importlib.import_module` included), or passes as a string to
+    `_counting` or `getattr`."""
     tree = ast.parse(BENCH.read_text())
     bound = {}  # local name -> (dotted owner, imported object)
     used = []
@@ -48,6 +49,10 @@ def _used_names():
                 if alias.name.startswith("gbei."):
                     bound[alias.asname] = (alias.name,
                                            importlib.import_module(alias.name))
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and ast.unparse(node.value.func) == "importlib.import_module"):
+            dotted = node.value.args[0].value
+            bound[node.targets[0].id] = (dotted, importlib.import_module(dotted))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in bound):
@@ -68,7 +73,7 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.hochster._link", "gbei.hochster._non_coned_faces",
                  "gbei.hochster.betti_table", "gbei.hochster.depth_and_regularity",
                  "gbei.hilbert._kpoly", "gbei.hilbert.hilbert_series",
-                 "gbei.groebner._spair", "gbei.groebner.Ideal.plus",
+                 "gbei.groebner._spair", "gbei.verify.Ideal",
                  "gbei.verify.verify", "gbei.verify._meet", "gbei.verify._variables",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):
         assert name in found, name
@@ -147,14 +152,16 @@ def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
     import gbei.groebner as groebner
     from gbei import PartiteSpec, verify
 
+    verify_module = importlib.import_module("gbei.verify")
     bench = _load_bench()
     row, seconds = next(bench.decomposition())
     assert (row["spec"], row["nvars"]) == ("4,(2,2)", 16)
-    with bench._counting(groebner.Ideal, "plus") as plus, \
+    with bench._counting(verify_module, "Ideal") as fallbacks, \
             bench._counting(groebner, "_spair") as spairs:
         report = verify(PartiteSpec(4, (2, 2)), prime=bench.PRIME,
                         groebner_cap=bench.WIDE_CAP, hochster_cap=0)
     assert row["statuses"] == {r["name"]: r["status"] for r in report.invariants}
     assert row["statuses"]["decomposition"] == "match"
-    assert (row["plus_calls"], row["spairs"]) == (plus.calls, spairs.calls)
+    assert (row["fallbacks"], row["spairs"]) == (fallbacks.calls, spairs.calls)
+    assert row["fallbacks"] == 0  # the bound settles the row
     assert seconds > 0
