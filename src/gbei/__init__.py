@@ -8,14 +8,14 @@ recomputes the same invariants from scratch on desk-scale instances so the
 two can be compared row by row.
 """
 
-from .errors import CapExceededError, ConstructionError
+from .errors import CapExceededError
 from .formulas import (Prediction, bipartite_multiplicity,
                        decomposition_components, generalized_bei, pair_ideal,
                        predict, predicted_cut_sets, predicted_dimension,
                        predicted_depth, predicted_hilbert,
                        predicted_multiplicity, predicted_regularity,
                        prime_component)
-from .graphs import (PartiteSpec, PathWitness, SimpleGraph, complete_graph,
+from .graphs import (PartiteSpec, SimpleGraph, complete_graph,
                      complete_multipartite, connected_components, cut_sets,
                      graph_from_json, konig_path, load_graph,
                      path_target_length, validate_path)
@@ -32,9 +32,9 @@ from .verify import (InvariantReport, enumerate_specs, konig_check, summarize,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiTable", "CapExceededError", "ConstructionError", "DEFAULT_PRIME",
+    "BettiTable", "CapExceededError", "DEFAULT_PRIME",
     "HilbertSeries", "Ideal", "InvariantReport", "MonomialIdeal",
-    "PartiteSpec", "PathWitness", "Poly", "Prediction", "Ring",
+    "PartiteSpec", "Poly", "Prediction", "Ring",
     "SimpleGraph", "SimplicialComplex", "TermOrder",
     "betti_table", "bipartite_multiplicity", "buchberger",
     "complete_graph", "complete_multipartite", "connected_components",

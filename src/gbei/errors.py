@@ -3,7 +3,3 @@
 
 class CapExceededError(ValueError):
     """An instance exceeds the configured size cap for an exhaustive stage."""
-
-
-class ConstructionError(RuntimeError):
-    """An explicit construction produced an invalid witness."""

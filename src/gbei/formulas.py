@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import (PartiteSpec, PathWitness, SimpleGraph, complete_graph,
+from .graphs import (PartiteSpec, SimpleGraph, complete_graph,
                      complete_multipartite, connected_components, konig_path)
 from .groebner import Ideal
 from .hilbert import HilbertSeries
@@ -184,7 +184,7 @@ class Prediction:
     mult: int
     cd: tuple
     height: int
-    konig: PathWitness
+    konig: tuple
     cut_sets: tuple
     components: tuple
 
@@ -203,7 +203,7 @@ class Prediction:
             "mult": self.mult,
             "cd": self.cd_json(),
             "height": self.height,
-            "path": list(self.konig.vertices),
+            "path": list(self.konig),
             "hilbert": self.hilbert.to_json(),
             "cutSets": [list(T) for T in self.cut_sets],
             "components": [{"kind": kind, "T": list(T)}

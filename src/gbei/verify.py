@@ -230,7 +230,7 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
     t0 = time.perf_counter()
     check = konig_check(spec)
     timing["konig"] = (time.perf_counter() - t0) * 1000
-    computed["konig"] = {"length": len(check["path"]) - 1,
+    computed["konig"] = {"length": check["height"],
                          "valid": check["path_valid"],
                          "coprime": check["initial_terms_coprime"]}
 
@@ -249,27 +249,28 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
 
 
 def konig_check(spec: PartiteSpec):
-    """Height, path, validity, and coprimality of the relabeled leading terms.
+    """Length, path, validity, and coprimality of the relabeled leading terms.
 
     This is the m = 2 story: the classical edge ideal J_G has height
-    h = 2n - max{n+1, 2 n_r}, and a valid path v_1, ..., v_{h+1} relabeled
-    in path order yields leading terms x[1,i] x[2,i+1] that are checked —
-    not assumed — to be pairwise coprime.
+    h = 2n - max{n+1, 2 n_r}.  The vertices v_1, ..., v_{l+1} of
+    konig_path(spec) are checked to be a path of G, and relabeled in path
+    order they give leading terms x[1,i] x[2,i+1], i = 1..l, that are
+    checked — not assumed — to be pairwise coprime.  "height" is l, the
+    height those terms witness; verify() compares it with h.
     """
-    h = path_target_length(spec)
-    witness = konig_path(spec)
-    ring = Ring(2, len(witness.vertices), DEFAULT_PRIME)
+    path = konig_path(spec)
+    ring = Ring(2, len(path), DEFAULT_PRIME)
     terms = []
-    for pos in range(1, h + 1):
+    for pos in range(1, len(path)):
         mono = [0] * ring.nvars
         mono[ring.var_index(1, pos)] += 1
         mono[ring.var_index(2, pos + 1)] += 1
         terms.append(tuple(mono))
     coprime = all(mono_coprime(a, b) for a, b in combinations(terms, 2))
     return {
-        "height": h,
-        "path": witness.vertices,
-        "path_valid": validate_path(complete_multipartite(spec), witness),
+        "height": len(path) - 1,
+        "path": path,
+        "path_valid": validate_path(complete_multipartite(spec), path),
         "initial_terms_coprime": coprime,
     }
 

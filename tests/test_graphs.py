@@ -7,7 +7,6 @@ import pytest
 from gbei.errors import CapExceededError
 from gbei.graphs import (
     PartiteSpec,
-    PathWitness,
     SimpleGraph,
     complete_graph,
     complete_multipartite,
@@ -220,16 +219,15 @@ def test_path_target_length():
 
 
 def test_konig_path_pinned():
-    assert konig_path(PartiteSpec(2, (2, 2))).vertices == (3, 1, 4, 2)
-    assert konig_path(PartiteSpec(2, (1, 1, 2))).vertices == (3, 1, 4, 2)
-    assert konig_path(PartiteSpec(2, (1, 1, 1))).vertices == (1, 2, 3)
+    assert konig_path(PartiteSpec(2, (2, 2))) == (3, 1, 4, 2)
+    assert konig_path(PartiteSpec(2, (1, 1, 2))) == (3, 1, 4, 2)
+    assert konig_path(PartiteSpec(2, (1, 1, 1))) == (1, 2, 3)
 
 
 def test_konig_path_dominant_part():
     # n_r > n - n_r: alternate out of the big block, one extra at the end
-    w = konig_path(PartiteSpec(2, (1, 3)))
-    assert w.vertices == (2, 1, 3)
-    assert w.target_length == 2
+    assert konig_path(PartiteSpec(2, (1, 3))) == (2, 1, 3)
+    assert konig_path(PartiteSpec(2, (2, 5))) == (3, 1, 4, 2, 5)
 
 
 def test_konig_path_exhaustive_small():
@@ -246,19 +244,21 @@ def test_konig_path_exhaustive_small():
             if len(parts) < 2:
                 continue
             spec = PartiteSpec(2, parts)
-            w = konig_path(spec)  # validates internally; raises on failure
-            assert len(w.vertices) == path_target_length(spec) + 1
-            assert validate_path(complete_multipartite(spec), w)
+            path = konig_path(spec)
+            assert type(path) is tuple
+            assert len(path) == path_target_length(spec) + 1
+            assert validate_path(complete_multipartite(spec), path)
 
 
-def test_path_witness_validation():
-    with pytest.raises(ValueError):
-        PathWitness((1, 2, 1), 2)
-    with pytest.raises(ValueError):
-        PathWitness((1, 2), 2)
-    G = SimpleGraph.from_edges(3, [(1, 2)])
-    assert not validate_path(G, PathWitness((1, 3), 1))
-    assert validate_path(G, PathWitness((1, 2), 1))
+def test_validate_path_on_tuples():
+    G = SimpleGraph.from_edges(4, [(1, 2), (2, 3), (1, 3)])
+    for verts in [(1, 2, 3), (2,), ()]:
+        assert validate_path(G, verts) is True, verts
+    for verts in [(1, 2, 1),      # a repeated vertex
+                  (1, 2, 3, 1),   # a cycle, every step an edge
+                  (3, 4),         # not an edge: 4 is isolated
+                  (3, 5)]:        # 5 is outside the graph
+        assert validate_path(G, verts) is False, verts
 
 
 # ---------------------------------------------------------------------------

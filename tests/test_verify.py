@@ -10,7 +10,7 @@ import pytest
 
 from gbei.cli import main
 from gbei.formulas import generalized_bei, prime_component
-from gbei.graphs import PartiteSpec, complete_multipartite
+from gbei.graphs import PartiteSpec, complete_multipartite, path_target_length
 from gbei.groebner import Ideal, ideals_equal, intersect
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.rings import DEFAULT_PRIME, Poly, Ring, mono_coprime, mono_lcm
@@ -210,6 +210,43 @@ def test_konig_check_samples():
     for parts in [(1, 1), (1, 3), (2, 2, 3), (1, 1, 1, 1), (3, 3)]:
         check = konig_check(PartiteSpec(2, parts))
         assert check["path_valid"] and check["initial_terms_coprime"], parts
+
+
+def _patch_path(monkeypatch, edit):
+    original = verify_module.konig_path
+    monkeypatch.setattr(verify_module, "konig_path",
+                        lambda spec: edit(original(spec)))
+
+
+@pytest.mark.parametrize("parts", [(1, 1), (1, 3), (2, 2), (1, 2, 3)])
+def test_a_path_one_edge_short_is_a_mismatch(parts, monkeypatch, capsys):
+    spec = PartiteSpec(2, parts)
+    h = path_target_length(spec)
+    _patch_path(monkeypatch, lambda path: path[:-1])
+    row = verify(spec).row("konig")
+    assert row["status"] == "mismatch"
+    assert row["predicted"]["length"] == h
+    assert row["computed"] == {"length": h - 1, "valid": True, "coprime": True}
+    assert main(["verify", "--m", "2",
+                 "--parts", ",".join(map(str, parts))]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("path", [(3, 1, 4, 1), (3, 4, 1, 2)],
+                         ids=["repeated-vertex", "step-inside-a-part"])
+def test_a_sequence_that_is_no_path_is_invalid(path, monkeypatch):
+    _patch_path(monkeypatch, lambda _: path)
+    row = verify(PartiteSpec(2, (2, 2))).row("konig")
+    assert row["status"] == "mismatch"
+    assert row["computed"] == {"length": 3, "valid": False, "coprime": True}
+
+
+def test_a_longer_predicted_path_is_a_mismatch(monkeypatch):
+    monkeypatch.setattr(verify_module, "path_target_length",
+                        lambda spec: path_target_length(spec) + 1)
+    row = verify(PartiteSpec(2, (2, 2))).row("konig")
+    assert row["status"] == "mismatch"
+    assert (row["predicted"]["length"], row["computed"]["length"]) == (4, 3)
 
 
 # ---------------------------------------------------------------------------
