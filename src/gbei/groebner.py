@@ -13,15 +13,15 @@ Polys and every public signature keep exponent tuples: `_table`,
 Division runs against a reducer table of (lm, monic tail, top) entries,
 the only form of a basis here: Polys are built only for `buchberger` and
 `Ideal.groebner_basis` to return.  All callers share the one division
-and S-pair code.  Pairs are chosen when an entry joins, by the
-Gebauer-Moeller criteria (see `_complete`), and every queued pair is
-reduced.  Once no pair is left, one pass picks the minimal basis: an
-entry is left out when another lm divides its lm, or an earlier lm
-equals it, and an lm's divisors are sought only among the entries whose
-lm holds no variable outside its support (a bitset per variable).  The
-basis's tails are reduced last.  `Ideal._basis` is the one place a basis
-is built: it keeps one (packing, reduced table) per term order, which
-`contains` and `initial_ideal` read.
+and S-pair code.  Pairs are chosen by the Gebauer-Moeller criteria, and
+each queued pair is reduced unless a Hilbert floor, a series proven at
+most HS(S/I), shows it is zero (see `_complete`).  One pass then picks
+the minimal basis: an entry is left out when another lm divides its lm,
+or an earlier lm equals it, and an lm's divisors are sought only among
+the entries whose lm holds no variable outside its support (a bitset per
+variable).  The basis's tails are reduced last.  `Ideal._basis` is the
+one place a basis is built: it keeps one (packing, reduced table, series)
+per term order, which `contains` and `initial_ideal` read.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, packed lcm, i, j), the
@@ -33,9 +33,9 @@ which makes them unique for the ideal and order.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
+from operator import itemgetter, lt
 
-from .hilbert import MonomialIdeal
+from .hilbert import MonomialIdeal, hilbert_series
 from .rings import Poly, Ring, TermOrder, iter_bits, packed_divides
 
 # One byte per variable, whose top bit is the guard.
@@ -199,54 +199,60 @@ def buchberger(gens, order):
     return Ideal(gens[0].ring, gens).groebner_basis(order) if gens else []
 
 
-def _complete(table, packing, p):
-    """The reduced basis, as a table by descending lm, of the ideal of a
-    reducer table's polys; the table grows in place.
+def _complete(table, packing, p, floor=None):
+    """The reduced basis, as a table by descending lm, of the ideal I of a
+    reducer table's polys, and HS(S/I) if `floor` proved it, else None; the
+    table grows in place.
 
     Pairs are chosen when an entry joins.  Entry j pairs with the earlier
     entries whose lm shares a variable with its lm, only the tailed ones
     when j is a monomial.  Taken by (lcm, i), a pair is queued only when
     no lcm already queued for j divides its lcm (Gebauer-Moeller's M, and
     F on equal lcms: the lowest i is kept), and every queued pair is
-    reduced.  Their (lcm degree, lcm, i) order queues the same pairs: an
-    lcm a dividing an lcm b has a <= b and deg a <= deg b, so both orders
-    take an lcm's divisors first, equal ones by i.  A pair (i, j) left out
-    is covered by a queued (k, j) whose lcm divides its lcm and by (i, k),
-    whose lcm is smaller or whose later end is k < j; so an induction on
-    (lcm, later end) never cites the pair it covers.  Pairs never formed
-    reduce to zero but cover none.  Once the heap is empty, the minimal
-    basis is picked and its tails reduced."""
+    reduced, or shown by the floor to reduce to zero.  Their (lcm degree,
+    lcm, i) order queues the same pairs: an lcm a dividing an lcm b has
+    a <= b and deg a <= deg b, so both orders take an lcm's divisors
+    first, equal ones by i.  A pair (i, j) left out is covered by a queued
+    (k, j) whose lcm divides its lcm and by (i, k), whose lcm is smaller or
+    whose later end is k < j; so an induction on (lcm, later end) never
+    cites the pair it covers.  Pairs never formed reduce to zero but cover
+    none.  Once the heap is empty, the minimal basis is picked and its
+    tails reduced.
+
+    floor, if given, is a HilbertSeries proven <= HS(S/I) in every degree,
+    for polys all of one degree (else ValueError), so the distinct lms stay
+    minimal.  Pairs go by lcm degree: when degree d starts, the lms generate
+    an L ⊆ in(I) with L_e = in(I)_e for e < d, and HS(S/L) >= HS(S/I) >=
+    floor.  So HS(S/L) == floor proves L = in(I) and ends the loop, and as
+    each nonzero remainder adds one lm of degree d, the pairs left in degree
+    d are skipped once HF(S/L, d) = floor(d).  An entry's lcms lie above its
+    degree, so under a floor its pairs wait for that degree to end and
+    HS(S/L) to be taken; with none they are formed at once, the order an
+    inhomogeneous table needs.  HF(S/L) below the floor raises ValueError."""
     guard = packing.guard
     heap = []
     # per variable's guard bit: bitset of the entries whose lm holds it
     holders = {1 << b: 0 for b in iter_bits(guard)}
-    tailed = 0  # bitset of the entries with a tail
+    pending = []  # (entry, earlier entries sharing a variable), not yet paired
 
-    def holding_outside(support):
-        """Bitset of the entries whose lm holds a variable outside support."""
+    def holding(bits, bit=0):
+        """Bitset of the entries whose lm holds a variable of bits; bit joins each variable."""
         held = 0
-        rest = guard & ~support
-        while rest:
-            low = rest & -rest
+        while bits:
+            low = bits & -bits
             held |= holders[low]
-            rest ^= low
+            if bit:
+                holders[low] |= bit
+            bits ^= low
         return held
 
-    def add(j):
-        nonlocal tailed
+    def join(j):
+        pending.append((j, holding(packing.support(table[j][0]), 1 << j)))
+
+    def pair(j, sharing):
         lm, tail, _ = table[j]
-        bit = 1 << j
-        sharing = 0  # earlier entries whose lm shares a variable with lm
-        rest = packing.support(lm)
-        while rest:
-            low = rest & -rest
-            sharing |= holders[low]
-            holders[low] |= bit
-            rest ^= low
-        if tail:
-            tailed |= bit
         pairs = sorted((_lcm(table[i][0], lm, guard), i)
-                       for i in iter_bits(sharing if tail else sharing & tailed))
+                       for i in iter_bits(sharing) if tail or table[i][1])
         queued = []  # the lcms queued for j
         for lcm, i in pairs:
             probe = lcm | guard
@@ -257,15 +263,37 @@ def _complete(table, packing, p):
                 queued.append(lcm)
                 heapq.heappush(heap, (packing.degree(lcm), lcm, i, j))
 
+    if floor is not None and len({packing.degree(m) for lm, tail, _ in table
+                                  for m in (lm, *tail)}) > 1:
+        raise ValueError("a Hilbert floor needs homogeneous polynomials of one degree")
     for j in range(len(table)):
-        add(j)
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
+        join(j)
+    # HS(S/L), the degree popped last and HF(S/L) - floor there: never 0 with no floor
+    series, degree, room = None, 0, -1
+    while heap or pending:
+        if pending and (floor is None or not heap or heap[0][0] > degree):
+            if floor is not None:
+                series = hilbert_series(MonomialIdeal._of_minimal(
+                    len(packing.perm), {packing.unpack(lm) for lm, _, _ in table}))
+                if series == floor:
+                    break
+            while pending:  # in any order: the heap orders the pairs
+                pair(*pending.pop())
+            continue
+        d, _, i, j = heapq.heappop(heap)
+        if floor is not None and d > degree:
+            degree = d
+            have, want = series.coefficients(d), floor.coefficients(d)
+            if any(map(lt, have, want)):
+                raise ValueError(f"the Hilbert floor exceeds HS(S/L) by degree {d}")
+            room = have[-1] - want[-1]
+        if not room:
+            continue
         remainder = _reduce(_spair(table[i], table[j], guard, p), table, guard, p)
         if remainder:
             table.append(_reducer(remainder, p, guard))
-            add(len(table) - 1)
+            join(len(table) - 1)
+            room -= 1
 
     # the minimal basis: an entry is left out when another lm divides its
     # lm, or an earlier lm equals it
@@ -274,7 +302,7 @@ def _complete(table, packing, p):
     for j, entry in enumerate(table):
         lm = entry[0]
         # a divisor's lm holds no variable outside lm's support
-        candidates = everyone & ~holding_outside(packing.support(lm)) & ~(1 << j)
+        candidates = everyone & ~holding(guard & ~packing.support(lm)) & ~(1 << j)
         if not any(packed_divides(table[i][0], lm, guard) and (i < j or table[i][0] != lm)
                    for i in iter_bits(candidates)):
             minimal.append(entry)
@@ -285,7 +313,7 @@ def _complete(table, packing, p):
         lm, tail, _ = entry
         reduced = _reduce(tail, minimal, guard, p)
         basis.append(entry if reduced == tail else _reducer({lm: 1, **reduced}, p, guard))
-    return basis
+    return basis, floor if series == floor else None
 
 
 def initial_ideal(gb, order, nvars=None):
@@ -312,20 +340,20 @@ class Ideal:
     def default_order(self):
         return TermOrder.lex_row_major(self.ring)
 
-    def _basis(self, order):
-        """(packing, reduced basis table) for order, computed once."""
+    def _basis(self, order, floor=None):
+        """(packing, reduced basis table, HS(S/I) if floor proved it) for order, once."""
         if order.perm not in self._bases:
             packing = _Packing(order)
-            self._bases[order.perm] = packing, _complete(
-                _table(self.gens, packing), packing, self.ring.prime)
+            self._bases[order.perm] = packing, *_complete(
+                _table(self.gens, packing), packing, self.ring.prime, floor)
         return self._bases[order.perm]
 
     def groebner_basis(self, order=None):
-        packing, table = self._basis(order or self.default_order())
+        packing, table, _ = self._basis(order or self.default_order())
         return [_poly(self.ring, packing, {lm: 1, **tail}) for lm, tail, _ in table]
 
     def initial_ideal(self, order=None):
-        packing, table = self._basis(order or self.default_order())
+        packing, table, _ = self._basis(order or self.default_order())
         return MonomialIdeal._of_minimal(  # a reduced basis's lms are minimal
             self.ring.nvars, [packing.unpack(lm) for lm, _, _ in table])
 
@@ -333,7 +361,7 @@ class Ideal:
         """Membership by division by the basis table."""
         if f.ring != self.ring:
             raise ValueError("ring mismatch")
-        packing, table = self._basis(order or self.default_order())
+        packing, table, _ = self._basis(order or self.default_order())
         return not _reduce(packing.pack_terms(f.terms), table, packing.guard,
                            self.ring.prime)
 

@@ -254,9 +254,11 @@ class Poly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
-        p = ring.prime
+        p, nvars = ring.prime, ring.nvars
         clean = {}
         for mono, c in terms.items():
+            if len(mono) != nvars:
+                raise ValueError(f"monomial {mono} has wrong length for {nvars} variables")
             c %= p
             if c:
                 clean[mono] = c

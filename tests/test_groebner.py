@@ -29,10 +29,10 @@ from gbei.groebner import (
     normal_form,
     spolynomial,
 )
-from gbei.hilbert import MonomialIdeal
+from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.rings import (Poly, Ring, TermOrder, mono_degree, mono_divides,
                         mono_is_squarefree, mono_lcm, packed_divides)
-from gbei.verify import enumerate_specs
+from gbei.verify import enumerate_specs, verify
 
 
 def _bei(m, parts):
@@ -721,15 +721,17 @@ def test_ideal_agrees_with_buchberger_on_random_ideals(rows, cols, prime):
 # the S-pair sequence of the oracle's bases
 
 @pytest.mark.parametrize("m,parts,counts", [
-    (4, (2, 2), (393, 160)),
-    (3, (1, 1, 1, 3), (490, 230)),
-    (3, (3, 3), (744, 230)),
-    (2, (2, 2, 2, 3), (502, 168)),
+    (4, (2, 2), ((393, 160), (88, 0))),
+    (3, (1, 1, 1, 3), ((490, 230), (126, 0))),
+    (3, (3, 3), ((744, 230), (108, 0))),
+    (2, (2, 2, 2, 3), ((502, 168), (127, 0))),
 ])
 def test_spair_counts_of_the_verify_bases(m, parts, counts, monkeypatch):
-    # the S-pairs `verify()` reduces for J and P_0 at p = 32003, with the
-    # pairs chosen when an entry joins.  Bookkeeping of the table must not
-    # add, drop or reorder any
+    # the S-pairs reduced for J and P_0 at p = 32003: with the pairs chosen
+    # when an entry joins by initial_ideal(), and under verify()'s Hilbert
+    # floors, the decomposition bound for J and the Segre series for P_0.
+    # Bookkeeping of the table must not add, drop or reorder any
+    plain, floored = counts
     calls = []
     spair = groebner_module._spair
 
@@ -745,4 +747,42 @@ def test_spair_counts_of_the_verify_bases(m, parts, counts, monkeypatch):
     seen.append(len(calls))
     prime_component(m, G, (), 32003).initial_ideal()
     seen.append(len(calls) - sum(seen))
-    assert tuple(seen) == counts
+    assert tuple(seen) == plain
+
+    built = {}  # gens -> the S-pairs reduced by the call that built the basis
+    basis = Ideal._basis
+
+    def recorded(self, order, floor=None):
+        before = len(calls)
+        out = basis(self, order, floor)
+        built.setdefault(self.gens, len(calls) - before)
+        return out
+
+    monkeypatch.setattr(Ideal, "_basis", recorded)
+    verify(spec, hochster_cap=0)
+    assert (built[generalized_bei(m, G, 32003).gens],
+            built[prime_component(m, G, (), 32003).gens]) == floored
+
+
+# ---------------------------------------------------------------------------
+# Hilbert floors
+
+def test_a_floor_above_the_series_raises():
+    P = prime_component(3, complete_graph(3), ())  # all 2-minors of a 3 x 3 matrix
+    exact = hilbert_series(Ideal(P.ring, P.gens).initial_ideal())
+    # P's minors form its basis, so degree 3 brings no new lm, yet the
+    # floor asks for one fewer standard monomial there
+    above = exact + HilbertSeries((0, 0, 0, 1), 0)
+    with pytest.raises(ValueError, match="exceeds"):
+        P._basis(P.default_order(), above)
+
+
+def test_a_floor_needs_a_homogeneous_table():
+    R = Ring(1, 3)
+    a, b, c = (R.variable(1, j) for j in (1, 2, 3))
+    for gens in ([a * b - c, b * c - a * a * a],
+                 [a * b, b * c * c - a * a * c]):  # homogeneous, two degrees
+        I = Ideal(R, gens)
+        with pytest.raises(ValueError, match="homogeneous polynomials of one degree"):
+            I._basis(I.default_order(), HilbertSeries((), 0))
+

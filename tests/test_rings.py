@@ -212,6 +212,17 @@ def test_poly_mod_p_normalization():
     assert (x - 3 * x) == 3 * x  # -2 = 3 mod 5
 
 
+def test_poly_rejects_a_monomial_too_long_for_the_ring():
+    # packing would drop the third exponent and read x[1,1] + x[1,2]
+    with pytest.raises(ValueError, match="wrong length"):
+        Poly(Ring(1, 2), {(1, 0, 5): 1, (0, 1, 0): 1})
+
+
+def test_poly_rejects_a_monomial_too_short_for_the_ring():
+    with pytest.raises(ValueError, match="wrong length"):
+        Poly(Ring(1, 2), {(1,): 1})
+
+
 def test_leading_data():
     R = Ring(2, 2)
     row = TermOrder.lex_row_major(R)

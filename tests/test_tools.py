@@ -75,6 +75,7 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.hilbert._kpoly", "gbei.hilbert.hilbert_series",
                  "gbei.groebner._spair", "gbei.verify.Ideal",
                  "gbei.verify.verify", "gbei.verify._meet", "gbei.verify._variables",
+                 "gbei.verify._segre_floor", "gbei.verify._meet_series",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):
         assert name in found, name
     missing = [f"{dotted}.{name}" for dotted, owner, name in used
@@ -127,21 +128,25 @@ def test_the_cutsets_layer_counts_what_cut_sets_returns(monkeypatch):
     assert seconds > 0
 
 
-def test_the_groebner_layer_times_what_initial_ideal_builds(monkeypatch):
+def test_the_groebner_layer_times_what_verify_builds(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     import gbei.groebner as groebner
-    from gbei import PartiteSpec, complete_multipartite, generalized_bei
+    from gbei import Ideal
 
+    verify_module = importlib.import_module("gbei.verify")
     bench = _load_bench()
     row, seconds = next(bench.groebner())
     assert row["item"] == "4,(2,2) in(J)"
-    J = generalized_bei(4, complete_multipartite(PartiteSpec(4, (2, 2))), bench.PRIME)
+    J, P, variable_sets, _ = bench._decomposition(4, (2, 2))
+    # J's basis under the decomposition bound, as verify() builds it
+    fresh = Ideal(J.ring, J.gens)
     with bench._counting(groebner, "_spair") as spairs:
-        ini = J.initial_ideal()
-    basis = J.groebner_basis()
+        fresh._basis(fresh.default_order(), verify_module._meet_series(P, variable_sets))
+    basis = fresh.groebner_basis()
+    assert basis == J.groebner_basis()
     assert (row["gens"], row["basis"], row["spairs"]) == (
-        len(J.gens), len(ini.gens), spairs.calls)
-    assert len(basis) == len(ini.gens)
+        len(J.gens), len(basis), spairs.calls)
+    assert spairs.calls < 393  # the pairs J's basis reduces with no floor
     terms = json.dumps([sorted(g.terms.items()) for g in basis]).encode()
     assert row["digest"] == hashlib.sha256(terms).hexdigest()
     assert seconds > 0

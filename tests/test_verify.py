@@ -9,8 +9,9 @@ from itertools import combinations
 import pytest
 
 from gbei.cli import main
-from gbei.formulas import generalized_bei, prime_component
-from gbei.graphs import PartiteSpec, complete_multipartite, path_target_length
+from gbei.formulas import generalized_bei, pair_ideal, prime_component
+from gbei.graphs import (PartiteSpec, complete_graph, complete_multipartite,
+                         path_target_length)
 from gbei.groebner import Ideal, ideals_equal, intersect
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.rings import DEFAULT_PRIME, Poly, Ring, mono_coprime, mono_lcm
@@ -18,6 +19,7 @@ from gbei.verify import enumerate_specs, konig_check, summarize, sweep, verify
 
 # the package re-exports verify(), which hides the submodule attribute
 verify_module = importlib.import_module("gbei.verify")
+groebner_module = importlib.import_module("gbei.groebner")
 formulas_module = importlib.import_module("gbei.formulas")
 
 ROW_NAMES = ["dim", "depth", "reg", "hilbert", "mult",
@@ -388,9 +390,8 @@ def test_series_preserving_automorphism_is_caught_by_containment(monkeypatch):
     parts = [prime_component(spec.m, G, T) for T in verify_module.predict(spec).cut_sets]
     target = hilbert_series(J.initial_ideal())
     flipped = verify_module._meet_series(
-        _flip_x11(parts[0]),
-        [verify_module._variables(A) for A in parts[1:]], target)
-    assert flipped == target
+        _flip_x11(parts[0]), [verify_module._variables(A) for A in parts[1:]])
+    assert flipped == target  # the bound alone settles it
 
     _patch_components(monkeypatch, lambda T, P: P if T else _flip_x11(P))
     report = verify(spec, hochster_cap=0)
@@ -458,9 +459,9 @@ def test_no_basis_for_a_variable_component(monkeypatch):
     built = []
     original = Ideal._basis
 
-    def recorded(self, order):
+    def recorded(self, order, floor=None):
         built.append(self.gens)
-        return original(self, order)
+        return original(self, order, floor)
 
     monkeypatch.setattr(Ideal, "_basis", recorded)
     for spec in enumerate_specs(3, 4):
@@ -468,6 +469,94 @@ def test_no_basis_for_a_variable_component(monkeypatch):
         built.clear()
         assert verify(spec, hochster_cap=0).row("containment")["status"] == "match"
         assert built and not set(built) & {A.gens for A in variable}, spec
+
+
+def test_no_floor_for_j_from_components_that_fail_containment(monkeypatch):
+    # with first-row components, P_0 ∩ M is no longer above J, and its
+    # bound is not a floor for J's basis: the rows read off in(J) still match
+    def first_row(T, P):
+        return P if not T else Ideal(P.ring, [P.ring.variable(1, j) for j in T])
+
+    _patch_components(monkeypatch, first_row)
+    for spec in [PartiteSpec(2, (1, 2)), PartiteSpec(2, (1, 3)), PartiteSpec(3, (1, 2))]:
+        report = verify(spec, hochster_cap=0)
+        assert _rows(report) == ("mismatch", "mismatch"), spec
+        assert all(report.row(name)["status"] == "match"
+                   for name in ("dim", "hilbert", "mult")), spec
+
+
+def _perturbed_minors(prime):
+    """The 2-minors of the generic 3 x 3 matrix, with the anti-diagonal
+    coefficient of the first one 2 in place of -1."""
+    P = prime_component(3, complete_multipartite(PartiteSpec(3, (1, 1, 1))), (), prime)
+    first, *rest = P.gens
+    lm = max(first.terms)
+    return Ideal(P.ring, [Poly(P.ring, {mono: c if mono == lm else 2
+                                        for mono, c in first.terms.items()}), *rest])
+
+
+@pytest.mark.parametrize("prime", [5, 32003])
+def test_no_segre_floor_for_an_ideal_outside_the_kernel(prime):
+    Q = _perturbed_minors(prime)
+    assert verify_module._segre_floor(Q) is None
+    verify_module._meet_series(Q, [])  # builds Q's basis as verify() does
+    assert Q.groebner_basis() == Ideal(Q.ring, Q.gens).groebner_basis()
+
+
+def test_the_segre_floor_is_the_determinantal_series():
+    for m in range(1, 9):
+        for n in range(1, 9):
+            P = pair_ideal(complete_graph(m), complete_graph(n), Ring(m, n))
+            assert verify_module._segre_floor(P) == HilbertSeries(
+                formulas_module._determinantal_numerator(m, n), m + n - 1), (m, n)
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 2), (1, 1, 3)])
+def test_a_dropped_component_makes_a_strict_floor_that_skips_nothing(parts, monkeypatch):
+    spec = PartiteSpec(3, parts)
+    G = complete_multipartite(spec)
+    J = generalized_bei(spec.m, G)
+    P, *variable = [prime_component(spec.m, G, T) for T in
+                    verify_module.predict(spec).cut_sets[:-1]]
+    low = verify_module._meet_series(P, [verify_module._variables(A) for A in variable])
+    assert low != hilbert_series(J.initial_ideal())
+    calls = []
+    spair = groebner_module._spair
+
+    def counted(*args):
+        calls.append(None)
+        return spair(*args)
+
+    monkeypatch.setattr(groebner_module, "_spair", counted)
+    plain = Ideal(J.ring, J.gens)
+    plain.initial_ideal()
+    reduced = len(calls)
+    floored = Ideal(J.ring, J.gens)
+    assert floored._basis(floored.default_order(), low)[2] is None
+    assert len(calls) == 2 * reduced
+    assert floored.groebner_basis() == plain.groebner_basis()
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+def test_floored_bases_equal_plain_bases(prime, monkeypatch):
+    floored = []  # (ideal, order) of each basis verify() builds under a floor
+    basis = Ideal._basis
+
+    def recorded(self, order, floor=None):
+        if floor is not None and order.perm not in self._bases:
+            floored.append((self, order))
+        return basis(self, order, floor)
+
+    monkeypatch.setattr(Ideal, "_basis", recorded)
+    for spec in [s for s in enumerate_specs(8, 8) if s.m * s.n <= 16]:
+        for order in ("lex-row-major", "lex-column-major"):
+            floored.clear()
+            verify(spec, prime=prime, order=order, hochster_cap=0)
+            assert len(floored) == 2, spec  # P_0 and J
+            for ideal, term_order in floored:
+                plain = Ideal(ideal.ring, ideal.gens)
+                assert (ideal.groebner_basis(term_order)
+                        == plain.groebner_basis(term_order)), (spec, order)
 
 
 # the specs of the benchmark's verify-elimination workload
@@ -494,7 +583,10 @@ def test_a_strict_bound_falls_back_to_the_exact_series(monkeypatch):
     exact = hilbert_series(Ideal(ring, [x * x - x * y]).initial_ideal())
     assert exact == HilbertSeries((1, 1), 1)
     fallbacks = _count_fallbacks(monkeypatch)
-    assert verify_module._meet_series(Ideal(ring, [x - y]), [0b01], exact) == exact
+    P = Ideal(ring, [x - y])
+    assert verify_module._meet_series(P, [0b01]) == HilbertSeries((1,), 1)
+    assert fallbacks == []
+    assert verify_module._meet_series(P, [0b01], exact=True) == exact
     assert fallbacks == [(x - y, x)]
 
 

@@ -13,10 +13,11 @@ LAYER is one of
   reductions on faces under them, and (depth, reg);
 - hilbert: `hilbert_series` on 19 monomial ideals, with the generators,
   the recursion nodes (`_kpoly` calls) and the series;
-- groebner: the Groebner bases `verify()` builds, in(J) on 5 specs and
-  on 3 specs of 24 variables, and the containment test then in(P_0) on 4,
-  with the generators, the basis size, the S-pairs reduced (`_spair`
-  calls) and a SHA-256 of the basis;
+- groebner: the Groebner bases `verify()` builds, in(J) on 5 specs (4
+  under the Hilbert floor `verify()` passes) and on 3 specs of 24
+  variables, and in(P_0) under its Segre floor then the containment test
+  on 4, with the generators, the basis size, the S-pairs reduced
+  (`_spair` calls) and a SHA-256 of the basis;
 - decomposition: `verify()` (Groebner cap 30, Hochster cap 0) on the 4
   verify-elimination specs and on 5 specs of 24 to 30 variables, with the
   row statuses, the exact fallbacks (calls of `gbei.verify.Ideal`, which
@@ -225,20 +226,30 @@ def hilbert():
 def _groebner_calls():
     """(name, call) for the Groebner work `verify()` does, each call giving
     a fresh ideal its basis and returning that ideal: in(J) on the
-    verify-elimination specs, the specs of cli-mix's hilbert calls and
-    the specs past the Groebner cap; then, on the verify-elimination
-    specs, the containment row's test, J's generators divided by a fresh
-    P_0 and tested on their support bitmasks against the other
-    components' variables, followed by in(P_0)."""
+    verify-elimination specs, under the decomposition bound that `verify()`
+    passes as J's Hilbert floor, then with no floor on the specs of
+    cli-mix's hilbert calls and the specs past the Groebner cap; then, on
+    the verify-elimination specs, the containment row's test: P_0's basis
+    under its Segre floor, J's generators divided by it and tested on their
+    support bitmasks against the other components' variables, followed by
+    in(P_0).  A side with no Hilbert floors builds every basis with none,
+    as its `verify()` does."""
     from gbei import Ideal, PartiteSpec, complete_multipartite, generalized_bei
     from gbei.rings import mono_mask
 
-    def initial(ideal):
-        ideal.initial_ideal()
+    verify_module = importlib.import_module("gbei.verify")
+    segre = getattr(verify_module, "_segre_floor", None)
+
+    def initial(ideal, floor=None):
+        if floor is None:
+            ideal.initial_ideal()
+        else:
+            ideal._basis(ideal.default_order(), floor)
         return ideal
 
     def containment(J, P, variable_sets):
         fresh = Ideal(P.ring, P.gens)
+        initial(fresh, segre and segre(fresh))
         supports = [mono_mask(mono) for g in J.gens for mono in g.terms]
         if not (all(fresh.contains(g) for g in J.gens)
                 and all(s & V for V in variable_sets for s in supports)):
@@ -247,7 +258,12 @@ def _groebner_calls():
 
     for m, parts in dict.fromkeys(MEET_SPECS + CLI_HILBERT_SPECS + LARGE_SPECS):
         J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
-        yield f"{_spec_name(m, parts)} in(J)", lambda J=J: initial(Ideal(J.ring, J.gens))
+        floor = None
+        if segre and (m, parts) in MEET_SPECS:
+            _, P, variable_sets, _ = _decomposition(m, parts)
+            floor = verify_module._meet_series(P, variable_sets)
+        yield (f"{_spec_name(m, parts)} in(J)",
+               lambda J=J, floor=floor: initial(Ideal(J.ring, J.gens), floor))
     for m, parts in MEET_SPECS:
         J, P, variable_sets, _ = _decomposition(m, parts)
         yield (f"{_spec_name(m, parts)} containment, in(P_0)",
