@@ -15,13 +15,13 @@ import os
 import sys
 
 from .errors import CapExceededError
-from .formulas import generalized_bei, predict, predicted_hilbert
+from .formulas import predict, predicted_cut_sets, predicted_hilbert
 from .graphs import PartiteSpec, complete_multipartite, cut_sets, load_graph
 from .groebner import TermOrder
 from .hilbert import hilbert_series
 from .hochster import HOCHSTER_CAP
-from .rings import DEFAULT_PRIME, TERM_ORDERS, is_prime
-from .verify import GROEBNER_CAP, enumerate_specs, summarize, sweep, verify
+from .rings import DEFAULT_PRIME, TERM_ORDERS, Ring, is_prime
+from .verify import GROEBNER_CAP, _floored_basis, enumerate_specs, summarize, sweep, verify
 
 
 def build_parser():
@@ -165,8 +165,10 @@ def _cmd_hilbert(args, parser):
     predicted = predicted_hilbert(spec)
     computed = None
     if spec.m * spec.n <= args.groebner_max_vars:
-        J = generalized_bei(spec.m, complete_multipartite(spec), args.prime)
-        computed = hilbert_series(J.initial_ideal(TermOrder.by_name(args.order, J.ring)))
+        *_, ini, found = _floored_basis(
+            spec, complete_multipartite(spec), predicted_cut_sets(spec), args.prime,
+            TermOrder.by_name(args.order, Ring(spec.m, spec.n, args.prime)), {})
+        computed = hilbert_series(ini) if found is None else found
     else:
         print(f"note: m*n = {spec.m * spec.n} exceeds the Groebner cap; "
               "oracle series skipped", file=sys.stderr)

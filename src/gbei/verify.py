@@ -12,10 +12,10 @@ J's basis.  Every P_T but P_∅ is a variable ideal, which holds a
 polynomial exactly when each of its terms holds one of its variables, a
 test on support bitmasks, so the containment row J ⊆ P_T divides by P_∅'s
 basis only.  That basis is built under the Segre floor: P_∅ ⊆ ker(x[i,j]
--> s_i t_j), checked, gives HS(S/P_∅) ≥ HS(k[s_i t_j]).  The meet M of
-the other P_T is generated by the squarefree monomials on the minimal
-variable sets meeting each P_T's, and HS(S/I) = HS(S/P_∅) + HS(S/M) −
-HS(S/(P_∅ + M)); with in(P_∅) + M for P_∅ + M the sum is `low` ≤ HS(S/I).
+-> s_i t_j), checked, gives HS(S/P_∅) ≥ HS(k[s_i t_j]).  With M the meet
+of the other P_T, HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)); with
+in(P_∅) + M for P_∅ + M the sum is `low` ≤ HS(S/I), its monomial series
+by inclusion–exclusion over the unions of the P_T's variable sets.
 Once J ⊆ I, S/J → S/I is a graded surjection, so low is a floor for J's
 basis, and J = I iff HS(S/J) = HS(S/I): low == HS(S/J) settles the row,
 and only otherwise does P_∅ + M get a basis.  A component generator that
@@ -34,22 +34,22 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
+from operator import mul
 
 from .formulas import generalized_bei, predict, prime_component
 from .graphs import (CUT_SET_CAP, PartiteSpec, complete_multipartite,
                      cut_sets, konig_path, path_target_length, validate_path)
 from .groebner import Ideal, TermOrder
-# Unused here; kept because the benchmark tracer patches these by name.
-from .groebner import ideals_equal, intersect  # noqa: F401
 from .hilbert import (HilbertSeries, MonomialIdeal, _mul_one_minus_t_power,
                       hilbert_series, krull_dimension, multiplicity)
 from .hochster import HOCHSTER_CAP, depth_and_regularity
-# Unused here; kept because the benchmark tracer patches it by name.
-from .hochster import betti_table  # noqa: F401
 from .rings import (DEFAULT_PRIME, Poly, Ring, minimal_masks, mono_coprime,
                     mono_degree, mono_mask)
+# Unused here; kept because the benchmark tracer patches these by name.
+from .groebner import ideals_equal, intersect  # noqa: F401
+from .hochster import betti_table  # noqa: F401
 
 GROEBNER_CAP = 18
 
@@ -79,11 +79,9 @@ class InvariantReport:
         return any(entry["status"] == "mismatch" for entry in self.invariants)
 
     def counts(self):
-        out = {"match": 0, "mismatch": 0, "skipped": 0}
-        for entry in self.invariants:
-            status = entry["status"]
-            out["skipped" if status.startswith("skipped") else status] += 1
-        return out
+        out = Counter({"match": 0, "mismatch": 0, "skipped": 0})
+        out.update(entry["status"].split("(")[0] for entry in self.invariants)
+        return dict(out)
 
     def to_json(self):
         return {
@@ -99,8 +97,8 @@ class InvariantReport:
 def _variables(ideal):
     """The bitmask of the variables that generate a variable ideal.
 
-    A generator that is not a single variable raises ValueError: the
-    support test and the meet in _meet are exact only for variable ideals.
+    A generator that is not a single variable raises ValueError: the support
+    test, the bound's inclusion–exclusion and `_meet` hold for those only.
     """
     mask = 0
     for g in ideal.gens:
@@ -141,13 +139,15 @@ def _segre_floor(P):
     if every generator of P maps to 0 under φ: x[i,j] -> s_i t_j, else None.
     Then P ⊆ ker φ and S/ker φ ≅ k[s_i t_j], so it is at most HS(S/P).  Its
     Hilbert function is a polynomial of degree m + n - 2 in d, so its first
-    m + n - 1 terms times (1 - t)^(m+n-1) give the numerator."""
+    m + n - 1 terms times (1 - t)^(m+n-1) give the numerator.  An image is
+    an int with a field per s_i and t_j too wide for any degree of P to carry."""
     m, n, p = P.ring.rows, P.ring.cols, P.ring.prime
+    width = max((sum(mono) for g in P.gens for mono in g.terms), default=0).bit_length()
+    weight = [(1 << width * i) + (1 << width * (m + j)) for i in range(m) for j in range(n)]
     for g in P.gens:
         image = Counter()
         for mono, c in g.terms.items():
-            image[tuple(sum(mono[i * n:i * n + n]) for i in range(m)),
-                  tuple(sum(mono[j::n]) for j in range(n))] += c
+            image[sum(map(mul, mono, weight))] += c
         if any(c % p for c in image.values()):
             return None
     h = [comb(m + d - 1, d) * comb(n + d - 1, d) for d in range(m + n - 1)]
@@ -155,20 +155,59 @@ def _segre_floor(P):
 
 
 def _meet_series(P, variable_sets, exact=False):
-    """HS(S/(P ∩ M)), M the meet of the variable ideals on variable_sets,
+    """HS(S/(P ∩ M)), M the meet of the variable ideals P_V on variable_sets,
     when exact; else `low`, a lower bound on it.  Both are HS(S/P) + HS(S/M)
     − HS(S/X), by 0 → S/(P ∩ M) → S/P ⊕ S/M → S/(P + M) → 0, with X = P + M
     from its generators' basis, or X = in(P) + M ⊆ in(P + M) for low: the
     ideals are homogeneous, and A ⊆ B gives HS(S/A) ≥ HS(S/B).  P's basis
     is built under `_segre_floor`, which is HS(S/P) if the basis reaches it.
+    low builds no M: a monomial is outside M iff it is outside some P_V, and
+    the P_V of a subfamily F sum to P_U, U = ∪F, so degree by degree its
+    HS(S/M) − HS(S/X) is Σ_U c_U (HS(S/P_U) − HS(S/(in(P) + P_U))), c_U the
+    sum of (−1)^(|F|+1) over the F with union U; S/(in(P) + P_U) is the ring
+    on the variables outside U over the generators of in(P) missing U.
     """
     found = P._basis(P.default_order(), _segre_floor(P))[2]
     ini = P.initial_ideal()
     series = hilbert_series(ini) if found is None else found
-    M = _meet(P.ring.nvars, variable_sets)
-    plus = (Ideal(P.ring, P.gens + tuple(Poly(P.ring, {g: 1}) for g in M.gens))
-            .initial_ideal() if exact else MonomialIdeal(M.nvars, ini.gens + M.gens))
-    return series + hilbert_series(M) - hilbert_series(plus)
+    if exact:
+        M = _meet(P.ring.nvars, variable_sets)
+        plus = Ideal(P.ring, P.gens + tuple(Poly(P.ring, {g: 1}) for g in M.gens))
+        return series + hilbert_series(M) - hilbert_series(plus.initial_ideal())
+    signs = Counter()  # c_U by the union bitmask U
+    for V in variable_sets:
+        for U, c in list(signs.items()):
+            signs[U | V] -= c
+        signs[V] += 1
+    masks = [mono_mask(g) for g in ini.gens]
+    for U, c in signs.items():
+        keep = [not U >> v & 1 for v in range(P.ring.nvars)]
+        small = [tuple(compress(g, keep)) for g, s in zip(ini.gens, masks) if not s & U]
+        if c and small:  # with no generator, both series of U are 1/(1-t)^|keep|
+            term = HilbertSeries((1,), sum(keep)) - hilbert_series(
+                MonomialIdeal._of_minimal(sum(keep), small))
+            series += HilbertSeries([c * a for a in term.numerator], term.pole)
+    return series
+
+
+def _floored_basis(spec, G, cut_sets, prime, term_order, timing):
+    """The decomposition stage, then J's basis under low if J ⊆ I, timed
+    into `timing`: P_∅, the other components' variable bitmasks, low, J ⊆ I,
+    in(J), and HS(S/J) if the floor proved it, else None."""
+    t0 = time.perf_counter()
+    J = generalized_bei(spec.m, G, prime)
+    parts = [prime_component(spec.m, G, T, prime) for T in cut_sets]
+    variable_sets = [_variables(A) for A in parts[1:]]
+    low = _meet_series(parts[0], variable_sets)
+    contained = (all(parts[0].contains(g) for g in J.gens)
+                 and _in_variable_ideals(J.gens, variable_sets))
+    timing["decomposition"] = (time.perf_counter() - t0) * 1000
+    t0 = time.perf_counter()
+    # J ⊆ P_∅ ∩ M makes low a floor: HS(S/J) ≥ HS(S/(P_∅ ∩ M)) ≥ low
+    found = J._basis(term_order, low if contained else None)[2]
+    ini = J.initial_ideal(term_order)
+    timing["groebner"] = (time.perf_counter() - t0) * 1000
+    return parts[0], variable_sets, low, contained, ini, found
 
 
 def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
@@ -176,10 +215,12 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
            hochster_cap: int = HOCHSTER_CAP) -> InvariantReport:
     """Full oracle run against predict(spec); see the module docstring.
 
-    A non-prime ``prime``, one of 2^64 or more, or an unknown term order
-    raises ValueError before any stage runs, whatever the caps are.
+    A non-prime ``prime``, one of 2^64 or more, an unknown term order or a
+    negative cap raises ValueError before any stage runs, whatever the caps.
     """
     term_order = TermOrder.by_name(order, Ring(spec.m, spec.n, prime))
+    if min(groebner_cap, hochster_cap) < 0:
+        raise ValueError(f"caps must be at least 0, got {groebner_cap}, {hochster_cap}")
     pred = predict(spec)
     G = complete_multipartite(spec)
     nvars = spec.m * spec.n
@@ -200,20 +241,8 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
     if nvars > groebner_cap:
         skipped.update(dict.fromkeys(_ROW_ORDER[:7], "groebner-cap"))
     else:
-        t0 = time.perf_counter()
-        J = generalized_bei(spec.m, G, prime)
-        parts = [prime_component(spec.m, G, T, prime) for T in pred.cut_sets]
-        variable_sets = [_variables(A) for A in parts[1:]]
-        low = _meet_series(parts[0], variable_sets)
-        contained = (all(parts[0].contains(g) for g in J.gens)
-                     and _in_variable_ideals(J.gens, variable_sets))
-        timing["decomposition"] = (time.perf_counter() - t0) * 1000
-
-        t0 = time.perf_counter()
-        # J ⊆ P_∅ ∩ M makes low a floor: HS(S/J) ≥ HS(S/(P_∅ ∩ M)) ≥ low
-        found = J._basis(term_order, low if contained else None)[2]
-        ini = J.initial_ideal(term_order)
-        timing["groebner"] = (time.perf_counter() - t0) * 1000
+        P, variable_sets, low, contained, ini, found = _floored_basis(
+            spec, G, pred.cut_sets, prime, term_order, timing)
 
         t0 = time.perf_counter()
         series = hilbert_series(ini) if found is None else found
@@ -237,7 +266,7 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
         t0 = time.perf_counter()
         computed["containment"] = contained
         computed["decomposition"] = contained and (
-            low == series or _meet_series(parts[0], variable_sets, exact=True) == series)
+            low == series or _meet_series(P, variable_sets, exact=True) == series)
         timing["decomposition"] += (time.perf_counter() - t0) * 1000
 
     if spec.n > CUT_SET_CAP:
@@ -302,11 +331,10 @@ def sweep(specs, **options):
 
 def summarize(reports):
     """Aggregate row-status counts across a sweep."""
-    totals = {"match": 0, "mismatch": 0, "skipped": 0}
+    totals = Counter({"match": 0, "mismatch": 0, "skipped": 0})
     for report in reports:
-        for name, value in report.counts().items():
-            totals[name] += value
-    return totals
+        totals.update(report.counts())
+    return dict(totals)
 
 
 def enumerate_specs(max_m, max_n):

@@ -7,6 +7,12 @@ import pytest
 
 import gbei.cli
 from gbei.cli import main
+from gbei.formulas import generalized_bei
+from gbei.graphs import complete_multipartite
+from gbei.groebner import Ideal
+from gbei.hilbert import hilbert_series
+from gbei.rings import TermOrder
+from gbei.verify import enumerate_specs
 
 
 def run(argv, capsys):
@@ -156,6 +162,42 @@ def test_hilbert_over_cap(capsys):
     assert code == 0
     assert doc["computed"] is None and doc["match"] is None
     assert "oracle series skipped" in err
+
+
+def test_hilbert_reads_the_series_off_the_floor(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gbei.cli, "hilbert_series", calls.append)
+    code, doc, _ = run_json(["hilbert", "--m", "3", "--parts", "3,3"], capsys)
+    assert code == 0 and doc["match"] is True
+    assert calls == []  # J's basis stopped at the decomposition's floor
+
+
+@pytest.mark.parametrize("order", ["lex-row-major", "lex-column-major"])
+def test_hilbert_equals_the_plain_series(order, capsys):
+    for spec in enumerate_specs(3, 4):
+        _, doc, _ = run_json(["hilbert", "--m", str(spec.m), "--parts",
+                              ",".join(map(str, spec.parts)), "--order", order], capsys)
+        J = generalized_bei(spec.m, complete_multipartite(spec))
+        plain = hilbert_series(J.initial_ideal(TermOrder.by_name(order, J.ring)))
+        assert doc["computed"] == {**plain.to_json(), "text": plain.text()}, spec
+
+
+def test_hilbert_without_containment_takes_the_series_of_in_j(capsys, monkeypatch):
+    # first-row variable components do not hold J, so no floor is passed
+    verify_module = importlib.import_module("gbei.verify")
+    original, calls = verify_module.prime_component, []
+    series = gbei.cli.hilbert_series
+
+    def first_row(m, G, T, prime):
+        P = original(m, G, T, prime)
+        return P if not T else Ideal(P.ring, [P.ring.variable(1, j) for j in T])
+
+    monkeypatch.setattr(verify_module, "prime_component", first_row)
+    monkeypatch.setattr(gbei.cli, "hilbert_series",
+                        lambda ideal: calls.append(ideal) or series(ideal))
+    code, doc, _ = run_json(["hilbert", "--m", "3", "--parts", "1,2"], capsys)
+    assert code == 0 and doc["match"] is True
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,16 @@ def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
     row, seconds = next(bench.decomposition())
     assert (row["spec"], row["nvars"]) == ("4,(2,2)", 16)
     with bench._counting(verify_module, "Ideal") as fallbacks, \
+            bench._counting(verify_module, "hilbert_series") as series, \
             bench._counting(groebner, "_spair") as spairs:
         report = verify(PartiteSpec(4, (2, 2)), prime=bench.PRIME,
                         groebner_cap=bench.WIDE_CAP, hochster_cap=0)
     assert row["statuses"] == {r["name"]: r["status"] for r in report.invariants}
     assert row["statuses"]["decomposition"] == "match"
-    assert (row["fallbacks"], row["spairs"]) == (fallbacks.calls, spairs.calls)
+    assert (row["fallbacks"], row["series"], row["spairs"]) == (
+        fallbacks.calls, series.calls, spairs.calls)
     assert row["fallbacks"] == 0  # the bound settles the row
+    # in(P_0) reaches its Segre floor, and the union of the two variable
+    # sets holds every variable: one small series per set
+    assert row["series"] == 2
     assert seconds > 0

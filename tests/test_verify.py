@@ -112,6 +112,16 @@ def test_bad_prime_or_order_rejected_whatever_the_caps(options):
                **options)
 
 
+@pytest.mark.parametrize("cap", ["groebner_cap", "hochster_cap"])
+def test_a_negative_cap_is_rejected_before_any_stage(cap, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(verify_module, "predict", refuse)
+    with pytest.raises(ValueError, match="at least 0"):
+        verify(PartiteSpec(2, (1, 1)), **{cap: -1})
+
+
 @pytest.mark.parametrize("order", ["lex-row-major", "lex-column-major"])
 def test_non_squarefree_initial_ideal_skips_homology(order, monkeypatch):
     original = verify_module.generalized_bei
@@ -511,6 +521,18 @@ def test_the_segre_floor_is_the_determinantal_series():
                 formulas_module._determinantal_numerator(m, n), m + n - 1), (m, n)
 
 
+@pytest.mark.parametrize("k", range(1, 10))
+def test_the_segre_image_has_room_for_every_exponent(k):
+    # x[1,1]^(2^k) - x[2,2] maps to s_1^(2^k) t_1^(2^k) - s_2 t_2, which
+    # fields of k bits would confuse; the binomial below maps to 0
+    ring, a = Ring(2, 2), 2 ** k
+    outside = Poly(ring, {(a, 0, 0, 0): 1, (0, 0, 0, 1): -1})
+    inside = Poly(ring, {(a, 0, 0, a): 1, (0, a, a, 0): -1})
+    assert verify_module._segre_floor(Ideal(ring, [outside])) is None
+    assert verify_module._segre_floor(Ideal(ring, [inside, outside])) is None
+    assert verify_module._segre_floor(Ideal(ring, [inside])) is not None
+
+
 @pytest.mark.parametrize("parts", [(1, 2), (2, 2), (1, 1, 3)])
 def test_a_dropped_component_makes_a_strict_floor_that_skips_nothing(parts, monkeypatch):
     spec = PartiteSpec(3, parts)
@@ -588,6 +610,46 @@ def test_a_strict_bound_falls_back_to_the_exact_series(monkeypatch):
     assert fallbacks == []
     assert verify_module._meet_series(P, [0b01], exact=True) == exact
     assert fallbacks == [(x - y, x)]
+
+
+def _generator_bound(P, variable_sets):
+    """low from generators: M by `_meet`, in(P) + M re-minimised, and
+    HS(S/in(P)) + HS(S/M) − HS(S/(in(P) + M))."""
+    ini = P.initial_ideal()
+    M = verify_module._meet(P.ring.nvars, variable_sets)
+    return (hilbert_series(ini) + hilbert_series(M)
+            - hilbert_series(MonomialIdeal(M.nvars, ini.gens + M.gens)))
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+def test_the_bound_equals_the_bound_from_generators(prime):
+    for spec in enumerate_specs(4, 5) + ELIMINATION_SPECS:
+        G = complete_multipartite(spec)
+        P, *variable = [prime_component(spec.m, G, T, prime)
+                        for T in verify_module.predict(spec).cut_sets]
+        sets = [verify_module._variables(A) for A in variable]
+        assert verify_module._meet_series(P, sets) == _generator_bound(P, sets), spec
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_inclusion_exclusion_over_variable_sets_matches_the_meet(seed):
+    rng = random.Random(seed)
+    nvars = rng.randrange(1, 9)
+    ring, full = Ring(1, nvars), (1 << nvars) - 1
+    A = MonomialIdeal(nvars, [g for g in (tuple(rng.randrange(4) for _ in range(nvars))
+                                          for _ in range(rng.randrange(7))) if any(g)])
+    P = Ideal(ring, [Poly(ring, {g: 1}) for g in A.gens])
+    sets = []
+    for _ in range(rng.randrange(6)):  # none: the empty family, M = S
+        old = rng.choice(sets) if sets else full
+        sets.append(rng.choice([rng.randrange(1, full + 1), old,  # any, a duplicate
+                                old & rng.randrange(1, full + 1) or old,  # nested
+                                full & ~old or full, full]))  # disjoint, full
+    meet = verify_module._meet(nvars, sets)
+    low = verify_module._meet_series(P, sets)
+    assert P.initial_ideal() == A
+    assert (hilbert_series(A) + hilbert_series(meet) - low
+            == hilbert_series(MonomialIdeal(nvars, A.gens + meet.gens))), (A.gens, sets)
 
 
 def _elimination_verdict(spec, prime, cut_sets):

@@ -21,7 +21,8 @@ LAYER is one of
 - decomposition: `verify()` (Groebner cap 30, Hochster cap 0) on the 4
   verify-elimination specs and on 5 specs of 24 to 30 variables, with the
   row statuses, the exact fallbacks (calls of `gbei.verify.Ideal`, which
-  only the fallback makes) and the S-pairs reduced (`_spair` calls);
+  only the fallback makes), the Hilbert series taken (calls of
+  `gbei.verify.hilbert_series`) and the S-pairs reduced (`_spair` calls);
 - cutsets: `cut_sets` on 13 graphs on 16 vertices, the eight seeded ones
   the cli-mix workload reads among them, with the edges and the cut sets.
 
@@ -179,8 +180,9 @@ def links():
 
 
 def _decomposition(m, parts):
-    """J, P_0, the variable bitmasks of the other predicted components and
-    M, their meet by `verify._meet`, as `verify()` forms them."""
+    """J, P_0 and the variable bitmasks of the other predicted components,
+    as `verify()` forms them, and M, their meet by `verify._meet`, which
+    `verify()` forms only in its exact fallback."""
     from gbei import (PartiteSpec, complete_multipartite, generalized_bei,
                       predict, prime_component)
     from gbei.verify import _meet, _variables
@@ -195,9 +197,10 @@ def _decomposition(m, parts):
 
 
 def _hilbert_ideals():
-    """The monomial ideals whose series the oracle takes on the
-    verify-elimination specs, in(J), in(P_0), M and in(P_0) + M, then
-    in(J) alone for the specs past the Groebner cap."""
+    """Monomial ideals of the verify-elimination specs: in(J) and in(P_0),
+    whose series the oracle takes, and M and in(P_0) + M, the ideals of
+    the decomposition bound built from generators; then in(J) alone for
+    the specs past the Groebner cap."""
     from gbei import MonomialIdeal, TermOrder
 
     for m, parts in MEET_SPECS + LARGE_SPECS:
@@ -299,12 +302,15 @@ def decomposition():
                                         hochster_cap=0)
 
         _, best = _best(run)
-        with _counting(verify_module, "Ideal") as fallbacks, \
-                _counting(groebner, "_spair") as spairs:
+        with ExitStack() as stack:
+            fallbacks = stack.enter_context(_counting(verify_module, "Ideal"))
+            series = stack.enter_context(_counting(verify_module, "hilbert_series"))
+            spairs = stack.enter_context(_counting(groebner, "_spair"))
             report = run()
         yield {"spec": _spec_name(m, parts), "nvars": spec.m * spec.n,
                "statuses": {row["name"]: row["status"] for row in report.invariants},
-               "fallbacks": _calls(fallbacks), "spairs": _calls(spairs)}, best
+               "fallbacks": _calls(fallbacks), "series": _calls(series),
+               "spairs": _calls(spairs)}, best
 
 
 def cutsets():
