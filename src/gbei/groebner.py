@@ -15,13 +15,15 @@ the only form of a basis here: Polys are built only for `buchberger` and
 `Ideal.groebner_basis` to return.  All callers share the one division
 and S-pair code.  Pairs are chosen by the Gebauer-Moeller criteria, and
 each queued pair is reduced unless a Hilbert floor, a series proven at
-most HS(S/I), shows it is zero (see `_complete`).  One pass then picks
-the minimal basis: an entry is left out when another lm divides its lm,
-or an earlier lm equals it, and an lm's divisors are sought only among
-the entries whose lm holds no variable outside its support (a bitset per
-variable).  The basis's tails are reduced last.  `Ideal._basis` is the
-one place a basis is built: it keeps one (packing, reduced table, series)
-per term order, which `contains` and `initial_ideal` read.
+most HS(S/I), shows it is zero (see `_complete`).  A last pass keeps
+the minimal basis, leaving out an entry when another lm divides its lm
+or an earlier lm equals it, and reduces its tails.  For generators of
+one degree, as every basis `verify()` builds, divisibility there is
+equality: the first entry per lm stays, and only a tail holding an lm is
+reduced.  Other tables seek an lm's divisors among the entries whose lm
+holds no variable outside its support (a bitset per variable).
+`Ideal._basis` is the one place a basis is built: it keeps one (packing,
+reduced table, series) per term order, which `contains` and `initial_ideal` read.
 
 Everything here is exact over GF(p) and bit-for-bit deterministic: the
 S-pair queue is a heap keyed by (lcm degree, packed lcm, i, j), the
@@ -219,6 +221,13 @@ def _complete(table, packing, p, floor=None):
     none.  Once the heap is empty, the minimal basis is picked and its
     tails reduced.
 
+    For polys all of one degree that finish goes by equality.  An lcm's
+    degree is above both lms' unless one divides the other, and no earlier
+    lm divides a remainder's, so pairs pop, and entries join, in degree
+    order, each remainder reduced by every entry before it.  Monomials of
+    one degree divide each other only when equal: an lm is redundant just
+    when an earlier entry has it, and only a tail holding an lm is reduced.
+
     floor, if given, is a HilbertSeries proven <= HS(S/I) in every degree,
     for polys all of one degree (else ValueError), so the distinct lms stay
     minimal.  Pairs go by lcm degree: when degree d starts, the lms generate
@@ -263,8 +272,8 @@ def _complete(table, packing, p, floor=None):
                 queued.append(lcm)
                 heapq.heappush(heap, (packing.degree(lcm), lcm, i, j))
 
-    if floor is not None and len({packing.degree(m) for lm, tail, _ in table
-                                  for m in (lm, *tail)}) > 1:
+    uniform = len({packing.degree(m) for lm, tail, _ in table for m in (lm, *tail)}) <= 1
+    if floor is not None and not uniform:
         raise ValueError("a Hilbert floor needs homogeneous polynomials of one degree")
     for j in range(len(table)):
         join(j)
@@ -296,22 +305,29 @@ def _complete(table, packing, p, floor=None):
             room -= 1
 
     # the minimal basis: an entry is left out when another lm divides its
-    # lm, or an earlier lm equals it
-    everyone = (1 << len(table)) - 1
-    minimal = []
-    for j, entry in enumerate(table):
-        lm = entry[0]
-        # a divisor's lm holds no variable outside lm's support
-        candidates = everyone & ~holding(guard & ~packing.support(lm)) & ~(1 << j)
-        if not any(packed_divides(table[i][0], lm, guard) and (i < j or table[i][0] != lm)
-                   for i in iter_bits(candidates)):
-            minimal.append(entry)
+    # lm, or an earlier lm equals it; of one degree, only an equal lm can
+    if uniform:
+        first = {}  # lm -> its first entry, in table order
+        for entry in table:
+            first.setdefault(entry[0], entry)
+        minimal = list(first.values())
+    else:
+        everyone = (1 << len(table)) - 1
+        minimal = []
+        for j, entry in enumerate(table):
+            lm = entry[0]
+            # a divisor's lm holds no variable outside lm's support
+            candidates = everyone & ~holding(guard & ~packing.support(lm)) & ~(1 << j)
+            if not any(packed_divides(table[i][0], lm, guard)
+                       and (i < j or table[i][0] != lm) for i in iter_bits(candidates)):
+                minimal.append(entry)
     # an element's lm is above its tail terms, so it never divides one of them
     minimal.sort(key=itemgetter(0), reverse=True)
     basis = []
     for entry in minimal:
         lm, tail, _ = entry
-        reduced = _reduce(tail, minimal, guard, p)
+        reduced = (tail if uniform and first.keys().isdisjoint(tail)
+                   else _reduce(tail, minimal, guard, p))
         basis.append(entry if reduced == tail else _reducer({lm: 1, **reduced}, p, guard))
     return basis, floor if series == floor else None
 
@@ -327,7 +343,8 @@ def initial_ideal(gb, order, nvars=None):
 
 class Ideal:
     """Finitely generated ideal that keeps its reduced basis per term order
-    as one (packing, table) pair, the table by descending lm."""
+    as one (packing, table, series) triple, the table by descending lm and
+    the series HS(S/I) if a Hilbert floor proved it, else None."""
 
     def __init__(self, ring, gens):
         self.ring = ring

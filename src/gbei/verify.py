@@ -4,8 +4,11 @@ verify() recomputes every invariant it can from first principles — Groebner
 basis, initial ideal, Hilbert series, depth and regularity from the links
 of the Stanley-Reisner complex (Hochster's local-cohomology formula), the
 predicted decomposition, cut sets from the definition, path validation — and
-lines the results up against predict().  Nothing is shared between the two sides
-beyond the spec itself, so a "match" row is a genuine independent check.
+lines the results up against predict().  A prediction may choose what the
+oracle tries first, and it never enters a computed value: predict()'s cut
+sets choose the components, and through them J's Hilbert floor, and
+`konig_path` gives the path `validate_path` checks, so a "match" row is
+still an independent check.
 
 The decomposition J = I := ∩ P_T is checked without computing I, before
 J's basis.  Every P_T but P_∅ is a variable ideal, which holds a

@@ -718,6 +718,52 @@ def test_ideal_agrees_with_buchberger_on_random_ideals(rows, cols, prime):
 
 
 # ---------------------------------------------------------------------------
+# the finish of a table of one degree
+
+@pytest.mark.parametrize("prime", [2, 32003])
+@pytest.mark.parametrize("order_name", ["lex-row-major", "lex-column-major"])
+def test_one_degree_finish_matches_sympy(order_name, prime):
+    # sets of one degree, 1 to 3, drawn from a pool of a few monomials, so
+    # that lms repeat and tails hold lms; each built with no floor and under
+    # its exact series.  The reduced basis is unique, so which entry of a
+    # repeated lm is kept shows only in the entry that comes back: the
+    # table's first with that lm, itself when its tail holds no lm
+    R = Ring(2, 2, prime)
+    order = TermOrder.by_name(order_name, R)
+    rng = random.Random(f"one degree {order_name}/{prime}")
+    dropped = rereduced = 0
+    for trial in range(24):
+        degree = 1 + trial % 3
+        pool = set()
+        while len(pool) < 4:
+            exps = [0] * R.nvars
+            for v in rng.choices(range(R.nvars), k=degree):
+                exps[v] += 1
+            pool.add(tuple(exps))
+        pool = sorted(pool)
+        gens = [Poly(R, {m: rng.randrange(1, prime) for m in rng.sample(pool, k)})
+                for k in rng.choices((1, 2, 2, 3), k=rng.randrange(2, 6))]
+        reference = _sympy_basis(gens, order)
+        exact = hilbert_series(initial_ideal(reference, order, R.nvars))
+        for floor in (None, exact):
+            packing = _Packing(order)
+            table = groebner_module._table(gens, packing)
+            basis, _ = groebner_module._complete(table, packing, prime, floor)
+            assert [groebner_module._poly(R, packing, {lm: 1, **tail})
+                    for lm, tail, _ in basis] == reference, (trial, floor)
+            first, joined = {}, {id(entry) for entry in table}
+            for entry in table:
+                first.setdefault(entry[0], entry)
+            for entry in basis:
+                if id(entry) in joined:
+                    assert entry is first[entry[0]], trial
+                else:
+                    rereduced += 1
+            dropped += len(table) - len(basis)
+    assert dropped and rereduced
+
+
+# ---------------------------------------------------------------------------
 # the S-pair sequence of the oracle's bases
 
 @pytest.mark.parametrize("m,parts,counts", [
@@ -730,14 +776,20 @@ def test_spair_counts_of_the_verify_bases(m, parts, counts, monkeypatch):
     # the S-pairs reduced for J and P_0 at p = 32003: with the pairs chosen
     # when an entry joins by initial_ideal(), and under verify()'s Hilbert
     # floors, the decomposition bound for J and the Segre series for P_0.
-    # Bookkeeping of the table must not add, drop or reorder any
+    # Bookkeeping of the table must not add, drop or reorder any.  Under
+    # the floors each reduced S-pair is the only division: the one-degree
+    # finish finds every lm minimal and every tail reduced
     plain, floored = counts
-    calls = []
-    spair = groebner_module._spair
+    calls, divisions = [], []
+    spair, reduce = groebner_module._spair, groebner_module._reduce
 
     def counted(*args):
         calls.append(None)
         return spair(*args)
+
+    def divided(*args):
+        divisions.append(None)
+        return reduce(*args)
 
     monkeypatch.setattr(groebner_module, "_spair", counted)
     spec = PartiteSpec(m, parts)
@@ -750,18 +802,22 @@ def test_spair_counts_of_the_verify_bases(m, parts, counts, monkeypatch):
     assert tuple(seen) == plain
 
     built = {}  # gens -> the S-pairs reduced by the call that built the basis
+    divided_by = {}  # gens -> the divisions that call made
     basis = Ideal._basis
 
     def recorded(self, order, floor=None):
-        before = len(calls)
+        before, divisions_before = len(calls), len(divisions)
         out = basis(self, order, floor)
         built.setdefault(self.gens, len(calls) - before)
+        divided_by.setdefault(self.gens, len(divisions) - divisions_before)
         return out
 
     monkeypatch.setattr(Ideal, "_basis", recorded)
+    monkeypatch.setattr(groebner_module, "_reduce", divided)
     verify(spec, hochster_cap=0)
-    assert (built[generalized_bei(m, G, 32003).gens],
-            built[prime_component(m, G, (), 32003).gens]) == floored
+    gens = generalized_bei(m, G, 32003).gens, prime_component(m, G, (), 32003).gens
+    assert tuple(map(built.get, gens)) == floored
+    assert tuple(map(divided_by.get, gens)) == floored
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,9 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.hochster.betti_table", "gbei.hochster.depth_and_regularity",
                  "gbei.hilbert._kpoly", "gbei.hilbert.hilbert_series",
                  "gbei.groebner._spair", "gbei.verify.Ideal",
-                 "gbei.verify.verify", "gbei.verify._meet", "gbei.verify._variables",
+                 "gbei.verify.verify", "gbei.verify._variables",
                  "gbei.verify._segre_floor", "gbei.verify._meet_series",
+                 "gbei.verify.hilbert_series",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):
         assert name in found, name
     missing = [f"{dotted}.{name}" for dotted, owner, name in used
@@ -137,7 +138,7 @@ def test_the_groebner_layer_times_what_verify_builds(monkeypatch):
     bench = _load_bench()
     row, seconds = next(bench.groebner())
     assert row["item"] == "4,(2,2) in(J)"
-    J, P, variable_sets, _ = bench._decomposition(4, (2, 2))
+    J, P, variable_sets = bench._decomposition(4, (2, 2))
     # J's basis under the decomposition bound, as verify() builds it
     fresh = Ideal(J.ring, J.gens)
     with bench._counting(groebner, "_spair") as spairs:
@@ -150,6 +151,31 @@ def test_the_groebner_layer_times_what_verify_builds(monkeypatch):
     terms = json.dumps([sorted(g.terms.items()) for g in basis]).encode()
     assert row["digest"] == hashlib.sha256(terms).hexdigest()
     assert seconds > 0
+
+
+def test_the_hilbert_layer_takes_the_series_verify_takes(monkeypatch):
+    # every ideal the layer times on the first spec is one whose series
+    # verify() takes there, in its Groebner floors or its decomposition bound
+    monkeypatch.syspath_prepend(str(ROOT))
+    import gbei.groebner as groebner
+    from gbei import PartiteSpec, verify
+
+    verify_module = importlib.import_module("gbei.verify")
+    bench = _load_bench()
+    items = [(name, ideal) for name, ideal in bench._hilbert_ideals()
+             if name.startswith("4,(2,2) ")]
+    assert [name for name, _ in items] == [
+        "4,(2,2) in(J)", "4,(2,2) L(J)", "4,(2,2) L(P_0)",
+        "4,(2,2) in(P_0) + P_U 1, |U| = 8", "4,(2,2) in(P_0) + P_U 2, |U| = 8"]
+    taken = []
+    for module in (groebner, verify_module):
+        series = module.hilbert_series
+        monkeypatch.setattr(module, "hilbert_series",
+                            lambda ideal, series=series: taken.append(ideal) or series(ideal))
+    verify(PartiteSpec(4, (2, 2)), prime=bench.PRIME, hochster_cap=0)
+    taken = {(ideal.nvars, frozenset(ideal.gens)) for ideal in taken}
+    for name, ideal in items:
+        assert (ideal.nvars, frozenset(ideal.gens)) in taken, name
 
 
 def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):

@@ -11,8 +11,9 @@ LAYER is one of
   the faces of the union of the supports, the faces the link walk visits,
   the non-coned faces, the links reduced (`_collapsed_ranks` calls), the
   reductions on faces under them, and (depth, reg);
-- hilbert: `hilbert_series` on 19 monomial ideals, with the generators,
-  the recursion nodes (`_kpoly` calls) and the series;
+- hilbert: `hilbert_series` on 24 monomial ideals, the series `verify()`
+  takes on 4 specs and in(J) on 3 specs of 24 variables, with the
+  generators, the recursion nodes (`_kpoly` calls) and the series;
 - groebner: the Groebner bases `verify()` builds, in(J) on 5 specs (4
   under the Hilbert floor `verify()` passes) and on 3 specs of 24
   variables, and in(P_0) under its Segre floor then the containment test
@@ -181,11 +182,10 @@ def links():
 
 def _decomposition(m, parts):
     """J, P_0 and the variable bitmasks of the other predicted components,
-    as `verify()` forms them, and M, their meet by `verify._meet`, which
-    `verify()` forms only in its exact fallback."""
+    as `verify()` forms them."""
     from gbei import (PartiteSpec, complete_multipartite, generalized_bei,
                       predict, prime_component)
-    from gbei.verify import _meet, _variables
+    from gbei.verify import _variables
 
     spec = PartiteSpec(m, parts)
     G = complete_multipartite(spec)
@@ -193,26 +193,40 @@ def _decomposition(m, parts):
     P, *variable = [prime_component(m, G, T, PRIME)
                     for T in predict(spec).cut_sets]
     variable_sets = [_variables(A) for A in variable]
-    return J, P, variable_sets, _meet(P.ring.nvars, variable_sets)
+    return J, P, variable_sets
 
 
 def _hilbert_ideals():
-    """Monomial ideals of the verify-elimination specs: in(J) and in(P_0),
-    whose series the oracle takes, and M and in(P_0) + M, the ideals of
-    the decomposition bound built from generators; then in(J) alone for
-    the specs past the Groebner cap."""
+    """Monomial ideals whose series `verify()` takes on the verify-elimination
+    specs: L(J) and L(P_0), the leading terms of the generators, whose
+    series open the Hilbert-floor checks of J's and P_0's bases; in(J),
+    where J's floor checks end; and the small series of the decomposition
+    bound, HS(S/(in(P_0) + P_U)) for each union U of the variable sets,
+    caught as `verify._meet_series` takes them.  Then in(J) alone for the
+    specs past the Groebner cap."""
     from gbei import MonomialIdeal, TermOrder
 
+    verify_module = importlib.import_module("gbei.verify")
     for m, parts in MEET_SPECS + LARGE_SPECS:
         name = _spec_name(m, parts)
         yield f"{name} in(J)", _initial(m, parts)
         if (m, parts) in LARGE_SPECS:
             continue
-        _, P, _, M = _decomposition(m, parts)
-        ini = P.initial_ideal(TermOrder.lex_row_major(P.ring))
-        yield f"{name} in(P_0)", ini
-        yield f"{name} M", M
-        yield f"{name} in(P_0) + M", MonomialIdeal(M.nvars, ini.gens + M.gens)
+        J, P, variable_sets = _decomposition(m, parts)
+        for label, ideal in (("J", J), ("P_0", P)):
+            order = TermOrder.lex_row_major(ideal.ring)
+            yield f"{name} L({label})", MonomialIdeal._of_minimal(
+                ideal.ring.nvars, {g.leading_monomial(order) for g in ideal.gens})
+        small = []
+        series = verify_module.hilbert_series
+        verify_module.hilbert_series = lambda ideal: small.append(ideal) or series(ideal)
+        try:
+            verify_module._meet_series(P, variable_sets)
+        finally:
+            verify_module.hilbert_series = series
+        for index, ideal in enumerate(small):
+            yield (f"{name} in(P_0) + P_U {index + 1}, "
+                   f"|U| = {P.ring.nvars - ideal.nvars}"), ideal
 
 
 def hilbert():
@@ -263,12 +277,12 @@ def _groebner_calls():
         J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
         floor = None
         if segre and (m, parts) in MEET_SPECS:
-            _, P, variable_sets, _ = _decomposition(m, parts)
+            _, P, variable_sets = _decomposition(m, parts)
             floor = verify_module._meet_series(P, variable_sets)
         yield (f"{_spec_name(m, parts)} in(J)",
                lambda J=J, floor=floor: initial(Ideal(J.ring, J.gens), floor))
     for m, parts in MEET_SPECS:
-        J, P, variable_sets, _ = _decomposition(m, parts)
+        J, P, variable_sets = _decomposition(m, parts)
         yield (f"{_spec_name(m, parts)} containment, in(P_0)",
                lambda J=J, P=P, V=variable_sets: containment(J, P, V))
 
