@@ -248,47 +248,25 @@ def konig_path(spec: PartiteSpec) -> tuple[int, ...]:
     """The vertices of a path of length 2n - max(n + 1, 2 n_r) in the complete
     multipartite graph.
 
-    When the largest part outweighs the rest (n_r > n'), the path alternates
-    between the largest block and the remaining vertices.  Otherwise a spanning
-    path exists and is produced greedily, always stepping into a largest
-    remaining part different from the current one.  Nothing here checks the
-    result: that is `verify.konig_check`'s job.
+    All-ones parts give (1, ..., n).  Otherwise let L list the largest block,
+    then the vertices 1..n - n_r in order, and h = max(n_r, ceil(n / 2)).  The
+    path interleaves L's two halves, L[0], L[h], L[1], L[h + 1], ..., and
+    ends with L[n - h] when 2h > n: n vertices if n_r <= ceil(n / 2), else
+    2(n - n_r) + 1.  Each step joins a position below h to one at or above
+    h, h or h - 1 apart, so a block holding both ends has at least h >= n_r
+    vertices.  The blocks are runs of L: the largest is L[:n_r], below h,
+    and another that large makes h = n_r and lies in L[h:].  So no block
+    holds both ends of a step.  Nothing here checks the result: that is
+    `verify.konig_check`'s job.
     """
     n = spec.n
     if spec.all_ones:
         return tuple(range(1, n + 1))
-    n_rest = n - spec.parts[-1]
-    if spec.parts[-1] <= n_rest:
-        return _greedy_spanning_path(spec)
-    verts = []
-    for k in range(1, n_rest + 1):
-        verts += [n_rest + k, k]
-    return (*verts, 2 * n_rest + 1)
-
-
-def _greedy_spanning_path(spec: PartiteSpec):
-    # Feasible whenever n_r <= n - n_r.  Start in the last (largest) part, then
-    # repeatedly step into a largest remaining part different from the current
-    # endpoint's part; ties prefer the larger original part, then the earlier
-    # part, and the smallest unused vertex within it.  A stall returns the
-    # shorter path, for the oracle's length check to catch.
-    remaining = [list(spec.block(k)) for k in range(1, spec.r + 1)]
-    path = [remaining[spec.r - 1].pop(0)]
-    current = spec.r - 1
-    for _ in range(spec.n - 1):
-        best = None
-        best_key = None
-        for idx in range(spec.r):
-            if idx == current or not remaining[idx]:
-                continue
-            key = (len(remaining[idx]), spec.parts[idx], -idx)
-            if best is None or key > best_key:
-                best, best_key = idx, key
-        if best is None:
-            break
-        path.append(remaining[best].pop(0))
-        current = best
-    return tuple(path)
+    big = spec.block(spec.r)
+    L = (*big, *range(1, big[0]))
+    h = max(len(big), -(-n // 2))
+    path = [v for k in range(n - h) for v in (L[k], L[h + k])]
+    return (*path, L[n - h]) if 2 * h > n else tuple(path)
 
 
 def graph_from_json(obj) -> SimpleGraph:

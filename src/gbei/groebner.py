@@ -16,12 +16,11 @@ the only form of a basis here: Polys are built only for `buchberger` and
 and S-pair code.  Pairs are chosen by the Gebauer-Moeller criteria, and
 each queued pair is reduced unless a Hilbert floor, a series proven at
 most HS(S/I), shows it is zero (see `_complete`).  A last pass keeps
-the minimal basis, leaving out an entry when another lm divides its lm
-or an earlier lm equals it, and reduces its tails.  For generators of
-one degree, as every basis `verify()` builds, divisibility there is
-equality: the first entry per lm stays, and only a tail holding an lm is
-reduced.  Other tables seek an lm's divisors among the entries whose lm
-holds no variable outside its support (a bitset per variable).
+the first entry per lm, and for a table of several degrees only the lms
+that `MonomialIdeal` keeps as minimal generators, then reduces the
+tails.  For generators of one degree, as every basis `verify()` builds,
+distinct lms never divide each other, so only a repeated lm is dropped
+there, and only a tail holding an lm is reduced.
 `Ideal._basis` is the one place a basis is built: it keeps one (packing,
 reduced table, series) per term order, which `contains` and `initial_ideal` read.
 
@@ -38,7 +37,7 @@ import heapq
 from operator import itemgetter, lt
 
 from .hilbert import MonomialIdeal, hilbert_series
-from .rings import Poly, Ring, TermOrder, iter_bits, packed_divides
+from .rings import Poly, Ring, TermOrder, iter_bits
 
 # One byte per variable, whose top bit is the guard.
 MAX_EXPONENT = 0x7F
@@ -218,15 +217,16 @@ def _complete(table, packing, p, floor=None):
     (k, j) whose lcm divides its lcm and by (i, k), whose lcm is smaller or
     whose later end is k < j; so an induction on (lcm, later end) never
     cites the pair it covers.  Pairs never formed reduce to zero but cover
-    none.  Once the heap is empty, the minimal basis is picked and its
-    tails reduced.
+    none.  Once the heap is empty, the first entry per lm is kept, and
+    over several degrees only the lms `MonomialIdeal` keeps as minimal
+    generators; then the tails are reduced.
 
-    For polys all of one degree that finish goes by equality.  An lcm's
+    For polys all of one degree that filter is not needed.  An lcm's
     degree is above both lms' unless one divides the other, and no earlier
     lm divides a remainder's, so pairs pop, and entries join, in degree
     order, each remainder reduced by every entry before it.  Monomials of
-    one degree divide each other only when equal: an lm is redundant just
-    when an earlier entry has it, and only a tail holding an lm is reduced.
+    one degree divide each other only when equal: the first entries are
+    the minimal basis, and only a tail holding an lm is reduced.
 
     floor, if given, is a HilbertSeries proven <= HS(S/I) in every degree,
     for polys all of one degree (else ValueError), so the distinct lms stay
@@ -240,23 +240,17 @@ def _complete(table, packing, p, floor=None):
     inhomogeneous table needs.  HF(S/L) below the floor raises ValueError."""
     guard = packing.guard
     heap = []
-    # per variable's guard bit: bitset of the entries whose lm holds it
-    holders = {1 << b: 0 for b in iter_bits(guard)}
+    # per variable's guard bit position: bitset of the entries whose lm holds it
+    holders = dict.fromkeys(iter_bits(guard), 0)
     pending = []  # (entry, earlier entries sharing a variable), not yet paired
 
-    def holding(bits, bit=0):
-        """Bitset of the entries whose lm holds a variable of bits; bit joins each variable."""
-        held = 0
-        while bits:
-            low = bits & -bits
-            held |= holders[low]
-            if bit:
-                holders[low] |= bit
-            bits ^= low
-        return held
-
     def join(j):
-        pending.append((j, holding(packing.support(table[j][0]), 1 << j)))
+        """Queue entry j with the earlier entries whose lm shares a variable with its lm."""
+        sharing = 0
+        for b in iter_bits(packing.support(table[j][0])):
+            sharing |= holders[b]
+            holders[b] |= 1 << j
+        pending.append((j, sharing))
 
     def pair(j, sharing):
         lm, tail, _ = table[j]
@@ -304,23 +298,15 @@ def _complete(table, packing, p, floor=None):
             join(len(table) - 1)
             room -= 1
 
-    # the minimal basis: an entry is left out when another lm divides its
-    # lm, or an earlier lm equals it; of one degree, only an equal lm can
-    if uniform:
-        first = {}  # lm -> its first entry, in table order
-        for entry in table:
-            first.setdefault(entry[0], entry)
-        minimal = list(first.values())
-    else:
-        everyone = (1 << len(table)) - 1
-        minimal = []
-        for j, entry in enumerate(table):
-            lm = entry[0]
-            # a divisor's lm holds no variable outside lm's support
-            candidates = everyone & ~holding(guard & ~packing.support(lm)) & ~(1 << j)
-            if not any(packed_divides(table[i][0], lm, guard)
-                       and (i < j or table[i][0] != lm) for i in iter_bits(candidates)):
-                minimal.append(entry)
+    # the minimal basis: the first entry per lm, then, over several degrees,
+    # only the lms that are minimal generators of the ideal they span
+    first = {}  # lm -> its first entry, in table order
+    for entry in table:
+        first.setdefault(entry[0], entry)
+    minimal = list(first.values())
+    if not uniform:
+        kept = MonomialIdeal(len(packing.perm), map(packing.unpack, first)).gens
+        minimal = [first[packing.pack(lm)] for lm in kept]
     # an element's lm is above its tail terms, so it never divides one of them
     minimal.sort(key=itemgetter(0), reverse=True)
     basis = []

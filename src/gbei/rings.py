@@ -5,7 +5,7 @@ Monomials are plain exponent tuples, and a pure lex comparison is just
 tuple comparison.  `mono_mask` gives a monomial's support as a bitmask, the
 cheap prefilter for divisibility.  `groebner` and the Hilbert recursion
 pack monomials into ints internally and hand exponent tuples back;
-`packed_divides` is their shared divisibility test, and `iter_bits` walks
+`packed_divides` is the recursion's divisibility test, and `iter_bits` walks
 the bitsets they and `hochster` keep.  `minimal_masks` keeps the
 inclusion-minimal sets of a family of bitmasks, for `hochster` and `verify`.
 `terms_text` writes the terms of a polynomial or of a Hilbert numerator.

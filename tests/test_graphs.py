@@ -239,7 +239,7 @@ def test_konig_path_exhaustive_small():
             for rest in partitions(n - first, first):
                 yield (first,) + rest
 
-    for n in range(2, 9):
+    for n in range(2, 21):
         for parts in partitions(n):
             if len(parts) < 2:
                 continue
