@@ -3,8 +3,7 @@
 Every subcommand prints one JSON document on stdout (or to --output);
 warnings and diagnostics go to stderr only.  Exit codes: 0 on success,
 1 when the oracle contradicts a prediction, 2 on usage errors, 3 on
-internal failures.  The default prime can be overridden per call with
---prime or globally through the GBEI_PRIME environment variable.
+internal failures.  --prime sets the coefficient prime (default 32003).
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=None,
-                        help="coefficient prime (default: GBEI_PRIME or 32003)")
+    common.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                        help=f"coefficient prime (default {DEFAULT_PRIME})")
     common.add_argument("--output", metavar="FILE",
                         help="write the JSON document here instead of stdout")
 
@@ -76,20 +75,10 @@ def build_parser():
     return parser
 
 
-def _resolve_prime(args, parser):
-    prime = args.prime
-    if prime is None:
-        env = os.environ.get("GBEI_PRIME")
-        if env:
-            try:
-                prime = int(env)
-            except ValueError:
-                parser.error(f"GBEI_PRIME must be an integer, got {env!r}")
-        else:
-            prime = DEFAULT_PRIME
+def _check_prime(prime, parser):
     try:
         if is_prime(prime):
-            return prime
+            return
     except ValueError as exc:
         parser.error(str(exc))
     parser.error(f"prime must be a prime number, got {prime}")
@@ -195,7 +184,7 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.prime = _resolve_prime(args, parser)
+    _check_prime(args.prime, parser)
     for cap in ("groebner_max_vars", "hochster_max_vars"):
         if getattr(args, cap, 0) < 0:
             parser.error(f"--{cap.replace('_', '-')} must be at least 0")

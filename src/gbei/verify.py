@@ -10,19 +10,21 @@ sets choose the components, and through them J's Hilbert floor, and
 `konig_path` gives the path `validate_path` checks, so a "match" row is
 still an independent check.
 
-The decomposition J = I := ∩ P_T is checked without computing I, before
-J's basis.  Every P_T but P_∅ is a variable ideal, which holds a
-polynomial exactly when each of its terms holds one of its variables, a
-test on support bitmasks, so the containment row J ⊆ P_T divides by P_∅'s
-basis only.  That basis is built under the Segre floor: P_∅ ⊆ ker(x[i,j]
--> s_i t_j), checked, gives HS(S/P_∅) ≥ HS(k[s_i t_j]).  With M the meet
-of the other P_T, HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)); with
-in(P_∅) + M for P_∅ + M the sum is `low` ≤ HS(S/I), its monomial series
-by inclusion–exclusion over the unions of the P_T's variable sets.
+The containment and decomposition rows check the decomposition J = I :=
+∩ P_T that `Prediction.components` states, without computing I, before
+J's basis: P_∅ from its definition, and for every other T the variable
+ideal (x_T).  J ⊆ (x_T) iff every edge of G meets T, so a stated T that
+leaves an edge reads mismatch.  (x_T) holds a polynomial exactly when
+each of its terms holds one of its variables, a test on support bitmasks,
+so the containment row J ⊆ P_T divides by P_∅'s basis only.  That basis
+is built under the Segre floor: P_∅ ⊆ ker(x[i,j] -> s_i t_j), checked,
+gives HS(S/P_∅) ≥ HS(k[s_i t_j]).  With M the meet of the other P_T,
+HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)); with in(P_∅) + M for
+P_∅ + M the sum is `low` ≤ HS(S/I), its monomial series by
+inclusion–exclusion over the unions of the P_T's variable sets.
 Once J ⊆ I, S/J → S/I is a graded surjection, so low is a floor for J's
 basis, and J = I iff HS(S/J) = HS(S/I): low == HS(S/J) settles the row,
-and only otherwise does P_∅ + M get a basis.  A component generator that
-is not a single variable raises ValueError instead of giving a verdict.
+and only otherwise does P_∅ + M get a basis.
 
 Caps are per stage: an instance too big for Buchberger still gets its cut
 sets and path checked, and one past the Hochster cap still gets
@@ -49,7 +51,7 @@ from .hilbert import (HilbertSeries, MonomialIdeal, _mul_one_minus_t_power,
                       hilbert_series, krull_dimension, multiplicity)
 from .hochster import HOCHSTER_CAP, depth_and_regularity
 from .rings import (DEFAULT_PRIME, Poly, Ring, minimal_masks, mono_coprime,
-                    mono_degree, mono_mask)
+                    mono_mask)
 # Unused here; kept because the benchmark tracer patches these by name.
 from .groebner import ideals_equal, intersect  # noqa: F401
 from .hochster import betti_table  # noqa: F401
@@ -97,20 +99,16 @@ class InvariantReport:
         }
 
 
-def _variables(ideal):
-    """The bitmask of the variables that generate a variable ideal.
-
-    A generator that is not a single variable raises ValueError: the support
-    test, the bound's inclusion–exclusion and `_meet` hold for those only.
-    """
-    mask = 0
-    for g in ideal.gens:
-        mono = next(iter(g.terms), None)
-        if len(g) != 1 or mono_degree(mono) != 1:
-            raise ValueError(f"component generator {g.text()} is not a "
-                             f"monomial of degree one")
-        mask |= mono_mask(mono)
-    return mask
+def _stated_components(spec, G, cut_sets, prime):
+    """The decomposition the predicted family states, typed as in
+    `Prediction.components`: (P, variable_sets), P = P_∅ from its
+    definition, or S's unit ideal when ∅ is not in the family (the empty
+    intersection is S), and per T ≠ ∅ the bitmask of the x[i,j], j in T."""
+    ring = Ring(spec.m, spec.n, prime)
+    P = (prime_component(spec.m, G, (), prime) if any(not T for T in cut_sets)
+         else Ideal(ring, [ring.one()]))
+    return P, [sum(1 << ring.var_index(i, j) for i in range(1, spec.m + 1) for j in T)
+               for T in cut_sets if T]
 
 
 def _in_variable_ideals(polys, variable_sets):
@@ -199,10 +197,9 @@ def _floored_basis(spec, G, cut_sets, prime, term_order, timing):
     in(J), and HS(S/J) if the floor proved it, else None."""
     t0 = time.perf_counter()
     J = generalized_bei(spec.m, G, prime)
-    parts = [prime_component(spec.m, G, T, prime) for T in cut_sets]
-    variable_sets = [_variables(A) for A in parts[1:]]
-    low = _meet_series(parts[0], variable_sets)
-    contained = (all(parts[0].contains(g) for g in J.gens)
+    P, variable_sets = _stated_components(spec, G, cut_sets, prime)
+    low = _meet_series(P, variable_sets)
+    contained = (all(P.contains(g) for g in J.gens)
                  and _in_variable_ideals(J.gens, variable_sets))
     timing["decomposition"] = (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
@@ -210,7 +207,7 @@ def _floored_basis(spec, G, cut_sets, prime, term_order, timing):
     found = J._basis(term_order, low if contained else None)[2]
     ini = J.initial_ideal(term_order)
     timing["groebner"] = (time.perf_counter() - t0) * 1000
-    return parts[0], variable_sets, low, contained, ini, found
+    return P, variable_sets, low, contained, ini, found
 
 
 def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,

@@ -9,7 +9,6 @@ import gbei.cli
 from gbei.cli import main
 from gbei.formulas import generalized_bei
 from gbei.graphs import complete_multipartite
-from gbei.groebner import Ideal
 from gbei.hilbert import hilbert_series
 from gbei.rings import TermOrder
 from gbei.verify import enumerate_specs
@@ -183,16 +182,10 @@ def test_hilbert_equals_the_plain_series(order, capsys):
 
 
 def test_hilbert_without_containment_takes_the_series_of_in_j(capsys, monkeypatch):
-    # first-row variable components do not hold J, so no floor is passed
-    verify_module = importlib.import_module("gbei.verify")
-    original, calls = verify_module.prime_component, []
-    series = gbei.cli.hilbert_series
-
-    def first_row(m, G, T, prime):
-        P = original(m, G, T, prime)
-        return P if not T else Ideal(P.ring, [P.ring.variable(1, j) for j in T])
-
-    monkeypatch.setattr(verify_module, "prime_component", first_row)
+    # T = {2} leaves the edge {1, 3} of K(1,2), so (x_T) does not hold J
+    # and no floor is passed
+    calls, series = [], gbei.cli.hilbert_series
+    monkeypatch.setattr(gbei.cli, "predicted_cut_sets", lambda spec: ((), (2,)))
     monkeypatch.setattr(gbei.cli, "hilbert_series",
                         lambda ideal: calls.append(ideal) or series(ideal))
     code, doc, _ = run_json(["hilbert", "--m", "3", "--parts", "1,2"], capsys)
@@ -270,28 +263,6 @@ def test_zero_cap_skips_the_stage(capsys):
     assert "exceeds the Groebner cap" in err
 
 
-def test_prime_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("GBEI_PRIME", "101")
-    code, doc, _ = run_json(["verify", "--m", "2", "--parts", "1,1"], capsys)
-    assert code == 0
-    assert doc["prime"] == 101
-
-
-def test_bad_environment_prime(capsys, monkeypatch):
-    monkeypatch.setenv("GBEI_PRIME", "banana")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--m", "2", "--parts", "1,1"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("env", ["4", "6"])
-def test_composite_environment_prime(env, capsys, monkeypatch):
-    monkeypatch.setenv("GBEI_PRIME", env)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--m", "2", "--parts", "2,2"])
-    assert exc.value.code == 2
-
-
 def test_verify_is_exact_for_a_61_bit_prime(capsys):
     # a Mersenne prime past the range where fixed-width products are exact
     code, doc, _ = run_json(["verify", "--m", "2", "--parts", "2,2",
@@ -300,14 +271,6 @@ def test_verify_is_exact_for_a_61_bit_prime(capsys):
     assert doc["prime"] == 2**61 - 1
     statuses = {row["name"]: row["status"] for row in doc["invariants"]}
     assert statuses["depth"] == "match" and statuses["reg"] == "match"
-
-
-def test_explicit_prime_wins_over_environment(capsys, monkeypatch):
-    monkeypatch.setenv("GBEI_PRIME", "101")
-    code, doc, _ = run_json(
-        ["verify", "--m", "2", "--parts", "1,1", "--prime", "7"], capsys)
-    assert code == 0
-    assert doc["prime"] == 7
 
 
 def test_internal_error_is_exit_three(capsys, monkeypatch):

@@ -8,8 +8,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 import gbei.hilbert as hilbert_module
-from gbei import (PartiteSpec, complete_multipartite, generalized_bei, predict,
-                  prime_component)
+from gbei import PartiteSpec, complete_multipartite, generalized_bei, predict
 from gbei.hilbert import (
     HilbertSeries,
     MonomialIdeal,
@@ -87,10 +86,10 @@ def test_known_minimal_constructor_equals_the_checked_one(order):
     for spec in enumerate_specs(3, 5):
         G = complete_multipartite(spec)
         J = generalized_bei(spec.m, G)
-        P, *variable = [prime_component(spec.m, G, T) for T in predict(spec).cut_sets]
+        P, variable_sets = verify_module._stated_components(
+            spec, G, predict(spec).cut_sets, J.ring.prime)
         term_order = TermOrder.by_name(order, J.ring)
-        M = verify_module._meet(J.ring.nvars,
-                                [verify_module._variables(A) for A in variable])
+        M = verify_module._meet(J.ring.nvars, variable_sets)
         ideals = [[g.leading_monomial(term_order) for g in I.groebner_basis(term_order)]
                   for I in (J, P)] + [list(M.gens)]
         for gens in ideals:

@@ -74,7 +74,7 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.hochster.betti_table", "gbei.hochster.depth_and_regularity",
                  "gbei.hilbert._kpoly", "gbei.hilbert.hilbert_series",
                  "gbei.groebner._spair", "gbei.verify.Ideal",
-                 "gbei.verify.verify", "gbei.verify._variables",
+                 "gbei.verify.verify", "gbei.verify._stated_components",
                  "gbei.verify._segre_floor", "gbei.verify._meet_series",
                  "gbei.verify.hilbert_series",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -307,24 +308,37 @@ def test_sweep_and_summarize():
 # ---------------------------------------------------------------------------
 # the decomposition row: containment, then HS(S/J) == HS(S/∩P_T)
 
-def _patch_components(monkeypatch, edit):
-    """verify() builds each P_T as edit(T, P_T)."""
+def _patch_determinantal(monkeypatch, edit):
+    """verify() builds P_∅ as edit(P_∅); it builds no other P_T."""
     original = verify_module.prime_component
 
     def patched(m, G, T, prime):
-        return edit(tuple(T), original(m, G, T, prime))
+        return edit(original(m, G, T, prime))
 
     monkeypatch.setattr(verify_module, "prime_component", patched)
 
 
-def _drop_last_component(monkeypatch):
+def _patch_cut_sets(monkeypatch, edit):
+    """verify() is given the family edit(spec, C) for the predicted C."""
     original = verify_module.predict
 
-    def fewer(spec):
+    def edited(spec):
         pred = original(spec)
-        return dataclasses.replace(pred, cut_sets=pred.cut_sets[:-1])
+        return dataclasses.replace(pred, cut_sets=edit(spec, pred.cut_sets))
 
-    monkeypatch.setattr(verify_module, "predict", fewer)
+    monkeypatch.setattr(verify_module, "predict", edited)
+
+
+def _drop_last_component(monkeypatch):
+    _patch_cut_sets(monkeypatch, lambda spec, cuts: cuts[:-1])
+
+
+def _stated(spec, cut_sets=None, prime=DEFAULT_PRIME):
+    """P and the variable bitmasks verify() checks for spec's family."""
+    if cut_sets is None:
+        cut_sets = verify_module.predict(spec).cut_sets
+    return verify_module._stated_components(
+        spec, complete_multipartite(spec), cut_sets, prime)
 
 
 def _flip_x11(P):
@@ -362,16 +376,14 @@ def test_dropped_component_fails_only_the_series_check(parts, monkeypatch):
 
 
 def test_perturbed_determinantal_generator_is_a_mismatch(monkeypatch):
-    def perturb(T, P):
-        if T:
-            return P
+    def perturb(P):
         first, *rest = P.gens
         low = min(first.terms)
         terms = dict(first.terms)
         terms[low] *= 2
         return Ideal(P.ring, [Poly(P.ring, terms)] + rest)
 
-    _patch_components(monkeypatch, perturb)
+    _patch_determinantal(monkeypatch, perturb)
     report = verify(PartiteSpec(3, (1, 2)), hochster_cap=0)
     assert report.row("decomposition")["status"] == "mismatch"
 
@@ -379,12 +391,8 @@ def test_perturbed_determinantal_generator_is_a_mismatch(monkeypatch):
 def test_shifted_cut_set_is_a_mismatch(monkeypatch):
     spec = PartiteSpec(2, (2, 2))
     wrong, right = spec.complement(spec.s), spec.complement(spec.s + 1)
-    original = verify_module.prime_component
-
-    def shifted(m, G, T, prime):
-        return original(m, G, right if tuple(T) == wrong else T, prime)
-
-    monkeypatch.setattr(verify_module, "prime_component", shifted)
+    _patch_cut_sets(monkeypatch, lambda spec, cuts: tuple(
+        right if T == wrong else T for T in cuts))
     fallbacks = _count_fallbacks(monkeypatch)
     report = verify(spec, hochster_cap=0)
     assert _rows(report) == ("match", "mismatch")
@@ -395,21 +403,19 @@ def test_series_preserving_automorphism_is_caught_by_containment(monkeypatch):
     # x[1,1] -> -x[1,1] keeps HS(S/I) equal to HS(S/J) (an odd prime makes
     # it a real change), so only the containment gate can reject it
     spec = PartiteSpec(3, (1, 2))
-    G = complete_multipartite(spec)
-    J = generalized_bei(spec.m, G)
-    parts = [prime_component(spec.m, G, T) for T in verify_module.predict(spec).cut_sets]
+    J = generalized_bei(spec.m, complete_multipartite(spec))
+    P, variable_sets = _stated(spec)
     target = hilbert_series(J.initial_ideal())
-    flipped = verify_module._meet_series(
-        _flip_x11(parts[0]), [verify_module._variables(A) for A in parts[1:]])
+    flipped = verify_module._meet_series(_flip_x11(P), variable_sets)
     assert flipped == target  # the bound alone settles it
 
-    _patch_components(monkeypatch, lambda T, P: P if T else _flip_x11(P))
+    _patch_determinantal(monkeypatch, _flip_x11)
     report = verify(spec, hochster_cap=0)
     assert _rows(report) == ("mismatch", "mismatch")
 
 
 def _variable_components(spec):
-    """J and the components P_T with T ≠ ∅ of a spec, as verify() builds them."""
+    """J and the components P_T with T ≠ ∅ of a spec, from the definition."""
     G = complete_multipartite(spec)
     J = generalized_bei(spec.m, G)
     cut_sets = verify_module.predict(spec).cut_sets[1:]
@@ -417,11 +423,13 @@ def _variable_components(spec):
 
 
 def test_support_test_agrees_with_division_on_the_variable_components():
+    # the bitmasks verify() checks against the P_T of the definition
     members = 0
     for spec in enumerate_specs(3, 5):
         J, variable = _variable_components(spec)
-        for A in variable:
-            V = verify_module._variables(A)
+        _, variable_sets = _stated(spec)
+        assert len(variable_sets) == len(variable), spec
+        for A, V in zip(variable, variable_sets):
             for g in J.gens:
                 holds = A.contains(g)
                 assert verify_module._in_variable_ideals([g], [V]) is holds, spec
@@ -454,12 +462,14 @@ def test_one_term_outside_the_variables_is_no_member(seed):
 
 def test_first_row_only_component_fails_containment(monkeypatch):
     # P_T keeps x[1,j] for j in T but drops the other rows' variables over T
-    def first_row(T, P):
-        if not T:
-            return P
-        return Ideal(P.ring, [P.ring.variable(1, j) for j in T])
+    original = verify_module._stated_components
 
-    _patch_components(monkeypatch, first_row)
+    def first_row(spec, G, cut_sets, prime):
+        P, variable_sets = original(spec, G, cut_sets, prime)
+        row = sum(1 << P.ring.var_index(1, j) for j in range(1, spec.n + 1))
+        return P, [V & row for V in variable_sets]
+
+    monkeypatch.setattr(verify_module, "_stated_components", first_row)
     spec = PartiteSpec(3, (1, 2))
     report = verify(spec, hochster_cap=0)
     assert _rows(report) == ("mismatch", "mismatch")
@@ -482,12 +492,9 @@ def test_no_basis_for_a_variable_component(monkeypatch):
 
 
 def test_no_floor_for_j_from_components_that_fail_containment(monkeypatch):
-    # with first-row components, P_0 ∩ M is no longer above J, and its
-    # bound is not a floor for J's basis: the rows read off in(J) still match
-    def first_row(T, P):
-        return P if not T else Ideal(P.ring, [P.ring.variable(1, j) for j in T])
-
-    _patch_components(monkeypatch, first_row)
+    # T = {2} leaves the edge {1, 3}, so P_0 ∩ M is no longer above J, and
+    # its bound is not a floor for J's basis: the rows read off in(J) still match
+    _patch_cut_sets(monkeypatch, lambda spec, cuts: cuts[:-1] + ((2,),))
     for spec in [PartiteSpec(2, (1, 2)), PartiteSpec(2, (1, 3)), PartiteSpec(3, (1, 2))]:
         report = verify(spec, hochster_cap=0)
         assert _rows(report) == ("mismatch", "mismatch"), spec
@@ -536,11 +543,9 @@ def test_the_segre_image_has_room_for_every_exponent(k):
 @pytest.mark.parametrize("parts", [(1, 2), (2, 2), (1, 1, 3)])
 def test_a_dropped_component_makes_a_strict_floor_that_skips_nothing(parts, monkeypatch):
     spec = PartiteSpec(3, parts)
-    G = complete_multipartite(spec)
-    J = generalized_bei(spec.m, G)
-    P, *variable = [prime_component(spec.m, G, T) for T in
-                    verify_module.predict(spec).cut_sets[:-1]]
-    low = verify_module._meet_series(P, [verify_module._variables(A) for A in variable])
+    J = generalized_bei(spec.m, complete_multipartite(spec))
+    P, variable_sets = _stated(spec, verify_module.predict(spec).cut_sets[:-1])
+    low = verify_module._meet_series(P, variable_sets)
     assert low != hilbert_series(J.initial_ideal())
     calls = []
     spair = groebner_module._spair
@@ -624,10 +629,7 @@ def _generator_bound(P, variable_sets):
 @pytest.mark.parametrize("prime", [2, 32003])
 def test_the_bound_equals_the_bound_from_generators(prime):
     for spec in enumerate_specs(4, 5) + ELIMINATION_SPECS:
-        G = complete_multipartite(spec)
-        P, *variable = [prime_component(spec.m, G, T, prime)
-                        for T in verify_module.predict(spec).cut_sets]
-        sets = [verify_module._variables(A) for A in variable]
+        P, sets = _stated(spec, prime=prime)
         assert verify_module._meet_series(P, sets) == _generator_bound(P, sets), spec
 
 
@@ -681,39 +683,59 @@ def test_dropped_component_agrees_with_elimination(prime, monkeypatch):
     assert _elimination_verdict(spec, prime, cut_sets) is False
 
 
-def _binomial_variable_part(T, P):
-    if not T:
-        return P
-    first, *rest = P.gens
-    far = P.ring.variable(P.ring.rows, P.ring.cols)
-    return Ideal(P.ring, [first - far] + rest)
+def _shifted_series(pred):
+    numerator = (0, *pred.hilbert.numerator)  # t times the true series
+    return HilbertSeries(numerator, pred.hilbert.pole)
 
 
-def test_non_monomial_component_raises(monkeypatch, capsys):
-    _patch_components(monkeypatch, _binomial_variable_part)
-    with pytest.raises(ValueError, match="not a monomial"):
-        verify(PartiteSpec(3, (1, 2)))
-    assert main(["verify", "--m", "3", "--parts", "1,2"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not a monomial" in captured.err
+def _cuts(edit):
+    return lambda spec, pred: dataclasses.replace(
+        pred, cut_sets=edit(spec, pred.cut_sets))
 
 
-def _product_variable_part(T, P):
-    if not T:
-        return P
-    first, second, *rest = P.gens
-    return Ideal(P.ring, [first * second] + rest)
+# each wrong prediction, and the rows it makes read mismatch on how many of
+# the 26 specs of enumerate_specs(3, 5); 8 of them have all-ones parts
+WRONG_PREDICTIONS = {
+    "add {1}, leaving an edge on 18":
+        (_cuts(lambda spec, cuts: cuts + ((1,),)),
+         {"containment": 18, "decomposition": 18, "cutSets": 26}),
+    "drop the last T":
+        (_cuts(lambda spec, cuts: cuts[:-1]), {"decomposition": 26, "cutSets": 26}),
+    "drop ∅": (_cuts(lambda spec, cuts: cuts[1:]), {"decomposition": 26, "cutSets": 26}),
+    "add {2, ..., n}, leaving vertex 1 isolated":
+        (_cuts(lambda spec, cuts: cuts + (tuple(range(2, spec.n + 1)),)), {"cutSets": 26}),
+    "replace T_r by T_(r-1)":
+        (_cuts(lambda spec, cuts: cuts[:-1] + (spec.complement(spec.r - 1),)
+               if len(cuts) > 1 else cuts),
+         {"decomposition": 18, "cutSets": 18}),
+    "depth + 1": (lambda spec, pred: dataclasses.replace(pred, depth=pred.depth + 1),
+                  {"depth": 26}),
+    "reg - 1": (lambda spec, pred: dataclasses.replace(pred, reg=pred.reg - 1),
+                {"reg": 26}),
+    "series times t": (lambda spec, pred: dataclasses.replace(
+        pred, hilbert=_shifted_series(pred)), {"hilbert": 26}),
+}
 
 
-def test_product_of_variables_component_raises(monkeypatch, capsys):
-    # x·y in place of x and y is a monomial, but M is a meet of variable
-    # sets only, so it gives no verdict (a binomial is the test above)
-    _patch_components(monkeypatch, _product_variable_part)
-    with pytest.raises(ValueError, match="not a monomial of degree one"):
-        verify(PartiteSpec(3, (1, 2)))
-    assert main(["verify", "--m", "3", "--parts", "1,2"]) == 3
-    assert "not a monomial of degree one" in capsys.readouterr().err
+@pytest.mark.parametrize("prime", [2, 32003])
+def test_a_wrong_prediction_reads_mismatch_and_never_raises(prime, monkeypatch):
+    computed = ("dim", "depth", "reg", "hilbert", "mult", "cutSets")
+    specs = enumerate_specs(3, 5)
+    assert len(specs) == 26 and sum(spec.all_ones for spec in specs) == 8
+    truth = {spec: verify(spec, prime=prime) for spec in specs}
+    assert not any(report.has_mismatch for report in truth.values())
+    original = verify_module.predict
+    for name, (wrong, expected) in WRONG_PREDICTIONS.items():
+        monkeypatch.setattr(verify_module, "predict",
+                            lambda spec, wrong=wrong: wrong(spec, original(spec)))
+        caught = Counter()
+        for spec in specs:
+            report = verify(spec, prime=prime)
+            caught.update(row["name"] for row in report.invariants
+                          if row["status"] == "mismatch")
+            assert all(report.row(row)["computed"] == truth[spec].row(row)["computed"]
+                       for row in computed), (name, spec)
+        assert caught == expected, name
 
 
 def _lcm_meet(nvars, variable_sets):

@@ -183,17 +183,13 @@ def links():
 def _decomposition(m, parts):
     """J, P_0 and the variable bitmasks of the other predicted components,
     as `verify()` forms them."""
-    from gbei import (PartiteSpec, complete_multipartite, generalized_bei,
-                      predict, prime_component)
-    from gbei.verify import _variables
+    from gbei import PartiteSpec, complete_multipartite, generalized_bei, predict
+    from gbei.verify import _stated_components
 
     spec = PartiteSpec(m, parts)
     G = complete_multipartite(spec)
     J = generalized_bei(m, G, PRIME)
-    P, *variable = [prime_component(m, G, T, PRIME)
-                    for T in predict(spec).cut_sets]
-    variable_sets = [_variables(A) for A in variable]
-    return J, P, variable_sets
+    return J, *_stated_components(spec, G, predict(spec).cut_sets, PRIME)
 
 
 def _hilbert_ideals():
