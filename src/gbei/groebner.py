@@ -18,9 +18,9 @@ each queued pair is reduced unless a Hilbert floor, a series proven at
 most HS(S/I), shows it is zero (see `_complete`).  A last pass keeps
 the first entry per lm, and for a table of several degrees only the lms
 that `MonomialIdeal` keeps as minimal generators, then reduces the
-tails.  For generators of one degree, as every basis `verify()` builds,
-distinct lms never divide each other, so only a repeated lm is dropped
-there, and only a tail holding an lm is reduced.
+tails.  For generators of one degree, as in the bases `verify()` builds,
+P_∅'s and J's fallback, distinct lms never divide each other, so only a
+repeated lm is dropped there, and only a tail holding an lm is reduced.
 `Ideal._basis` is the one place a basis is built: it keeps one (packing,
 reduced table, series) per term order, which `contains` and `initial_ideal` read.
 

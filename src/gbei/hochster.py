@@ -39,7 +39,7 @@ from operator import or_
 from .errors import CapExceededError
 from .rings import DEFAULT_PRIME, is_prime, iter_bits, minimal_masks, mono_mask
 
-HOCHSTER_CAP = 15
+HOCHSTER_CAP = 18
 
 
 class SimplicialComplex:
@@ -215,7 +215,7 @@ def _check_input(name, ideal, p, cap):
             f"{ideal.nvars} variables exceeds the Hochster cap of {cap}")
 
 
-def betti_table(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
+def betti_table(ideal, p=DEFAULT_PRIME, cap=15):
     """Full Betti table of S/I for a squarefree monomial ideal I.
 
     Only sigma that are unions of generator supports can carry homology

@@ -12,7 +12,7 @@ still an independent check.
 
 The containment and decomposition rows check the decomposition J = I :=
 ∩ P_T that `Prediction.components` states, without computing I, before
-J's basis: P_∅ from its definition, and for every other T the variable
+in(J): P_∅ from its definition, and for every other T the variable
 ideal (x_T).  J ⊆ (x_T) iff every edge of G meets T, so a stated T that
 leaves an edge reads mismatch.  (x_T) holds a polynomial exactly when
 each of its terms holds one of its variables, a test on support bitmasks,
@@ -22,9 +22,11 @@ gives HS(S/P_∅) ≥ HS(k[s_i t_j]).  With M the meet of the other P_T,
 HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)); with in(P_∅) + M for
 P_∅ + M the sum is `low` ≤ HS(S/I), its monomial series by
 inclusion–exclusion over the unions of the P_T's variable sets.
-Once J ⊆ I, S/J → S/I is a graded surjection, so low is a floor for J's
-basis, and J = I iff HS(S/J) = HS(S/I): low == HS(S/J) settles the row,
-and only otherwise does P_∅ + M get a basis.
+Once J ⊆ I, S/J → S/I is a graded surjection, so low is a floor for J,
+and J = I iff HS(S/J) = HS(S/I): low == HS(S/J) settles the row, and only
+otherwise does P_∅ + M get a basis.  Then in(J) takes no S-pair: leading
+terms of elements of J, each checked by a ±1 cofactor identity, have a
+series equal to low (`_certified_initial`), else J's basis is built.
 
 Caps are per stage: an instance too big for Buchberger still gets its cut
 sets and path checked, and one past the Hochster cap still gets
@@ -46,12 +48,12 @@ from operator import mul
 from .formulas import generalized_bei, predict, prime_component
 from .graphs import (CUT_SET_CAP, PartiteSpec, complete_multipartite,
                      cut_sets, konig_path, path_target_length, validate_path)
-from .groebner import Ideal, TermOrder
+from .groebner import Ideal, TermOrder, _Packing
 from .hilbert import (HilbertSeries, MonomialIdeal, _mul_one_minus_t_power,
                       hilbert_series, krull_dimension, multiplicity)
 from .hochster import HOCHSTER_CAP, depth_and_regularity
-from .rings import (DEFAULT_PRIME, Poly, Ring, minimal_masks, mono_coprime,
-                    mono_mask)
+from .rings import (DEFAULT_PRIME, Poly, Ring, iter_bits, minimal_masks,
+                    mono_coprime, mono_mask)
 # Unused here; kept because the benchmark tracer patches these by name.
 from .groebner import ideals_equal, intersect  # noqa: F401
 from .hochster import betti_table  # noqa: F401
@@ -191,10 +193,57 @@ def _meet_series(P, variable_sets, exact=False):
     return series
 
 
+def _signed_minor(x, a, b, c, d):
+    """D(ab;cd) = x[a,c]x[b,d] − x[a,d]x[b,c] as (packed monomial, sign)
+    pairs, x the packed variables by (row, column); none when a == b."""
+    return () if a == b else ((x[a, c] + x[b, d], 1), (x[a, d] + x[b, c], -1))
+
+
+def _certified_initial(J, G, term_order, low):
+    """in(J) with no S-pair reduced, given `low` ≤ HS(S/J), or None.
+
+    L holds the lms of J's generators and x[r,v]·lm(D(ij;kl)) for each
+    non-edge {k,l} of G, v adjacent to both, i < j and row r, each product
+    checked by expanding x[r,v]·D(ij;kl) = x[r,k]·D(ij;vl) +
+    x[i,l]·D(jr;vk) − x[j,l]·D(ir;vk).  Every minor on the right lies on
+    the edge {v,l} or {v,k}, so it is ± a generator of J, and L ⊆ in(J):
+    HS(S/L) ≥ HS(S/J) ≥ low, so HS(S/L) == low proves L = in(J).  Products
+    a quadric lm divides, or already in L, are skipped: L is minimal."""
+    ring, packing = J.ring, _Packing(term_order)
+    rows, cols = range(1, ring.rows + 1), range(1, ring.cols + 1)
+    # x[a,b] packed: a 1 in the field of its rank
+    x = {(a, b): 1 << 8 * (ring.nvars - 1 - packing.rank[ring.var_index(a, b)])
+         for a in rows for b in cols}
+    quadrics = {max(packing.pack_terms(g.terms)) for g in J.gens}
+    cubics, adjacent = set(), G.adjacency_masks()
+    for k, l in combinations(cols, 2):
+        common = 0 if G.has_edge(k, l) else adjacent[k] & adjacent[l]
+        for v in (bit + 1 for bit in iter_bits(common)):  # bit v - 1 is vertex v
+            for i, j in combinations(rows, 2):
+                a, b = max((x[i, k], x[j, l]), (x[i, l], x[j, k]), key=sum)
+                for r in rows:
+                    c = x[r, v]
+                    lead = a + b + c
+                    if {a + b, a + c, b + c} & quadrics or lead in cubics:
+                        continue
+                    total = {}  # the right side minus the left, term by term
+                    for shift, sign, minor in (
+                            (c, -1, (i, j, k, l)), (x[r, k], 1, (i, j, v, l)),
+                            (x[i, l], 1, (j, r, v, k)), (x[j, l], -1, (i, r, v, k))):
+                        for mono, s in _signed_minor(x, *minor):
+                            total[shift + mono] = total.get(shift + mono, 0) + sign * s
+                    if any(total.values()):
+                        return None
+                    cubics.add(lead)
+    L = MonomialIdeal._of_minimal(ring.nvars, map(packing.unpack, quadrics | cubics))
+    return L if hilbert_series(L) == low else None
+
+
 def _floored_basis(spec, G, cut_sets, prime, term_order, timing):
-    """The decomposition stage, then J's basis under low if J ⊆ I, timed
-    into `timing`: P_∅, the other components' variable bitmasks, low, J ⊆ I,
-    in(J), and HS(S/J) if the floor proved it, else None."""
+    """The decomposition stage, then in(J), timed into `timing`: P_∅, the
+    other components' variable bitmasks, low, J ⊆ I, in(J), and HS(S/J) if
+    low proved it, else None.  If J ⊆ I, in(J) is certified, or, failing
+    that, read off J's basis under the floor low; else off J's plain basis."""
     t0 = time.perf_counter()
     J = generalized_bei(spec.m, G, prime)
     P, variable_sets = _stated_components(spec, G, cut_sets, prime)
@@ -204,8 +253,11 @@ def _floored_basis(spec, G, cut_sets, prime, term_order, timing):
     timing["decomposition"] = (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
     # J ⊆ P_∅ ∩ M makes low a floor: HS(S/J) ≥ HS(S/(P_∅ ∩ M)) ≥ low
-    found = J._basis(term_order, low if contained else None)[2]
-    ini = J.initial_ideal(term_order)
+    ini = _certified_initial(J, G, term_order, low) if contained else None
+    found = low
+    if ini is None:
+        found = J._basis(term_order, low if contained else None)[2]
+        ini = J.initial_ideal(term_order)
     timing["groebner"] = (time.perf_counter() - t0) * 1000
     return P, variable_sets, low, contained, ini, found
 

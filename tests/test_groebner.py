@@ -32,7 +32,7 @@ from gbei.groebner import (
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.rings import (Poly, Ring, TermOrder, mono_degree, mono_divides,
                         mono_is_squarefree, mono_lcm, packed_divides)
-from gbei.verify import enumerate_specs, verify
+from gbei.verify import _meet_series, _stated_components, enumerate_specs, verify
 
 
 def _bei(m, parts):
@@ -774,11 +774,12 @@ def test_one_degree_finish_matches_sympy(order_name, prime):
 ])
 def test_spair_counts_of_the_verify_bases(m, parts, counts, monkeypatch):
     # the S-pairs reduced for J and P_0 at p = 32003: with the pairs chosen
-    # when an entry joins by initial_ideal(), and under verify()'s Hilbert
-    # floors, the decomposition bound for J and the Segre series for P_0.
-    # Bookkeeping of the table must not add, drop or reorder any.  Under
-    # the floors each reduced S-pair is the only division: the one-degree
-    # finish finds every lm minimal and every tail reduced
+    # when an entry joins by initial_ideal(), and under the Hilbert floors,
+    # the decomposition bound for J (its basis when the certificate of
+    # in(J) fails) and the Segre series for P_0.  Bookkeeping of the table
+    # must not add, drop or reorder any.  Under the floors each reduced
+    # S-pair is the only division: the one-degree finish finds every lm
+    # minimal and every tail reduced.  verify() builds P_0's basis only
     plain, floored = counts
     calls, divisions = [], []
     spair, reduce = groebner_module._spair, groebner_module._reduce
@@ -814,10 +815,18 @@ def test_spair_counts_of_the_verify_bases(m, parts, counts, monkeypatch):
 
     monkeypatch.setattr(Ideal, "_basis", recorded)
     monkeypatch.setattr(groebner_module, "_reduce", divided)
-    verify(spec, hochster_cap=0)
-    gens = generalized_bei(m, G, 32003).gens, prime_component(m, G, (), 32003).gens
+    P, variable_sets = _stated_components(spec, G, predicted_cut_sets(spec), 32003)
+    low = _meet_series(P, variable_sets)
+    J = generalized_bei(m, G, 32003)
+    J._basis(J.default_order(), low)
+    gens = J.gens, P.gens
     assert tuple(map(built.get, gens)) == floored
     assert tuple(map(divided_by.get, gens)) == floored
+
+    built.clear()
+    divided_by.clear()
+    verify(spec, hochster_cap=0)
+    assert built == divided_by == {P.gens: floored[1]}
 
 
 # ---------------------------------------------------------------------------

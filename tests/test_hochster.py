@@ -26,7 +26,6 @@ from gbei.formulas import predicted_depth, predicted_regularity
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.rings import DEFAULT_PRIME
 from gbei.hochster import (
-    HOCHSTER_CAP,
     BettiTable,
     SimplicialComplex,
     _apexes,
@@ -480,8 +479,8 @@ def _table_invariants(ideal, p):
     return table.depth(), table.regularity()
 
 
-_SMALL_SPECS = [spec for spec in enumerate_specs(6, 6)
-                if spec.m * spec.n <= HOCHSTER_CAP]
+# the specs within the default cap of `betti_table`, 15 variables
+_SMALL_SPECS = [spec for spec in enumerate_specs(6, 6) if spec.m * spec.n <= 15]
 
 
 @pytest.mark.parametrize("p", [2, 32003])

@@ -76,6 +76,7 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.groebner._spair", "gbei.verify.Ideal",
                  "gbei.verify.verify", "gbei.verify._stated_components",
                  "gbei.verify._segre_floor", "gbei.verify._meet_series",
+                 "gbei.verify._certified_initial",
                  "gbei.verify.hilbert_series",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):
         assert name in found, name
@@ -151,11 +152,19 @@ def test_the_groebner_layer_times_what_verify_builds(monkeypatch):
     terms = json.dumps([sorted(g.terms.items()) for g in basis]).encode()
     assert row["digest"] == hashlib.sha256(terms).hexdigest()
     assert seconds > 0
+    # in(J) the way verify() gets it: by the certificate, with no S-pair
+    rows = {row["item"]: row for row, _ in bench.groebner()}
+    row = rows["4,(2,2) in(J), as verify() gets it"]
+    ini = J.initial_ideal()
+    monomials = json.dumps(sorted(ini.gens)).encode()
+    assert (row["gens"], row["basis"], row["spairs"]) == (len(ini.gens), len(ini.gens), 0)
+    assert row["digest"] == hashlib.sha256(monomials).hexdigest()
 
 
 def test_the_hilbert_layer_takes_the_series_verify_takes(monkeypatch):
     # every ideal the layer times on the first spec is one whose series
-    # verify() takes there, in its Groebner floors or its decomposition bound
+    # verify() takes there: in its certificate of in(J), P_0's Groebner
+    # floor, or its decomposition bound
     monkeypatch.syspath_prepend(str(ROOT))
     import gbei.groebner as groebner
     from gbei import PartiteSpec, verify
@@ -165,7 +174,7 @@ def test_the_hilbert_layer_takes_the_series_verify_takes(monkeypatch):
     items = [(name, ideal) for name, ideal in bench._hilbert_ideals()
              if name.startswith("4,(2,2) ")]
     assert [name for name, _ in items] == [
-        "4,(2,2) in(J)", "4,(2,2) L(J)", "4,(2,2) L(P_0)",
+        "4,(2,2) in(J)", "4,(2,2) L(P_0)",
         "4,(2,2) in(P_0) + P_U 1, |U| = 8", "4,(2,2) in(P_0) + P_U 2, |U| = 8"]
     taken = []
     for module in (groebner, verify_module):
@@ -198,6 +207,7 @@ def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
         fallbacks.calls, series.calls, spairs.calls)
     assert row["fallbacks"] == 0  # the bound settles the row
     # in(P_0) reaches its Segre floor, and the union of the two variable
-    # sets holds every variable: one small series per set
-    assert row["series"] == 2
+    # sets holds every variable: one small series per set, then HS(S/L) of
+    # the certificate of in(J), which reduces no S-pair
+    assert (row["series"], row["spairs"]) == (3, 0)
     assert seconds > 0

@@ -13,7 +13,7 @@ from gbei.cli import main
 from gbei.formulas import generalized_bei, pair_ideal, prime_component
 from gbei.graphs import (PartiteSpec, complete_graph, complete_multipartite,
                          path_target_length)
-from gbei.groebner import Ideal, ideals_equal, intersect
+from gbei.groebner import Ideal, TermOrder, ideals_equal, intersect
 from gbei.hilbert import HilbertSeries, MonomialIdeal, hilbert_series
 from gbei.rings import DEFAULT_PRIME, Poly, Ring, mono_coprime, mono_lcm
 from gbei.verify import enumerate_specs, konig_check, summarize, sweep, verify
@@ -200,6 +200,14 @@ def test_depth_and_reg_past_the_hochster_cap(m, parts):
     assert report.row("depth")["status"] == "match"
     assert report.row("reg")["status"] == "match"
     assert not report.has_mismatch
+
+
+def test_no_row_is_skipped_inside_the_groebner_cap():
+    # both default caps are 18: depth and reg are computed on the 68 specs
+    # of 16 to 18 variables too, and every row matches
+    specs = [s for s in enumerate_specs(9, 9) if 16 <= s.m * s.n <= 18]
+    assert len(specs) == 68
+    assert summarize(sweep(specs)) == {"match": 612, "mismatch": 0, "skipped": 0}
 
 
 def test_cutset_cap_skips_enumeration():
@@ -476,19 +484,26 @@ def test_first_row_only_component_fails_containment(monkeypatch):
 
 
 def test_no_basis_for_a_variable_component(monkeypatch):
-    built = []
-    original = Ideal._basis
+    # on a true spec verify() builds one basis, P_0's, under its Segre
+    # floor: none for a variable component, and none for J, whose initial
+    # ideal the certificate gives, so no S-pair is reduced at all
+    built, spairs = [], []
+    original, spair = Ideal._basis, groebner_module._spair
 
     def recorded(self, order, floor=None):
         built.append(self.gens)
         return original(self, order, floor)
 
     monkeypatch.setattr(Ideal, "_basis", recorded)
-    for spec in enumerate_specs(3, 4):
-        J, variable = _variable_components(spec)
-        built.clear()
-        assert verify(spec, hochster_cap=0).row("containment")["status"] == "match"
-        assert built and not set(built) & {A.gens for A in variable}, spec
+    monkeypatch.setattr(groebner_module, "_spair",
+                        lambda *args: spairs.append(None) or spair(*args))
+    for spec in enumerate_specs(3, 5) + ELIMINATION_SPECS:
+        P, _ = _stated(spec)
+        for order in ("lex-row-major", "lex-column-major"):
+            built.clear()
+            assert verify(spec, order=order, hochster_cap=0).row(
+                "containment")["status"] == "match"
+            assert set(built) == {P.gens} and not spairs, (spec, order)
 
 
 def test_no_floor_for_j_from_components_that_fail_containment(monkeypatch):
@@ -567,23 +582,33 @@ def test_a_dropped_component_makes_a_strict_floor_that_skips_nothing(parts, monk
 @pytest.mark.parametrize("prime", [2, 32003])
 def test_floored_bases_equal_plain_bases(prime, monkeypatch):
     floored = []  # (ideal, order) of each basis verify() builds under a floor
-    basis = Ideal._basis
+    certified = []  # (J, order, in(J)) of each certificate verify() takes
+    basis, certify = Ideal._basis, verify_module._certified_initial
 
     def recorded(self, order, floor=None):
         if floor is not None and order.perm not in self._bases:
             floored.append((self, order))
         return basis(self, order, floor)
 
+    def recorded_certificate(J, G, term_order, low):
+        ini = certify(J, G, term_order, low)
+        certified.append((J, term_order, ini))
+        return ini
+
     monkeypatch.setattr(Ideal, "_basis", recorded)
+    monkeypatch.setattr(verify_module, "_certified_initial", recorded_certificate)
     for spec in [s for s in enumerate_specs(8, 8) if s.m * s.n <= 16]:
         for order in ("lex-row-major", "lex-column-major"):
             floored.clear()
+            certified.clear()
             verify(spec, prime=prime, order=order, hochster_cap=0)
-            assert len(floored) == 2, spec  # P_0 and J
+            assert len(floored) == 1, spec  # P_0
             for ideal, term_order in floored:
                 plain = Ideal(ideal.ring, ideal.gens)
                 assert (ideal.groebner_basis(term_order)
                         == plain.groebner_basis(term_order)), (spec, order)
+            [(J, term_order, ini)] = certified
+            assert ini == Ideal(J.ring, J.gens).initial_ideal(term_order), (spec, order)
 
 
 # the specs of the benchmark's verify-elimination workload
@@ -600,6 +625,75 @@ def test_the_bound_settles_every_true_spec(order, monkeypatch):
     for spec in enumerate_specs(3, 5) + ELIMINATION_SPECS:
         report = verify(spec, order=order, hochster_cap=0)
         assert report.row("decomposition")["status"] == "match", spec
+
+
+def _floors(spec, prime):
+    """J, G, low, and low from the family with its last T dropped, a floor
+    strictly below HS(S/J) when the spec has a T ≠ ∅."""
+    G = complete_multipartite(spec)
+    cut_sets = verify_module.predict(spec).cut_sets
+    low, dropped = (verify_module._meet_series(*_stated(spec, family, prime))
+                    for family in (cut_sets, cut_sets[:-1]))
+    return generalized_bei(spec.m, G, prime), G, low, dropped
+
+
+_SIGNED_MINOR = verify_module._signed_minor
+
+
+def _permanent(x, a, b, c, d):
+    """The signed minor with its second sign flipped."""
+    return [(mono, 1) for mono, _ in _SIGNED_MINOR(x, a, b, c, d)]
+
+
+@pytest.mark.parametrize("prime", [2, 32003])
+def test_the_certificate_gives_in_j_or_nothing(prime, monkeypatch):
+    certify = verify_module._certified_initial
+    cases = []  # (spec, J, G, order, low, dropped)
+    for spec in [s for s in enumerate_specs(8, 8) if s.m * s.n <= 16]:
+        J, G, low, dropped = _floors(spec, prime)
+        for name in ("lex-row-major", "lex-column-major"):
+            order = TermOrder.by_name(name, J.ring)
+            cases.append((spec, J, G, order, low, dropped))
+            ini = certify(J, G, order, low)
+            assert ini == Ideal(J.ring, J.gens).initial_ideal(order), (spec, name)
+            if not spec.all_ones:  # a floor below HS(S/J) proves nothing
+                assert certify(J, G, order, dropped) is None, (spec, name)
+    monkeypatch.setattr(verify_module, "_signed_minor", _permanent)
+    for spec, J, G, order, low, _ in cases:
+        if not spec.all_ones:  # G has a non-edge, so an identity to check
+            assert certify(J, G, order, low) is None, (spec, order.name)
+
+
+def _timeless(report):
+    doc = report.to_json()
+    del doc["timingMs"]
+    return doc
+
+
+@pytest.mark.parametrize("mutant", ["permanent", "dropped T in the floor"])
+def test_a_failed_certificate_falls_back_to_buchberger(mutant, monkeypatch):
+    # the certificate fails under each mutant, and verify() then builds J's
+    # basis under the true floor: the report is the unmutated one
+    specs = [s for s in enumerate_specs(3, 5) if not s.all_ones] + ELIMINATION_SPECS
+    truth = [_timeless(verify(spec, hochster_cap=0)) for spec in specs]
+    built, basis = [], Ideal._basis
+    certify = verify_module._certified_initial
+
+    def recorded(self, order, floor=None):
+        built.append((self.gens, floor))
+        return basis(self, order, floor)
+
+    monkeypatch.setattr(Ideal, "_basis", recorded)
+    if mutant == "permanent":
+        monkeypatch.setattr(verify_module, "_signed_minor", _permanent)
+    for spec, expected in zip(specs, truth):
+        J, _, low, dropped = _floors(spec, DEFAULT_PRIME)
+        if mutant == "dropped T in the floor":
+            monkeypatch.setattr(verify_module, "_certified_initial",
+                                lambda J, G, order, low: certify(J, G, order, dropped))
+        built.clear()
+        assert _timeless(verify(spec, hochster_cap=0)) == expected, spec
+        assert (J.gens, low) in built, spec
 
 
 def test_a_strict_bound_falls_back_to_the_exact_series(monkeypatch):

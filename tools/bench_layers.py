@@ -11,14 +11,15 @@ LAYER is one of
   the faces of the union of the supports, the faces the link walk visits,
   the non-coned faces, the links reduced (`_collapsed_ranks` calls), the
   reductions on faces under them, and (depth, reg);
-- hilbert: `hilbert_series` on 24 monomial ideals, the series `verify()`
+- hilbert: `hilbert_series` on 20 monomial ideals, the series `verify()`
   takes on 4 specs and in(J) on 3 specs of 24 variables, with the
   generators, the recursion nodes (`_kpoly` calls) and the series;
-- groebner: the Groebner bases `verify()` builds, in(J) on 5 specs (4
-  under the Hilbert floor `verify()` passes) and on 3 specs of 24
-  variables, and in(P_0) under its Segre floor then the containment test
-  on 4, with the generators, the basis size, the S-pairs reduced
-  (`_spair` calls) and a SHA-256 of the basis;
+- groebner: the Groebner bases `verify()` builds or falls back to, in(J)
+  on 5 specs (4 under the Hilbert floor `verify()` passes) and on 3 specs
+  of 24 variables, in(P_0) under its Segre floor then the containment test
+  on 4, and in(J) on those 4 the way `verify()` gets it, with the
+  generators, the basis size, the S-pairs reduced (`_spair` calls) and a
+  SHA-256 of the basis, or for in(J) alone of its generators;
 - decomposition: `verify()` (Groebner cap 30, Hochster cap 0) on the 4
   verify-elimination specs and on 5 specs of 24 to 30 variables, with the
   row statuses, the exact fallbacks (calls of `gbei.verify.Ideal`, which
@@ -194,12 +195,12 @@ def _decomposition(m, parts):
 
 def _hilbert_ideals():
     """Monomial ideals whose series `verify()` takes on the verify-elimination
-    specs: L(J) and L(P_0), the leading terms of the generators, whose
-    series open the Hilbert-floor checks of J's and P_0's bases; in(J),
-    where J's floor checks end; and the small series of the decomposition
-    bound, HS(S/(in(P_0) + P_U)) for each union U of the variable sets,
-    caught as `verify._meet_series` takes them.  Then in(J) alone for the
-    specs past the Groebner cap."""
+    specs: in(J), whose series checks the certificate of in(J); L(P_0),
+    the leading terms of P_0's generators, whose series opens the
+    Hilbert-floor check of P_0's basis; and the small series of the
+    decomposition bound, HS(S/(in(P_0) + P_U)) for each union U of the
+    variable sets, caught as `verify._meet_series` takes them.  Then in(J)
+    alone for the specs past the Groebner cap."""
     from gbei import MonomialIdeal, TermOrder
 
     verify_module = importlib.import_module("gbei.verify")
@@ -208,11 +209,9 @@ def _hilbert_ideals():
         yield f"{name} in(J)", _initial(m, parts)
         if (m, parts) in LARGE_SPECS:
             continue
-        J, P, variable_sets = _decomposition(m, parts)
-        for label, ideal in (("J", J), ("P_0", P)):
-            order = TermOrder.lex_row_major(ideal.ring)
-            yield f"{name} L({label})", MonomialIdeal._of_minimal(
-                ideal.ring.nvars, {g.leading_monomial(order) for g in ideal.gens})
+        _, P, variable_sets = _decomposition(m, parts)
+        yield f"{name} L(P_0)", MonomialIdeal._of_minimal(P.ring.nvars, {
+            g.leading_monomial(TermOrder.lex_row_major(P.ring)) for g in P.gens})
         small = []
         series = verify_module.hilbert_series
         verify_module.hilbert_series = lambda ideal: small.append(ideal) or series(ideal)
@@ -245,13 +244,18 @@ def _groebner_calls():
     the verify-elimination specs, the containment row's test: P_0's basis
     under its Segre floor, J's generators divided by it and tested on their
     support bitmasks against the other components' variables, followed by
-    in(P_0).  A side with no Hilbert floors builds every basis with none,
-    as its `verify()` does."""
-    from gbei import Ideal, PartiteSpec, complete_multipartite, generalized_bei
+    in(P_0); then in(J) on those specs the way `verify()` gets it, by the
+    certificate `_certified_initial` on a side that has it, else, as
+    `verify()` falls back, by J's basis under the decomposition bound.  A
+    side with no Hilbert floors builds every basis with none, as its
+    `verify()` does."""
+    from gbei import (Ideal, PartiteSpec, TermOrder, complete_multipartite,
+                      generalized_bei)
     from gbei.rings import mono_mask
 
     verify_module = importlib.import_module("gbei.verify")
     segre = getattr(verify_module, "_segre_floor", None)
+    certify = getattr(verify_module, "_certified_initial", None)
 
     def initial(ideal, floor=None):
         if floor is None:
@@ -269,6 +273,13 @@ def _groebner_calls():
             sys.exit("error: J is not inside the predicted components")
         return initial(fresh)
 
+    def certified(J, G, floor):
+        order = TermOrder.lex_row_major(J.ring)
+        ini = certify(J, G, order, floor) if certify and floor is not None else None
+        if ini is None:
+            ini = initial(Ideal(J.ring, J.gens), floor).initial_ideal(order)
+        return ini
+
     for m, parts in dict.fromkeys(MEET_SPECS + CLI_HILBERT_SPECS + LARGE_SPECS):
         J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), PRIME)
         floor = None
@@ -281,18 +292,28 @@ def _groebner_calls():
         J, P, variable_sets = _decomposition(m, parts)
         yield (f"{_spec_name(m, parts)} containment, in(P_0)",
                lambda J=J, P=P, V=variable_sets: containment(J, P, V))
+    for m, parts in MEET_SPECS:
+        J, P, variable_sets = _decomposition(m, parts)
+        G = complete_multipartite(PartiteSpec(m, parts))
+        floor = segre and verify_module._meet_series(P, variable_sets)
+        yield (f"{_spec_name(m, parts)} in(J), as verify() gets it",
+               lambda J=J, G=G, floor=floor: certified(J, G, floor))
 
 
 def groebner():
     import gbei.groebner as groebner
+    from gbei import MonomialIdeal
 
     for name, call in list(_groebner_calls()):
         _, best = _best(call)
         with _counting(groebner, "_spair") as spairs:
             ideal = call()
-        basis = ideal.groebner_basis()
-        terms = json.dumps([sorted(g.terms.items()) for g in basis]).encode()
-        yield {"item": name, "gens": len(ideal.gens), "basis": len(basis),
+        if isinstance(ideal, MonomialIdeal):  # in(J) alone: gens and basis agree
+            rows = sorted(ideal.gens)
+        else:
+            rows = [sorted(g.terms.items()) for g in ideal.groebner_basis()]
+        terms = json.dumps(rows).encode()
+        yield {"item": name, "gens": len(ideal.gens), "basis": len(rows),
                "spairs": _calls(spairs),
                "digest": hashlib.sha256(terms).hexdigest()}, best
 
