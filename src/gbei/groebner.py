@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 from operator import itemgetter, lt
 
-from .hilbert import MonomialIdeal, hilbert_series
+from .hilbert import MonomialIdeal, packed_hilbert_series
 from .rings import Poly, Ring, TermOrder, iter_bits
 
 # One byte per variable, whose top bit is the guard.
@@ -276,8 +276,8 @@ def _complete(table, packing, p, floor=None):
     while heap or pending:
         if pending and (floor is None or not heap or heap[0][0] > degree):
             if floor is not None:
-                series = hilbert_series(MonomialIdeal._of_minimal(
-                    len(packing.perm), {packing.unpack(lm) for lm, _, _ in table}))
+                series = packed_hilbert_series(
+                    len(packing.perm), {lm for lm, _, _ in table})
                 if series == floor:
                     break
             while pending:  # in any order: the heap orders the pairs

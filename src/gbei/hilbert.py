@@ -7,24 +7,40 @@ N(1); nothing is ever truncated to a power series.
 
 The recursion itself works on K-polynomials, plain numerators over the
 fixed (1-t)^nvars of the ambient ring (Bayer-Stillman 1992, Bigatti 1997),
-and reduces to lowest terms once, at the end.  It packs each generator
-once into a big-endian int: the degree on top, then one field per
-variable, variable 0 first.  The fields are the fewest whole bytes whose
-top bit, a guard, stays clear of the ideal's largest degree, so no
-exponent is refused, and every node's generators fit since they divide
-the ideal's.  Int order is then degree-lex order, a colon by a variable
-is a subtraction, and divisibility is the guard test `groebner` uses too.
+and reduces to lowest terms once, at the end.  Every series enters it at
+`_series`, with each generator packed once into a big-endian int: the
+degree on top, then one field per variable.  The fields are the fewest
+whole bytes whose top bit, a guard, stays clear of the ideal's largest
+degree, so no exponent is refused, and every node's generators fit since
+they divide the ideal's.  Int order is then degree-lex order, a colon by a
+variable is a subtraction, and divisibility is the guard test `groebner`
+uses too.  `hilbert_series` packs exponent tuples, variable 0 first;
+`packed_hilbert_series` takes the one-byte fields `groebner` packs leading
+monomials into as they are, in the term order's variable order, since a
+series does not change when the variables are permuted.
+
+No node holds a linear generator.  In a minimal generating set x_w is the
+only generator x_w divides, so K(I) = (1 - t) K(I without x_w): a node is
+its other generators and the count of linear ones taken out, and its base
+case multiplies by (1 - t)^count.  I + (x) adds one to the count.  I : x
+moves its linear quotients into the count and drops every pivot-free
+generator holding one of their variables, by one support-mask test; of
+the rest, a squarefree cubic is tested by looking its 2-subsets up among
+the supports of the quadric quotients, and only the others are tested
+against the quotients one by one.  A linear generator's variable is never
+a pivot, so the pivots, and the nodes, are those of the recursion that
+keeps them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate, compress, pairwise, zip_longest
+from itertools import accumulate, chain, compress, pairwise, zip_longest
 from math import comb
 from operator import add, mul, not_, or_, sub
 
-from .rings import (iter_bits, mono_degree, mono_divides, mono_is_squarefree,
-                    packed_divides, terms_text)
+from .rings import iter_bits, mono_degree, mono_divides, packed_divides, terms_text
 
 
 def _degree_lex(mono):
@@ -76,7 +92,7 @@ class MonomialIdeal:
         return bool(self.gens) and not any(self.gens[0])
 
     def is_squarefree(self):
-        return all(mono_is_squarefree(g) for g in self.gens)
+        return max(chain.from_iterable(self.gens), default=0) <= 1
 
     def contains(self, mono):
         return any(mono_divides(g, mono) for g in self.gens)
@@ -174,7 +190,48 @@ def _mul_one_minus_t_power(coeffs, k):
 # the pivot recursion
 
 def hilbert_series(ideal):
-    """Hilbert series of (polynomial ring)/(ideal).
+    """Hilbert series of (polynomial ring)/(ideal), its generators packed
+    as the module says."""
+    nvars = ideal.nvars
+    degrees = list(map(sum, ideal.gens))
+    width = 8 * (max(degrees, default=0).bit_length() // 8 + 1)
+    # each generator is a sum over its nonzero fields
+    lows = [1 << width * v for v in reversed(range(nvars))]
+    return _series(nvars, width, [
+        sum(map(mul, compress(g, g), compress(lows, g)), d << width * nvars)
+        for g, d in zip(ideal.gens, degrees)])
+
+
+def packed_hilbert_series(nvars, monos):
+    """HS(S/I), I minimally generated by the distinct monos, ints of one
+    byte per variable in any variable order, as `groebner._Packing` packs
+    monomials.  While every degree is under 128 those bytes are the
+    recursion's fields as they are; past that the exponent tuples take the
+    wider fields `hilbert_series` picks."""
+    top = 8 * nvars
+    gens = sorted(sum(x.to_bytes(nvars, "big")) << top | x for x in monos)
+    if not gens or gens[-1] >> top < 0x80:
+        return _series(nvars, 8, gens)
+    return hilbert_series(MonomialIdeal._of_minimal(nvars, [
+        tuple((g & (1 << top) - 1).to_bytes(nvars, "big")) for g in gens]))
+
+
+class _Run:
+    """The packing of one series: nvars fields of `width` bits, their top
+    bits `guard` and low bits `ones`, below the degree."""
+
+    __slots__ = ("nvars", "width", "guard", "ones")
+
+    def __init__(self, nvars, width):
+        self.nvars = nvars
+        self.width = width
+        self.ones = ((1 << width * nvars) - 1) // ((1 << width) - 1)
+        self.guard = self.ones << (width - 1)
+
+
+def _series(nvars, width, gens):
+    """HS(S/I) of I's packed minimal generators, sorted: the one entry of
+    the pivot recursion.
 
     Recursion on a pivot variable x: counting monomials outside I splits
     along divisibility by x into K(I) = K(I + (x)) + t*K(I : x).  The pivot
@@ -183,62 +240,44 @@ def hilbert_series(ideal):
     bottoms out at the split-free base cases.  It runs as one loop over a
     stack of (node, power of t), I + (x) on top so that nodes are visited
     as a depth-first recursion would, I : x one power of t higher; each
-    base case adds its K-polynomial at its power into one running sum.
+    base case adds its K-polynomial at its power into one running sum.  A
+    node is (generators, linear count), as the module says; the root's
+    linear generators, a prefix in degree order, go into its count.
     """
-    run = _Run(ideal)
+    if gens and not gens[0]:
+        return HilbertSeries((), 0)  # the unit ideal, a zero quotient
+    run = _Run(nvars, width)
+    linear = bisect_left(gens, 2 << width * nvars)
     total = []
-    stack = [(run.root, 0)]
+    stack = [(gens[linear:], linear, 0)]
     while stack:
-        gens, shift = stack.pop()
-        got = _kpoly(gens, run)
+        gens, linear, shift = stack.pop()
+        got = _kpoly(gens, linear, run)
         if isinstance(got, tuple):  # (I + (x), I : x)
-            stack += (got[1], shift + 1), (got[0], shift)
+            stack += (*got[1], shift + 1), (*got[0], shift)
         else:
             total += [0] * (shift + len(got) - len(total))
             total[shift:shift + len(got)] = map(add, total[shift:], got)
-    return HilbertSeries(total, ideal.nvars)
+    return HilbertSeries(total, nvars)
 
 
-class _Run:
-    """One ideal's generators, packed as the module says: fields of `width`
-    bits, their top bits `guard` and low bits `ones`."""
-
-    __slots__ = ("nvars", "width", "guard", "ones", "root")
-
-    def __init__(self, ideal):
-        self.nvars = nvars = ideal.nvars
-        degrees = list(map(sum, ideal.gens))
-        self.width = width = 8 * (max(degrees, default=0).bit_length() // 8 + 1)
-        self.ones = ((1 << width * nvars) - 1) // ((1 << width) - 1)
-        self.guard = self.ones << (width - 1)
-        # each generator is a sum over its nonzero fields
-        lows = [1 << width * v for v in reversed(range(nvars))]
-        self.root = tuple(
-            sum(map(mul, compress(g, g), compress(lows, g)), d << width * nvars)
-            for g, d in zip(ideal.gens, degrees))
-
-
-def _kpoly(gens, run):
-    """K-polynomial of the quotient by the packed minimal generators gens,
-    or at a split the pair of children (generators of I + (x), generators
-    of I : x), each minimal and sorted."""
-    if not gens:
-        return [1]
-    if not gens[0]:
-        return []  # unit ideal, zero quotient
+def _kpoly(gens, linear, run):
+    """K-polynomial of the node (gens, linear): the quotient by the packed
+    minimal generators gens, none linear, and by `linear` variables they do
+    not hold.  At a split, the pair of children (I + (x), I : x) instead,
+    each a node of the same form with its generators sorted."""
     guard, ones, width, nvars = run.guard, run.ones, run.width, run.nvars
+    top = width * nvars
     # each generator's support, the low bit of each of its nonzero fields:
     # with no carry in their sum, the generators are pairwise coprime
     supports = [((g | guard) - ones) >> (width - 1) & ones for g in gens]
     if sum(supports).bit_count() == sum(map(int.bit_count, supports)):
-        # the product of the (1 - t^deg g), the variables' (1 - t)^a at once
-        degrees = [g >> width * nvars for g in gens]
-        a = degrees.count(1)
-        num = [(-1) ** j * comb(a, j) for j in range(a + 1)]
-        for d in degrees:
-            if d > 1:
-                num += [0] * d
-                num[d:] = map(sub, num[d:], num)
+        # (1 - t)^linear times the product of the (1 - t^deg g)
+        num = [(-1) ** j * comb(linear, j) for j in range(linear + 1)]
+        for g in gens:
+            d = g >> top
+            num += [0] * d
+            num[d:] = map(sub, num[d:], num)
         return num
     # how many generators hold each variable: the supports summed, 255 at
     # a time so that no field's low byte carries, read off byte by byte
@@ -249,22 +288,38 @@ def _kpoly(gens, run):
         counts = list(map(add, counts, low_bytes[step - 1::step]))
     pivot = counts.index(max(counts))
     field = ((1 << width) - 1) << width * (nvars - 1 - pivot)
-    var = (1 << width * nvars) | (field & ones)
+    var = (1 << top) | (field & ones)
 
-    # I + (x): x and the pivot-free generators, already minimal.
-    # I : x: every g/x stays minimal, since g/x | h/x would mean g | h and
-    # h | g/x would mean h | g; only a pivot-free h that some g/x divides
-    # stops being minimal.  Subtraction keeps the quotients sorted.
+    # I + (x): the pivot-free generators, still minimal, and x one more
+    # linear generator.  I : x: every g/x stays minimal, since g/x | h/x
+    # would mean g | h and h | g/x would mean h | g, and subtraction keeps
+    # them sorted; the linear ones, a prefix, join the count.  A pivot-free
+    # h stops being minimal exactly when some g/x divides it: when h holds
+    # a variable of a linear g/x, one test on the mask `lone`, or when a
+    # g/x of degree >= 2 divides it, which is never h itself (else h | g).
+    # So a quadric h stays, and a squarefree cubic h stays unless one of
+    # its 2-subsets is the support of a quadric g/x, in the set `pairs`
+    # (a quadric g/x of one variable, x_v^2, never divides h); any other h
+    # is tested against every g/x of degree >= 2.
     free = [g for g in gens if not g & field]
     quotients = [g - var for g in gens if g & field]
+    cut = bisect_left(quotients, 2 << top)
+    lone = reduce(or_, quotients[:cut], 0) & ones
+    heavy = quotients[cut:]
+    pairs = {((q | guard) - ones) >> (width - 1) & ones
+             for q in heavy[:bisect_left(heavy, 3 << top)]}
     kept = []
-    for h in free:
-        for q in quotients:
-            if packed_divides(q, h, guard):
-                break
-        else:
+    for h, s in zip(gens, supports):
+        if h & field or s & lone:
+            continue
+        degree = h >> top
+        if degree == 3 == s.bit_count():
+            low, high = s & -s, 1 << (s.bit_length() - 1)
+            if not (s ^ low in pairs or s ^ high in pairs or low | high in pairs):
+                kept.append(h)
+        elif degree == 2 or not any(packed_divides(q, h, guard) for q in heavy):
             kept.append(h)
-    return tuple(sorted(free + [var])), tuple(sorted(quotients + kept))
+    return (free, linear + 1), (sorted(heavy + kept), linear + cut)
 
 
 def krull_dimension(series):

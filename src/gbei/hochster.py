@@ -204,7 +204,9 @@ class BettiTable:
                 f"depth={self.depth()} reg={self.regularity()}>")
 
 
-def _check_input(name, ideal, p, cap):
+def _checked_complex(name, ideal, p, cap):
+    """The Stanley-Reisner complex of the ideal, once the inputs pass,
+    with the ideal's generators walked for squarefreeness once."""
     if not ideal.is_squarefree():
         raise ValueError(f"{name} requires a squarefree monomial ideal")
     if ideal.is_unit():
@@ -213,6 +215,7 @@ def _check_input(name, ideal, p, cap):
     if ideal.nvars > cap:
         raise CapExceededError(
             f"{ideal.nvars} variables exceeds the Hochster cap of {cap}")
+    return SimplicialComplex(ideal.nvars, map(mono_mask, ideal.gens))
 
 
 def betti_table(ideal, p=DEFAULT_PRIME, cap=15):
@@ -224,8 +227,7 @@ def betti_table(ideal, p=DEFAULT_PRIME, cap=15):
     with a dominated vertex v takes the ranks of sigma - v, done before it,
     or none when sigma - v is no union, so a nonempty cone.
     """
-    _check_input("betti_table", ideal, p, cap)
-    supports = SimplicialComplex.of_ideal(ideal).supports
+    supports = _checked_complex("betti_table", ideal, p, cap).supports
 
     closed = {0}
     for s in supports:
@@ -367,8 +369,7 @@ def depth_and_regularity(ideal, p=DEFAULT_PRIME, cap=HOCHSTER_CAP):
     pruned by their cone points), each link |V'| vertices wide, reduced by
     `_collapsed_ranks` only while it can still lower depth or raise reg.
     """
-    _check_input("depth_and_regularity", ideal, p, cap)
-    complex_ = SimplicialComplex.of_ideal(ideal)
+    complex_ = _checked_complex("depth_and_regularity", ideal, p, cap)
     cone = ideal.nvars - reduce(or_, complex_.supports, 0).bit_count()
     depth, reg = ideal.nvars + 1, -1
 

@@ -50,7 +50,8 @@ from .graphs import (CUT_SET_CAP, PartiteSpec, complete_multipartite,
                      cut_sets, konig_path, path_target_length, validate_path)
 from .groebner import Ideal, TermOrder, _Packing
 from .hilbert import (HilbertSeries, MonomialIdeal, _mul_one_minus_t_power,
-                      hilbert_series, krull_dimension, multiplicity)
+                      hilbert_series, krull_dimension, multiplicity,
+                      packed_hilbert_series)
 from .hochster import HOCHSTER_CAP, depth_and_regularity
 from .rings import (DEFAULT_PRIME, Poly, Ring, iter_bits, minimal_masks,
                     mono_coprime, mono_mask)
@@ -169,6 +170,7 @@ def _meet_series(P, variable_sets, exact=False):
     HS(S/M) − HS(S/X) is Σ_U c_U (HS(S/P_U) − HS(S/(in(P) + P_U))), c_U the
     sum of (−1)^(|F|+1) over the F with union U; S/(in(P) + P_U) is the ring
     on the variables outside U over the generators of in(P) missing U.
+    Distinct U can give one such ideal, whose series is taken once.
     """
     found = P._basis(P.default_order(), _segre_floor(P))[2]
     ini = P.initial_ideal()
@@ -183,12 +185,15 @@ def _meet_series(P, variable_sets, exact=False):
             signs[U | V] -= c
         signs[V] += 1
     masks = [mono_mask(g) for g in ini.gens]
+    terms = {}  # the U's term by its small ideal: distinct U may give one
     for U, c in signs.items():
         keep = [not U >> v & 1 for v in range(P.ring.nvars)]
         small = [tuple(compress(g, keep)) for g, s in zip(ini.gens, masks) if not s & U]
         if c and small:  # with no generator, both series of U are 1/(1-t)^|keep|
-            term = HilbertSeries((1,), sum(keep)) - hilbert_series(
-                MonomialIdeal._of_minimal(sum(keep), small))
+            ideal = MonomialIdeal._of_minimal(sum(keep), small)
+            if ideal not in terms:
+                terms[ideal] = HilbertSeries((1,), ideal.nvars) - hilbert_series(ideal)
+            term = terms[ideal]
             series += HilbertSeries([c * a for a in term.numerator], term.pole)
     return series
 
@@ -208,7 +213,8 @@ def _certified_initial(J, G, term_order, low):
     x[i,l]·D(jr;vk) − x[j,l]·D(ir;vk).  Every minor on the right lies on
     the edge {v,l} or {v,k}, so it is ± a generator of J, and L ⊆ in(J):
     HS(S/L) ≥ HS(S/J) ≥ low, so HS(S/L) == low proves L = in(J).  Products
-    a quadric lm divides, or already in L, are skipped: L is minimal."""
+    a quadric lm divides, or already in L, are skipped: L is minimal, and
+    its series is taken on the packed lms as they are."""
     ring, packing = J.ring, _Packing(term_order)
     rows, cols = range(1, ring.rows + 1), range(1, ring.cols + 1)
     # x[a,b] packed: a 1 in the field of its rank
@@ -235,8 +241,10 @@ def _certified_initial(J, G, term_order, low):
                     if any(total.values()):
                         return None
                     cubics.add(lead)
-    L = MonomialIdeal._of_minimal(ring.nvars, map(packing.unpack, quadrics | cubics))
-    return L if hilbert_series(L) == low else None
+    L = quadrics | cubics
+    if packed_hilbert_series(ring.nvars, L) != low:
+        return None
+    return MonomialIdeal._of_minimal(ring.nvars, map(packing.unpack, L))
 
 
 def _floored_basis(spec, G, cut_sets, prime, term_order, timing):

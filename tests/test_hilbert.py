@@ -9,12 +9,14 @@ import pytest
 
 import gbei.hilbert as hilbert_module
 from gbei import PartiteSpec, complete_multipartite, generalized_bei, predict
+from gbei.groebner import _Packing
 from gbei.hilbert import (
     HilbertSeries,
     MonomialIdeal,
     hilbert_series,
     krull_dimension,
     multiplicity,
+    packed_hilbert_series,
 )
 from gbei.rings import TermOrder
 from gbei.verify import enumerate_specs
@@ -210,21 +212,24 @@ def _unpack(x, run):
 
 
 def _record_nodes(monkeypatch):
-    """The generator tuples of the recursion nodes, unpacked as they go."""
+    """The (generator tuples, linear count) nodes of the recursion,
+    unpacked as they go."""
     kpoly = hilbert_module._kpoly
     nodes = []
 
-    def recorded(gens, run):
-        nodes.append(tuple(_unpack(x, run) for x in gens))
-        return kpoly(gens, run)
+    def recorded(gens, linear, run):
+        nodes.append((tuple(_unpack(x, run) for x in gens), linear))
+        return kpoly(gens, linear, run)
 
     monkeypatch.setattr(hilbert_module, "_kpoly", recorded)
     return nodes
 
 
 def _canonical(nvars, nodes):
-    """Each node keyed on its minimal generators in MonomialIdeal's order."""
-    return all(MonomialIdeal(nvars, gens).gens == gens for gens in nodes)
+    """Each node keyed on its minimal generators in MonomialIdeal's order,
+    none of them linear."""
+    return all(MonomialIdeal(nvars, gens).gens == gens
+               and min(map(sum, gens), default=2) >= 2 for gens, _ in nodes)
 
 
 @pytest.mark.parametrize("seed", range(1, 41))
@@ -300,27 +305,29 @@ def test_a_long_chain_of_i_plus_x_takes_no_stack():
 
 def _reference_nodes(ideal):
     """The nodes of the pivot recursion on exponent tuples, in visiting
-    order: most frequent pivot, ties to the smallest index, and both
-    branches minimalized and sorted by MonomialIdeal."""
+    order: most frequent pivot, ties to the smallest index, both branches
+    minimalized and sorted by MonomialIdeal, and each node's linear
+    generators taken out into a count."""
     nvars = ideal.nvars
     nodes = []
 
-    def run(gens):
-        nodes.append(gens)
-        if not gens or not any(gens[0]):
-            return
+    def run(gens, linear):
+        nonlinear = tuple(g for g in gens if sum(g) != 1)
+        linear += len(gens) - len(nonlinear)
+        nodes.append((nonlinear, linear))
+        gens = nonlinear
         counts = [sum(1 for g in gens if g[v]) for v in range(nvars)]
-        if max(counts) < 2:
+        if max(counts, default=0) < 2:
             return
         pivot = counts.index(max(counts))
         free = [g for g in gens if not g[pivot]]
-        var = tuple(int(v == pivot) for v in range(nvars))
-        run(MonomialIdeal(nvars, free + [var]).gens)
+        run(MonomialIdeal(nvars, free).gens, linear + 1)
         colon = [g[:pivot] + (g[pivot] - 1,) + g[pivot + 1:]
                  for g in gens if g[pivot]]
-        run(MonomialIdeal(nvars, colon + free).gens)
+        run(MonomialIdeal(nvars, colon + free).gens, linear)
 
-    run(ideal.gens)
+    if not ideal.is_unit():
+        run(ideal.gens, 0)
     return nodes
 
 
@@ -348,6 +355,100 @@ def test_nodes_match_a_tuple_recursion(monkeypatch, ideal):
     assert nodes == _reference_nodes(ideal)
 
 
+def _mixed_ideal(seed):
+    """Generators of every kind the recursion treats apart: linear ones,
+    squarefree quadrics and cubics, and non-squarefree ones of degree 2 to
+    5, on 2 to 7 variables."""
+    rng = random.Random(f"mixed {seed}")
+    nvars = rng.randrange(2, 8)
+    gens = []
+    for _ in range(rng.randrange(1, 16)):
+        kind = rng.choice((1, 2, 3, 3, 0, 0))
+        mono = [0] * nvars
+        if kind:  # squarefree of degree kind, or fewer on few variables
+            for v in rng.sample(range(nvars), min(kind, nvars)):
+                mono[v] = 1
+        else:
+            for _ in range(rng.randrange(2, 6)):
+                mono[rng.randrange(nvars)] += 1
+        gens.append(tuple(mono))
+    return MonomialIdeal(nvars, gens)
+
+
+def _shuffled_packing(nvars, seed):
+    """`groebner`'s one-byte packing under a seeded order of the variables."""
+    perm = list(range(nvars))
+    random.Random(f"perm {seed}").shuffle(perm)
+    return _Packing(TermOrder("shuffled", perm))
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_both_entries_match_monomial_counting(seed):
+    # a linear generator goes into a node's count, a linear quotient drops
+    # the generators holding its variable, and a squarefree cubic is
+    # tested by its pairs; the packed entry reads the variables permuted
+    ideal = _mixed_ideal(seed)
+    counts = [_count_standard_monomials(ideal, d) for d in range(7)]
+    assert hilbert_series(ideal).coefficients(6) == counts, ideal.gens
+    packing = _shuffled_packing(ideal.nvars, seed)
+    packed = packed_hilbert_series(ideal.nvars, {packing.pack(g) for g in ideal.gens})
+    assert packed.coefficients(6) == counts, ideal.gens
+
+
+@pytest.mark.parametrize("gens", [
+    # pivot x0 (ties to the smallest index): I : x0 has the quotients
+    # x1^2 (x3^2 in the third) and x2^2, which share a variable with the
+    # pivot-free x1x2x3, or x1x2, yet divide neither, so both stay
+    [(1, 2, 0, 0), (0, 1, 1, 1), (1, 0, 2, 0)],
+    [(1, 2, 0, 0), (0, 1, 1, 0), (1, 0, 2, 0)],
+    [(1, 0, 0, 2), (0, 1, 1, 1), (1, 0, 2, 0)],
+    # x0x1 leaves the linear x1, which takes x1x2x3 out of I : x0
+    [(1, 1, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0)],
+])
+def test_colon_drops_exactly_what_a_quotient_divides(monkeypatch, gens):
+    nodes = _record_nodes(monkeypatch)
+    ideal = MonomialIdeal(4, gens)
+    counts = [_count_standard_monomials(ideal, d) for d in range(7)]
+    assert hilbert_series(ideal).coefficients(6) == counts
+    assert nodes == _reference_nodes(ideal)
+
+
+@pytest.mark.parametrize("gens", [
+    [(126, 1), (60, 2), (0, 3)],    # degree 127: one byte per variable
+    [(127, 1), (60, 2), (0, 3)],    # degree 128: the tuple path's wider fields
+    [(127, 100), (100, 127), (3, 120)],
+    [(1, 0), (127, 9), (0, 127)],
+])
+def test_packed_entry_past_degree_127(gens):
+    ideal = MonomialIdeal(2, gens)
+    top = max(map(sum, ideal.gens))
+    counts = [_count_standard_monomials(ideal, d) for d in range(top + 3)]
+    for seed in range(2):
+        packing = _shuffled_packing(2, seed)
+        series = packed_hilbert_series(2, {packing.pack(g) for g in ideal.gens})
+        assert series == hilbert_series(ideal)
+        assert series.coefficients(top + 2) == counts
+
+
+def test_packed_entry_of_no_generators_and_of_the_unit_ideal():
+    assert packed_hilbert_series(3, set()) == HilbertSeries((1,), 3)
+    assert packed_hilbert_series(3, {0}).is_zero()
+
+
+@pytest.mark.parametrize("order", ["lex-row-major", "lex-column-major"])
+def test_packed_and_tuple_entries_agree_on_the_small_specs(order):
+    # in(J) as `groebner` packs its leading monomials, in the order's
+    # variable order, against the exponent tuples of in(J)
+    specs = [s for s in enumerate_specs(8, 8) if s.m * s.n <= 16]
+    for spec in specs:
+        J = generalized_bei(spec.m, complete_multipartite(spec))
+        term_order = TermOrder.by_name(order, J.ring)
+        ini = J.initial_ideal(term_order)
+        packing = _Packing(term_order)
+        packed = packed_hilbert_series(J.ring.nvars, {packing.pack(g) for g in ini.gens})
+        assert packed == hilbert_series(ini), spec
+
+
 def test_staircase_example():
     # (x^2, xy) leaves 1, x, and the pure powers of y: 1/(1-t) + t
     I = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -363,9 +464,16 @@ def test_staircase_example():
 ])
 def test_recursion_node_counts(monkeypatch, m, parts, count):
     # every node is visited once, keyed on its minimal generators in
-    # MonomialIdeal's order
+    # MonomialIdeal's order; the packed entry, under lex-row-major's
+    # identity order of the variables, visits the same nodes
     nodes = _record_nodes(monkeypatch)
     J = generalized_bei(m, complete_multipartite(PartiteSpec(m, parts)), 32003)
-    hilbert_series(J.initial_ideal(TermOrder.lex_row_major(J.ring)))
+    order = TermOrder.lex_row_major(J.ring)
+    ini = J.initial_ideal(order)
+    hilbert_series(ini)
     assert len(nodes) == count
     assert _canonical(J.ring.nvars, nodes)
+    assert nodes == _reference_nodes(ini)
+    packing = _Packing(order)
+    packed_hilbert_series(J.ring.nvars, {packing.pack(g) for g in ini.gens})
+    assert nodes[count:] == nodes[:count]

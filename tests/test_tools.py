@@ -76,8 +76,7 @@ def test_every_gbei_name_the_layers_use_exists(monkeypatch):
                  "gbei.groebner._spair", "gbei.verify.Ideal",
                  "gbei.verify.verify", "gbei.verify._stated_components",
                  "gbei.verify._segre_floor", "gbei.verify._meet_series",
-                 "gbei.verify._certified_initial",
-                 "gbei.verify.hilbert_series",
+                 "gbei.verify._certified_initial", "gbei.hilbert._series",
                  "gbei.cut_sets", "benchmark.workloads.random_graph"):
         assert name in found, name
     missing = [f"{dotted}.{name}" for dotted, owner, name in used
@@ -161,35 +160,50 @@ def test_the_groebner_layer_times_what_verify_builds(monkeypatch):
     assert row["digest"] == hashlib.sha256(monomials).hexdigest()
 
 
+def _taken_at_the_entry(monkeypatch):
+    """The (nvars, generator set) of every series gbei takes from now on,
+    read off the arguments of the one recursion entry."""
+    import gbei.hilbert as hilbert
+
+    taken = []
+    entry = hilbert._series
+
+    def caught(nvars, width, gens):
+        field = (1 << width) - 1
+        taken.append((nvars, frozenset(
+            tuple(g >> width * (nvars - 1 - v) & field for v in range(nvars))
+            for g in gens)))
+        return entry(nvars, width, gens)
+
+    monkeypatch.setattr(hilbert, "_series", caught)
+    return taken
+
+
 def test_the_hilbert_layer_takes_the_series_verify_takes(monkeypatch):
     # every ideal the layer times on the first spec is one whose series
-    # verify() takes there: in its certificate of in(J), P_0's Groebner
-    # floor, or its decomposition bound
+    # verify() takes there: in P_0's Groebner floor, its decomposition
+    # bound, where two unions give one ideal, or its certificate of in(J)
     monkeypatch.syspath_prepend(str(ROOT))
-    import gbei.groebner as groebner
     from gbei import PartiteSpec, verify
 
-    verify_module = importlib.import_module("gbei.verify")
     bench = _load_bench()
     items = [(name, ideal) for name, ideal in bench._hilbert_ideals()
              if name.startswith("4,(2,2) ")]
     assert [name for name, _ in items] == [
-        "4,(2,2) in(J)", "4,(2,2) L(P_0)",
-        "4,(2,2) in(P_0) + P_U 1, |U| = 8", "4,(2,2) in(P_0) + P_U 2, |U| = 8"]
-    taken = []
-    for module in (groebner, verify_module):
-        series = module.hilbert_series
-        monkeypatch.setattr(module, "hilbert_series",
-                            lambda ideal, series=series: taken.append(ideal) or series(ideal))
+        "4,(2,2) L(P_0)", "4,(2,2) in(P_0) + P_U 1, |U| = 8", "4,(2,2) in(J)"]
+    taken = _taken_at_the_entry(monkeypatch)
     verify(PartiteSpec(4, (2, 2)), prime=bench.PRIME, hochster_cap=0)
-    taken = {(ideal.nvars, frozenset(ideal.gens)) for ideal in taken}
+    assert len(taken) == len(items)
     for name, ideal in items:
         assert (ideal.nvars, frozenset(ideal.gens)) in taken, name
+    J, _, _ = bench._decomposition(4, (2, 2))
+    assert items[-1][1] == J.initial_ideal()
 
 
 def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     import gbei.groebner as groebner
+    import gbei.hilbert as hilbert
     from gbei import PartiteSpec, verify
 
     verify_module = importlib.import_module("gbei.verify")
@@ -197,7 +211,7 @@ def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
     row, seconds = next(bench.decomposition())
     assert (row["spec"], row["nvars"]) == ("4,(2,2)", 16)
     with bench._counting(verify_module, "Ideal") as fallbacks, \
-            bench._counting(verify_module, "hilbert_series") as series, \
+            bench._counting(hilbert, "_series") as series, \
             bench._counting(groebner, "_spair") as spairs:
         report = verify(PartiteSpec(4, (2, 2)), prime=bench.PRIME,
                         groebner_cap=bench.WIDE_CAP, hochster_cap=0)
@@ -206,8 +220,8 @@ def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
     assert (row["fallbacks"], row["series"], row["spairs"]) == (
         fallbacks.calls, series.calls, spairs.calls)
     assert row["fallbacks"] == 0  # the bound settles the row
-    # in(P_0) reaches its Segre floor, and the union of the two variable
-    # sets holds every variable: one small series per set, then HS(S/L) of
-    # the certificate of in(J), which reduces no S-pair
+    # at the one recursion entry: HS(S/L(P_0)), equal to its Segre floor
+    # at once, the one small series both variable sets give, then HS(S/L)
+    # of the certificate of in(J), which reduces no S-pair
     assert (row["series"], row["spairs"]) == (3, 0)
     assert seconds > 0

@@ -193,15 +193,6 @@ def test_hochster_cap_skips_homology_rows():
     assert report.row("decomposition")["status"] == "match"
 
 
-@pytest.mark.parametrize("m, parts", [(4, (2, 2)), (2, (2, 2, 2, 3))])
-def test_depth_and_reg_past_the_hochster_cap(m, parts):
-    # 16 and 18 variables: skipping cone links keeps each under a second
-    report = verify(PartiteSpec(m, parts), hochster_cap=18)
-    assert report.row("depth")["status"] == "match"
-    assert report.row("reg")["status"] == "match"
-    assert not report.has_mismatch
-
-
 def test_no_row_is_skipped_inside_the_groebner_cap():
     # both default caps are 18: depth and reg are computed on the 68 specs
     # of 16 to 18 variables too, and every row matches

@@ -11,9 +11,11 @@ LAYER is one of
   the faces of the union of the supports, the faces the link walk visits,
   the non-coned faces, the links reduced (`_collapsed_ranks` calls), the
   reductions on faces under them, and (depth, reg);
-- hilbert: `hilbert_series` on 20 monomial ideals, the series `verify()`
-  takes on 4 specs and in(J) on 3 specs of 24 variables, with the
-  generators, the recursion nodes (`_kpoly` calls) and the series;
+- hilbert: `hilbert_series` on the distinct monomial ideals whose series
+  `verify()`'s stages take on 4 specs and on 3 specs of 40 to 45
+  variables, caught at the one recursion entry, and on in(J) for 3 specs
+  of 24 variables, with the generators, the recursion nodes (`_kpoly`
+  calls) and the series;
 - groebner: the Groebner bases `verify()` builds or falls back to, in(J)
   on 5 specs (4 under the Hilbert floor `verify()` passes) and on 3 specs
   of 24 variables, in(P_0) under its Segre floor then the containment test
@@ -24,7 +26,8 @@ LAYER is one of
   verify-elimination specs and on 5 specs of 24 to 30 variables, with the
   row statuses, the exact fallbacks (calls of `gbei.verify.Ideal`, which
   only the fallback makes), the Hilbert series taken (calls of
-  `gbei.verify.hilbert_series`) and the S-pairs reduced (`_spair` calls);
+  `gbei.hilbert._series`, the one recursion entry) and the S-pairs
+  reduced (`_spair` calls);
 - cutsets: `cut_sets` on 13 graphs on 16 vertices, the eight seeded ones
   the cli-mix workload reads among them, with the edges and the cut sets.
 
@@ -74,6 +77,8 @@ LINKS_SPECS = ((3, (1, 1, 2)), (3, (1, 3)), (3, (2, 2)), (3, (1, 1, 1, 1, 1)),
 # the verify-elimination specs, then in(J) alone past the Groebner cap
 MEET_SPECS = ((4, (2, 2)), (3, (1, 1, 1, 3)), (3, (3, 3)), (2, (2, 2, 2, 3)))
 LARGE_SPECS = ((2, (1, 11)), (2, (3, 9)), (3, (1, 7)))
+# the verify stages up to in(J) at 40 to 45 variables
+HUGE_SPECS = ((4, (5, 5)), (3, (5, 5, 5)), (6, (3, 4)))
 CLI_HILBERT_SPECS = ((3, (3, 3)), (2, (4, 5)))
 # the slowest specs of 19-24 and of 25-30 variables with both caps raised
 WIDE_SPECS = ((4, (3, 3)), (3, (3, 7)))
@@ -193,35 +198,71 @@ def _decomposition(m, parts):
     return J, *_stated_components(spec, G, predict(spec).cut_sets, PRIME)
 
 
+@contextmanager
+def _catching():
+    """Yield a dict that collects, as its keys in the order first taken,
+    the distinct monomial ideals whose series gbei takes inside the block,
+    caught at the one recursion entry `hilbert._series`; a side without it
+    builds one `hilbert._Run` of the ideal per series, caught there instead."""
+    import gbei.hilbert as hilbert
+    from gbei import MonomialIdeal
+
+    caught = {}
+    entry = getattr(hilbert, "_series", None)
+    if entry is None:
+        name, original = "_Run", hilbert._Run
+
+        def catch(ideal):
+            caught.setdefault(ideal)
+            return original(ideal)
+    else:
+        name, original = "_series", entry
+
+        def catch(nvars, width, gens):
+            field = (1 << width) - 1
+            caught.setdefault(MonomialIdeal._of_minimal(nvars, [
+                tuple(g >> width * (nvars - 1 - v) & field for v in range(nvars))
+                for g in gens]))
+            return original(nvars, width, gens)
+
+    setattr(hilbert, name, catch)
+    try:
+        yield caught
+    finally:
+        setattr(hilbert, name, original)
+
+
 def _hilbert_ideals():
-    """Monomial ideals whose series `verify()` takes on the verify-elimination
-    specs: in(J), whose series checks the certificate of in(J); L(P_0),
-    the leading terms of P_0's generators, whose series opens the
-    Hilbert-floor check of P_0's basis; and the small series of the
-    decomposition bound, HS(S/(in(P_0) + P_U)) for each union U of the
-    variable sets, caught as `verify._meet_series` takes them.  Then in(J)
-    alone for the specs past the Groebner cap."""
-    from gbei import MonomialIdeal, TermOrder
+    """The monomial ideals whose series `verify()` takes, caught as its
+    stages take them on the verify-elimination specs and on 3 specs of 40
+    to 45 variables: L(P_0), the leading terms of P_0's generators, whose
+    series ends the Hilbert-floor check of P_0's basis at once; the small
+    series of the decomposition bound, HS(S/(in(P_0) + P_U)) for a union U
+    of the variable sets, each distinct one once; and in(J), whose series
+    checks the certificate of in(J).  Then in(J) alone for the specs past
+    the Groebner cap."""
+    from gbei import PartiteSpec, TermOrder, complete_multipartite
 
     verify_module = importlib.import_module("gbei.verify")
-    for m, parts in MEET_SPECS + LARGE_SPECS:
+    for m, parts in MEET_SPECS + HUGE_SPECS:
         name = _spec_name(m, parts)
-        yield f"{name} in(J)", _initial(m, parts)
-        if (m, parts) in LARGE_SPECS:
-            continue
-        _, P, variable_sets = _decomposition(m, parts)
-        yield f"{name} L(P_0)", MonomialIdeal._of_minimal(P.ring.nvars, {
-            g.leading_monomial(TermOrder.lex_row_major(P.ring)) for g in P.gens})
-        small = []
-        series = verify_module.hilbert_series
-        verify_module.hilbert_series = lambda ideal: small.append(ideal) or series(ideal)
-        try:
-            verify_module._meet_series(P, variable_sets)
-        finally:
-            verify_module.hilbert_series = series
+        J, P, variable_sets = _decomposition(m, parts)
+        G = complete_multipartite(PartiteSpec(m, parts))
+        with _catching() as floor:
+            P._basis(P.default_order(), verify_module._segre_floor(P))
+        with _catching() as small:
+            low = verify_module._meet_series(P, variable_sets)
+        with _catching() as certificate:
+            verify_module._certified_initial(J, G, TermOrder.lex_row_major(J.ring), low)
+        for ideal in floor:
+            yield f"{name} L(P_0)", ideal
         for index, ideal in enumerate(small):
             yield (f"{name} in(P_0) + P_U {index + 1}, "
                    f"|U| = {P.ring.nvars - ideal.nvars}"), ideal
+        for ideal in certificate:
+            yield f"{name} in(J)", ideal
+    for m, parts in LARGE_SPECS:
+        yield f"{_spec_name(m, parts)} in(J)", _initial(m, parts)
 
 
 def hilbert():
@@ -320,6 +361,7 @@ def groebner():
 
 def decomposition():
     import gbei.groebner as groebner
+    import gbei.hilbert as hilbert
     from gbei import PartiteSpec
 
     # the package re-exports verify(), which hides the submodule attribute
@@ -335,7 +377,7 @@ def decomposition():
         _, best = _best(run)
         with ExitStack() as stack:
             fallbacks = stack.enter_context(_counting(verify_module, "Ideal"))
-            series = stack.enter_context(_counting(verify_module, "hilbert_series"))
+            series = stack.enter_context(_counting(hilbert, "_series"))
             spairs = stack.enter_context(_counting(groebner, "_spair"))
             report = run()
         yield {"spec": _spec_name(m, parts), "nvars": spec.m * spec.n,
