@@ -9,12 +9,11 @@ two can be compared row by row.
 """
 
 from .errors import CapExceededError
-from .formulas import (Prediction, bipartite_multiplicity,
-                       decomposition_components, generalized_bei, pair_ideal,
-                       predict, predicted_cut_sets, predicted_dimension,
-                       predicted_depth, predicted_hilbert,
-                       predicted_multiplicity, predicted_regularity,
-                       prime_component)
+from .formulas import (Prediction, bipartite_multiplicity, generalized_bei,
+                       pair_ideal, predict, predicted_cut_sets,
+                       predicted_dimension, predicted_depth,
+                       predicted_hilbert, predicted_multiplicity,
+                       predicted_regularity, prime_component)
 from .graphs import (PartiteSpec, SimpleGraph, complete_graph,
                      complete_multipartite, connected_components, cut_sets,
                      graph_from_json, konig_path, load_graph,
@@ -38,7 +37,7 @@ __all__ = [
     "SimpleGraph", "SimplicialComplex", "TermOrder",
     "betti_table", "bipartite_multiplicity", "buchberger",
     "complete_graph", "complete_multipartite", "connected_components",
-    "cut_sets", "decomposition_components", "depth_and_regularity",
+    "cut_sets", "depth_and_regularity",
     "enumerate_specs", "generalized_bei", "graph_from_json",
     "hilbert_series", "ideals_equal", "initial_ideal", "intersect",
     "konig_check", "konig_path", "krull_dimension", "load_graph",

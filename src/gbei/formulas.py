@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (PartiteSpec, SimpleGraph, complete_graph,
-                     complete_multipartite, connected_components, konig_path)
+                     connected_components, konig_path)
 from .groebner import Ideal
 from .hilbert import HilbertSeries
 from .rings import DEFAULT_PRIME, Poly, Ring
@@ -71,18 +71,6 @@ def predicted_cut_sets(spec: PartiteSpec):
     if not spec.all_ones:
         cuts += [spec.complement(k) for k in range(spec.s, spec.r + 1)]
     return tuple(cuts)
-
-
-def decomposition_components(spec: PartiteSpec, prime: int = DEFAULT_PRIME):
-    """The predicted minimal primary decomposition, as (T, P_T) pairs.
-
-    T = ∅ contributes the determinantal ideal of the clique closure; each
-    T_k leaves only the isolated vertices of block k, so P_{T_k} is the
-    variable ideal A_k on the complementary columns.
-    """
-    G = complete_multipartite(spec)
-    return [(T, prime_component(spec.m, G, T, prime))
-            for T in predicted_cut_sets(spec)]
 
 
 # --------------------------------------------------------------------------

@@ -280,7 +280,10 @@ def _dominated(dominations, sigma):
 def _link(verts, nonfaces, u):
     """lk u in the complex on `verts` with minimal non-faces `nonfaces`: the
     v with {u, v} a face, and the minimal T - u among them.  Only a T - u
-    with u in T can lie in another T', and then only with u not in T'."""
+    with u in T can lie in another T', and then only with u not in T'.
+    Such a T' is kept when none of its nonempty submasks is a T - u, looked
+    up in a set, or, when T' has more submasks than there are T - u, when
+    no T - u lies inside it."""
     bit = 1 << u
     through = [t ^ bit for t in nonfaces if t & bit]
     # a T = {u, v} takes v out, and u and v keep every other T out
@@ -288,8 +291,21 @@ def _link(verts, nonfaces, u):
     through = [t for t in through if not t & ~verts]
     rest = [t for t in nonfaces if not t & ~verts]
     if through:
-        rest = [t for t in rest if all(r & ~t for r in through)]
+        hashed = set(through)
+        rest = [t for t in rest if not _holds_one(t, through, hashed)]
     return verts, through + rest
+
+
+def _holds_one(t, through, hashed):
+    """Whether a set of `through`, all of them in `hashed`, lies inside t."""
+    if 1 << t.bit_count() > len(through):
+        return any(not r & ~t for r in through)
+    sub = t
+    while sub:
+        if sub in hashed:
+            return True
+        sub = (sub - 1) & t
+    return False
 
 
 def _apexes(verts, nonfaces):

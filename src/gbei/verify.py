@@ -17,16 +17,20 @@ ideal (x_T).  J ⊆ (x_T) iff every edge of G meets T, so a stated T that
 leaves an edge reads mismatch.  (x_T) holds a polynomial exactly when
 each of its terms holds one of its variables, a test on support bitmasks,
 so the containment row J ⊆ P_T divides by P_∅'s basis only.  That basis
-is built under the Segre floor: P_∅ ⊆ ker(x[i,j] -> s_i t_j), checked,
-gives HS(S/P_∅) ≥ HS(k[s_i t_j]).  With M the meet of the other P_T,
-HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ + M)); with in(P_∅) + M for
-P_∅ + M the sum is `low` ≤ HS(S/I), its monomial series by
-inclusion–exclusion over the unions of the P_T's variable sets.
-Once J ⊆ I, S/J → S/I is a graded surjection, so low is a floor for J,
-and J = I iff HS(S/J) = HS(S/I): low == HS(S/J) settles the row, and only
-otherwise does P_∅ + M get a basis.  Then in(J) takes no S-pair: leading
-terms of elements of J, each checked by a ±1 cofactor identity, have a
-series equal to low (`_certified_initial`), else J's basis is built.
+is built under the report's term order and the Segre floor: P_∅ ⊆
+ker(x[i,j] -> s_i t_j), checked, gives HS(S/P_∅) ≥ HS(k[s_i t_j]).  With
+M the meet of the other P_T, HS(S/I) = HS(S/P_∅) + HS(S/M) − HS(S/(P_∅ +
+M)); with in(P_∅) + M for P_∅ + M the sum is `low` = HS(S/(in(P_∅) ∩
+M)) ≤ HS(S/I), its monomial series by inclusion–exclusion over the
+unions of the P_T's variable sets.  Once J ⊆ I, S/J → S/I is a graded
+surjection, so low is a floor for J, and J = I iff HS(S/J) = HS(S/I):
+low == HS(S/J) settles the row, and only otherwise does P_∅ + M get a
+basis.  Then in(J) takes no S-pair and no series.  Leading terms of
+elements of J, each checked by a ±1 cofactor identity, span an L ⊆
+in(J), and J ⊆ I gives in(J) ⊆ in(P_∅) ∩ M under the one order.  So once
+table lookups find every generator of in(P_∅) ∩ M in (L), L = in(J) =
+in(P_∅) ∩ M and HS(S/J) = low (`_certified_initial`); else J's basis is
+built.
 
 Caps are per stage: an instance too big for Buchberger still gets its cut
 sets and path checked, and one past the Hochster cap still gets
@@ -50,8 +54,7 @@ from .graphs import (CUT_SET_CAP, PartiteSpec, complete_multipartite,
                      cut_sets, konig_path, path_target_length, validate_path)
 from .groebner import Ideal, TermOrder, _Packing
 from .hilbert import (HilbertSeries, MonomialIdeal, _mul_one_minus_t_power,
-                      hilbert_series, krull_dimension, multiplicity,
-                      packed_hilbert_series)
+                      hilbert_series, krull_dimension, multiplicity)
 from .hochster import HOCHSTER_CAP, depth_and_regularity
 from .rings import (DEFAULT_PRIME, Poly, Ring, iter_bits, minimal_masks,
                     mono_coprime, mono_mask)
@@ -121,21 +124,24 @@ def _in_variable_ideals(polys, variable_sets):
     return all(s & V for V in variable_sets for s in supports)
 
 
-def _meet(nvars, variable_sets):
-    """M, the intersection of the variable ideals on the given bitmasks.
-
-    x^S lies in all of them exactly when S meets every set, so M is
-    generated by the minimal such S, grown one set V at a time: an S that
-    misses V gains each variable of V in turn, and `minimal_masks` keeps
-    the minimal results.
-    """
+def _transversals(variable_sets):
+    """The minimal bitmasks that meet every set of variable_sets, grown one
+    set V at a time: a mask that misses V gains each bit of V in turn, and
+    `minimal_masks` keeps the minimal results."""
     minimal = [0]
     for V in variable_sets:
-        lows = [1 << v for v in range(nvars) if V >> v & 1]
+        lows = [1 << v for v in iter_bits(V)]
         minimal = minimal_masks({S if S & V else S | low
                                  for S in minimal for low in lows})
-    return MonomialIdeal._of_minimal(
-        nvars, [tuple(S >> v & 1 for v in range(nvars)) for S in minimal])
+    return minimal
+
+
+def _meet(nvars, variable_sets):
+    """M, the intersection of the variable ideals on the given bitmasks:
+    x^S lies in all of them exactly when S meets every set, so M is
+    generated by the `_transversals`."""
+    return MonomialIdeal._of_minimal(nvars, [
+        tuple(S >> v & 1 for v in range(nvars)) for S in _transversals(variable_sets)])
 
 
 def _segre_floor(P):
@@ -158,13 +164,15 @@ def _segre_floor(P):
     return HilbertSeries(_mul_one_minus_t_power(h, m + n - 1)[:m + n - 1], m + n - 1)
 
 
-def _meet_series(P, variable_sets, exact=False):
+def _meet_series(P, variable_sets, order=None, exact=False):
     """HS(S/(P ∩ M)), M the meet of the variable ideals P_V on variable_sets,
     when exact; else `low`, a lower bound on it.  Both are HS(S/P) + HS(S/M)
     − HS(S/X), by 0 → S/(P ∩ M) → S/P ⊕ S/M → S/(P + M) → 0, with X = P + M
     from its generators' basis, or X = in(P) + M ⊆ in(P + M) for low: the
-    ideals are homogeneous, and A ⊆ B gives HS(S/A) ≥ HS(S/B).  P's basis
-    is built under `_segre_floor`, which is HS(S/P) if the basis reaches it.
+    ideals are homogeneous, and A ⊆ B gives HS(S/A) ≥ HS(S/B).  By the same
+    sequence low is exactly HS(S/(in(P) ∩ M)).  P's basis is built under
+    `order` (default lex-row-major) and `_segre_floor`, which is HS(S/P) if
+    the basis reaches it.
     low builds no M: a monomial is outside M iff it is outside some P_V, and
     the P_V of a subfamily F sum to P_U, U = ∪F, so degree by degree its
     HS(S/M) − HS(S/X) is Σ_U c_U (HS(S/P_U) − HS(S/(in(P) + P_U))), c_U the
@@ -172,8 +180,9 @@ def _meet_series(P, variable_sets, exact=False):
     on the variables outside U over the generators of in(P) missing U.
     Distinct U can give one such ideal, whose series is taken once.
     """
-    found = P._basis(P.default_order(), _segre_floor(P))[2]
-    ini = P.initial_ideal()
+    order = order or P.default_order()
+    found = P._basis(order, _segre_floor(P))[2]
+    ini = P.initial_ideal(order)
     series = hilbert_series(ini) if found is None else found
     if exact:
         M = _meet(P.ring.nvars, variable_sets)
@@ -204,18 +213,16 @@ def _signed_minor(x, a, b, c, d):
     return () if a == b else ((x[a, c] + x[b, d], 1), (x[a, d] + x[b, c], -1))
 
 
-def _certified_initial(J, G, term_order, low):
-    """in(J) with no S-pair reduced, given `low` ≤ HS(S/J), or None.
-
-    L holds the lms of J's generators and x[r,v]·lm(D(ij;kl)) for each
-    non-edge {k,l} of G, v adjacent to both, i < j and row r, each product
-    checked by expanding x[r,v]·D(ij;kl) = x[r,k]·D(ij;vl) +
-    x[i,l]·D(jr;vk) − x[j,l]·D(ir;vk).  Every minor on the right lies on
-    the edge {v,l} or {v,k}, so it is ± a generator of J, and L ⊆ in(J):
-    HS(S/L) ≥ HS(S/J) ≥ low, so HS(S/L) == low proves L = in(J).  Products
-    a quadric lm divides, or already in L, are skipped: L is minimal, and
-    its series is taken on the packed lms as they are."""
-    ring, packing = J.ring, _Packing(term_order)
+def _leading_terms(J, G, packing):
+    """L, the packed lms of J's generators and of x[r,v]·D(ij;kl) for each
+    non-edge {k,l} of G, v adjacent to both, i < j and row r, or None if
+    one identity below fails.  Each product is checked by expanding
+    x[r,v]·D(ij;kl) = x[r,k]·D(ij;vl) + x[i,l]·D(jr;vk) − x[j,l]·D(ir;vk).
+    Every minor on the right lies on the edge {v,l} or {v,k}, so it is ± a
+    generator of J, and L ⊆ in(J).  Products a quadric lm divides, or
+    already in L, are skipped: L is squarefree quadrics and cubics, none
+    dividing another."""
+    ring = J.ring
     rows, cols = range(1, ring.rows + 1), range(1, ring.cols + 1)
     # x[a,b] packed: a 1 in the field of its rank
     x = {(a, b): 1 << 8 * (ring.nvars - 1 - packing.rank[ring.var_index(a, b)])
@@ -241,27 +248,64 @@ def _certified_initial(J, G, term_order, low):
                     if any(total.values()):
                         return None
                     cubics.add(lead)
-    L = quadrics | cubics
-    if packed_hilbert_series(ring.nvars, L) != low:
+    return quadrics | cubics
+
+
+def _certified_initial(J, G, term_order, P, variable_sets):
+    """in(J) under term_order with no S-pair reduced and no series taken,
+    given J ⊆ P ∩ M, M the meet of the variable ideals on variable_sets;
+    or None.
+
+    Under one order J ⊆ P ∩ M gives in(J) ⊆ in(P) ∩ M, and `_leading_terms`
+    gives L ⊆ in(J), so L = in(J) once in(P) ∩ M ⊆ (L), checked on
+    generators.  in(P) ∩ M is generated by the a·t, a an lm of P's basis
+    under term_order and t a minimal set meeting every V that a misses:
+    (a) ∩ (x_V) is (a) when a holds a variable of V, and a·(x_V) when it
+    does not, since (x_V) is prime.  L is squarefree, so a·t lies in (L)
+    exactly when a 2- or 3-subset of its support is in L; an a·t outside
+    (L) gives None."""
+    packing = _Packing(term_order)
+    L = _leading_terms(J, G, packing)
+    if L is None:
         return None
-    return MonomialIdeal._of_minimal(ring.nvars, map(packing.unpack, L))
+    nvars = J.ring.nvars
+    # a variable set's packed mask: the low bit of each of its variables' fields
+    sets = [sum(1 << 8 * (nvars - 1 - packing.rank[v]) for v in iter_bits(V))
+            for V in variable_sets]
+    transversals = {}  # by the sets an lm misses
+    for lm, _, _ in P._basis(term_order)[1]:
+        a = packing.support(lm) >> 7  # lm's support: the low bit of each of its fields
+        missed = tuple(V for V in sets if not a & V)
+        if missed not in transversals:
+            transversals[missed] = _transversals(missed)
+        for t in transversals[missed]:
+            if a | t in L:
+                continue
+            bits = [1 << b for b in iter_bits(a | t)]
+            if not any(sum(c) in L for k in (2, 3) for c in combinations(bits, k)):
+                return None
+    return MonomialIdeal._of_minimal(nvars, map(packing.unpack, L))
 
 
 def _floored_basis(spec, G, cut_sets, prime, term_order, timing):
     """The decomposition stage, then in(J), timed into `timing`: P_∅, the
     other components' variable bitmasks, low, J ⊆ I, in(J), and HS(S/J) if
-    low proved it, else None.  If J ⊆ I, in(J) is certified, or, failing
-    that, read off J's basis under the floor low; else off J's plain basis."""
+    low proved it, else None.  P_∅'s one basis, its division and low are
+    taken under term_order, the order of in(J).  If J ⊆ I, in(J) is
+    certified by in(P_∅) ∩ M ⊆ (L), and then HS(S/J) = low; failing that,
+    in(J) is read off J's basis under the floor low; if J ⊄ I, off J's
+    plain basis."""
     t0 = time.perf_counter()
     J = generalized_bei(spec.m, G, prime)
     P, variable_sets = _stated_components(spec, G, cut_sets, prime)
-    low = _meet_series(P, variable_sets)
-    contained = (all(P.contains(g) for g in J.gens)
+    low = _meet_series(P, variable_sets, term_order)
+    contained = (all(P.contains(g, term_order) for g in J.gens)
                  and _in_variable_ideals(J.gens, variable_sets))
     timing["decomposition"] = (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
-    # J ⊆ P_∅ ∩ M makes low a floor: HS(S/J) ≥ HS(S/(P_∅ ∩ M)) ≥ low
-    ini = _certified_initial(J, G, term_order, low) if contained else None
+    # J ⊆ P_∅ ∩ M makes low a floor: HS(S/J) ≥ HS(S/(P_∅ ∩ M)) ≥ low, and
+    # L = in(J) = in(P_∅) ∩ M gives HS(S/J) = low
+    ini = _certified_initial(J, G, term_order, P, variable_sets) if contained else None
     found = low
     if ini is None:
         found = J._basis(term_order, low if contained else None)[2]
@@ -326,7 +370,8 @@ def verify(spec: PartiteSpec, *, prime: int = DEFAULT_PRIME,
         t0 = time.perf_counter()
         computed["containment"] = contained
         computed["decomposition"] = contained and (
-            low == series or _meet_series(P, variable_sets, exact=True) == series)
+            low == series
+            or _meet_series(P, variable_sets, term_order, exact=True) == series)
         timing["decomposition"] += (time.perf_counter() - t0) * 1000
 
     if spec.n > CUT_SET_CAP:

@@ -13,7 +13,6 @@ import pytest
 from gbei.formulas import (
     _minor,
     bipartite_multiplicity,
-    decomposition_components,
     generalized_bei,
     pair_ideal,
     predict,
@@ -218,8 +217,7 @@ def test_cut_sets_formula_against_brute_force():
 
 def test_components_and_prime_component():
     spec = PartiteSpec(2, (1, 2))
-    comps = decomposition_components(spec)
-    assert [T for T, _ in comps] == [(), (1,)]
+    assert [T for _, T in predict(spec).components] == [(), (1,)]
     G = complete_multipartite(spec)
     P0 = prime_component(2, G, ())
     # the clique closure: all C(2,2)=1 row pairs times C(3,2)=3 column pairs

@@ -592,6 +592,37 @@ def test_a_cone_point_needs_every_support_through_it():
     assert _table_invariants(ideal, DEFAULT_PRIME) == (2, 1)
 
 
+def _scanned_link(verts, nonfaces, u):
+    """`_link` with its minimality filter as a scan of every T - u."""
+    bit = 1 << u
+    through = [t ^ bit for t in nonfaces if t & bit]
+    verts &= ~bit & ~sum(t for t in through if not t & (t - 1))
+    through = [t for t in through if not t & ~verts]
+    rest = [t for t in nonfaces if not t & ~verts]
+    return verts, through + [t for t in rest if all(r & ~t for r in through)]
+
+
+def test_the_hashed_link_filter_keeps_what_the_scan_keeps(monkeypatch):
+    # many small non-faces through u make the submask lookups run, few
+    # make the scan run; both must give the scan's list, in its order
+    rng = random.Random(31)
+    branches = []  # per filtered T: whether it took the submask lookups
+    holds_one = hochster._holds_one
+    monkeypatch.setattr(hochster, "_holds_one", lambda t, through, hashed: branches.append(
+        1 << t.bit_count() <= len(through)) or holds_one(t, through, hashed))
+    for _ in range(300):
+        nvars = rng.randrange(4, 13)
+        drawn = {sum(1 << v for v in rng.sample(range(nvars), rng.choice((2, 2, 3, 3, 4))))
+                 for _ in range(rng.randrange(1, 40))}
+        nonfaces = [s for s in drawn if not any(t != s and not t & ~s for t in drawn)]
+        rng.shuffle(nonfaces)
+        verts = reduce(or_, nonfaces)
+        for u in range(nvars):
+            assert hochster._link(verts, nonfaces, u) == _scanned_link(verts, nonfaces, u), (
+                nonfaces, u)
+    assert branches.count(True) >= 500 and branches.count(False) >= 500
+
+
 def _kept_by_the_prune(supports, face):
     """Brute force: the walk reaches F when for every lex prefix P of F,
     with u the next vertex of F, lk P has no cone point below max P and u

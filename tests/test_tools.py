@@ -181,8 +181,9 @@ def _taken_at_the_entry(monkeypatch):
 
 def test_the_hilbert_layer_takes_the_series_verify_takes(monkeypatch):
     # every ideal the layer times on the first spec is one whose series
-    # verify() takes there: in P_0's Groebner floor, its decomposition
-    # bound, where two unions give one ideal, or its certificate of in(J)
+    # verify() takes there: in P_0's Groebner floor, or its decomposition
+    # bound, where two unions give one ideal; the certificate of in(J)
+    # takes none
     monkeypatch.syspath_prepend(str(ROOT))
     from gbei import PartiteSpec, verify
 
@@ -190,14 +191,12 @@ def test_the_hilbert_layer_takes_the_series_verify_takes(monkeypatch):
     items = [(name, ideal) for name, ideal in bench._hilbert_ideals()
              if name.startswith("4,(2,2) ")]
     assert [name for name, _ in items] == [
-        "4,(2,2) L(P_0)", "4,(2,2) in(P_0) + P_U 1, |U| = 8", "4,(2,2) in(J)"]
+        "4,(2,2) L(P_0)", "4,(2,2) in(P_0) + P_U 1, |U| = 8"]
     taken = _taken_at_the_entry(monkeypatch)
     verify(PartiteSpec(4, (2, 2)), prime=bench.PRIME, hochster_cap=0)
     assert len(taken) == len(items)
     for name, ideal in items:
         assert (ideal.nvars, frozenset(ideal.gens)) in taken, name
-    J, _, _ = bench._decomposition(4, (2, 2))
-    assert items[-1][1] == J.initial_ideal()
 
 
 def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
@@ -221,7 +220,7 @@ def test_the_decomposition_layer_counts_what_verify_does(monkeypatch):
         fallbacks.calls, series.calls, spairs.calls)
     assert row["fallbacks"] == 0  # the bound settles the row
     # at the one recursion entry: HS(S/L(P_0)), equal to its Segre floor
-    # at once, the one small series both variable sets give, then HS(S/L)
-    # of the certificate of in(J), which reduces no S-pair
-    assert (row["series"], row["spairs"]) == (3, 0)
+    # at once, and the one small series both variable sets give; the
+    # certificate of in(J) takes no series and reduces no S-pair
+    assert (row["series"], row["spairs"]) == (2, 0)
     assert seconds > 0

@@ -581,23 +581,27 @@ def test_floored_bases_equal_plain_bases(prime, monkeypatch):
             floored.append((self, order))
         return basis(self, order, floor)
 
-    def recorded_certificate(J, G, term_order, low):
-        ini = certify(J, G, term_order, low)
+    def recorded_certificate(J, G, term_order, P, variable_sets):
+        ini = certify(J, G, term_order, P, variable_sets)
         certified.append((J, term_order, ini))
         return ini
 
     monkeypatch.setattr(Ideal, "_basis", recorded)
     monkeypatch.setattr(verify_module, "_certified_initial", recorded_certificate)
     for spec in [s for s in enumerate_specs(8, 8) if s.m * s.n <= 16]:
+        P, _ = _stated(spec, prime=prime)
         for order in ("lex-row-major", "lex-column-major"):
             floored.clear()
             certified.clear()
             verify(spec, prime=prime, order=order, hochster_cap=0)
-            assert len(floored) == 1, spec  # P_0
-            for ideal, term_order in floored:
-                plain = Ideal(ideal.ring, ideal.gens)
-                assert (ideal.groebner_basis(term_order)
-                        == plain.groebner_basis(term_order)), (spec, order)
+            # one floored basis, P_0's, under the report's order, which
+            # the certificate needs for in(J) ⊆ in(P_0)
+            [(ideal, term_order)] = floored
+            assert ideal.gens == P.gens, (spec, order)
+            assert term_order.perm == TermOrder.by_name(order, P.ring).perm, (spec, order)
+            plain = Ideal(ideal.ring, ideal.gens)
+            assert (ideal.groebner_basis(term_order)
+                    == plain.groebner_basis(term_order)), (spec, order)
             [(J, term_order, ini)] = certified
             assert ini == Ideal(J.ring, J.gens).initial_ideal(term_order), (spec, order)
 
@@ -618,14 +622,15 @@ def test_the_bound_settles_every_true_spec(order, monkeypatch):
         assert report.row("decomposition")["status"] == "match", spec
 
 
-def _floors(spec, prime):
-    """J, G, low, and low from the family with its last T dropped, a floor
-    strictly below HS(S/J) when the spec has a T ≠ ∅."""
+def _families(spec, prime):
+    """J, G, P_0, the variable sets of the stated family, and those of the
+    family with its last T dropped, whose M is strictly above J's when the
+    spec has a T ≠ ∅."""
     G = complete_multipartite(spec)
     cut_sets = verify_module.predict(spec).cut_sets
-    low, dropped = (verify_module._meet_series(*_stated(spec, family, prime))
-                    for family in (cut_sets, cut_sets[:-1]))
-    return generalized_bei(spec.m, G, prime), G, low, dropped
+    P, sets = _stated(spec, cut_sets, prime)
+    _, dropped = _stated(spec, cut_sets[:-1], prime)
+    return generalized_bei(spec.m, G, prime), G, P, sets, dropped
 
 
 _SIGNED_MINOR = verify_module._signed_minor
@@ -636,23 +641,56 @@ def _permanent(x, a, b, c, d):
     return [(mono, 1) for mono, _ in _SIGNED_MINOR(x, a, b, c, d)]
 
 
+_LEADING_TERMS = verify_module._leading_terms
+
+
+def _one_cubic_short(J, G, packing):
+    """L with its largest cubic left out."""
+    L = _LEADING_TERMS(J, G, packing)
+    return L - {max(lead for lead in L if packing.degree(lead) == 3)}
+
+
 @pytest.mark.parametrize("prime", [2, 32003])
 def test_the_certificate_gives_in_j_or_nothing(prime, monkeypatch):
     certify = verify_module._certified_initial
-    cases = []  # (spec, J, G, order, low, dropped)
+    cases = []  # (spec, J, G, order, P, sets)
     for spec in [s for s in enumerate_specs(8, 8) if s.m * s.n <= 16]:
-        J, G, low, dropped = _floors(spec, prime)
+        J, G, P, sets, dropped = _families(spec, prime)
         for name in ("lex-row-major", "lex-column-major"):
             order = TermOrder.by_name(name, J.ring)
-            cases.append((spec, J, G, order, low, dropped))
-            ini = certify(J, G, order, low)
+            cases.append((spec, J, G, order, P, sets))
+            ini = certify(J, G, order, P, sets)
             assert ini == Ideal(J.ring, J.gens).initial_ideal(order), (spec, name)
-            if not spec.all_ones:  # a floor below HS(S/J) proves nothing
-                assert certify(J, G, order, dropped) is None, (spec, name)
+            if not spec.all_ones:  # in(P_0) ∩ M is then above in(J)
+                assert certify(J, G, order, P, dropped) is None, (spec, name)
     monkeypatch.setattr(verify_module, "_signed_minor", _permanent)
-    for spec, J, G, order, low, _ in cases:
+    for spec, J, G, order, P, sets in cases:
         if not spec.all_ones:  # G has a non-edge, so an identity to check
-            assert certify(J, G, order, low) is None, (spec, order.name)
+            assert certify(J, G, order, P, sets) is None, (spec, order.name)
+    monkeypatch.setattr(verify_module, "_signed_minor", _SIGNED_MINOR)
+    monkeypatch.setattr(verify_module, "_leading_terms", _one_cubic_short)
+    short = 0
+    for spec, J, G, order, P, sets in cases:
+        if not spec.all_ones:  # in(J) then has a cubic minimal generator
+            assert certify(J, G, order, P, sets) is None, (spec, order.name)
+            short += 1
+    assert short == 130
+
+
+def test_the_certificate_takes_no_series(monkeypatch):
+    hilbert_module = importlib.import_module("gbei.hilbert")
+    entry = hilbert_module._series
+    taken = []
+    for spec in enumerate_specs(3, 5) + ELIMINATION_SPECS:
+        J, G, P, sets, _ = _families(spec, DEFAULT_PRIME)
+        for name in ("lex-row-major", "lex-column-major"):
+            order = TermOrder.by_name(name, J.ring)
+            verify_module._meet_series(P, sets, order)  # P_0's basis, as verify() builds it
+            monkeypatch.setattr(hilbert_module, "_series",
+                                lambda *args: taken.append(args) or entry(*args))
+            assert verify_module._certified_initial(J, G, order, P, sets) is not None
+            monkeypatch.setattr(hilbert_module, "_series", entry)
+    assert taken == []
 
 
 def _timeless(report):
@@ -661,7 +699,7 @@ def _timeless(report):
     return doc
 
 
-@pytest.mark.parametrize("mutant", ["permanent", "dropped T in the floor"])
+@pytest.mark.parametrize("mutant", ["permanent", "dropped T in the family"])
 def test_a_failed_certificate_falls_back_to_buchberger(mutant, monkeypatch):
     # the certificate fails under each mutant, and verify() then builds J's
     # basis under the true floor: the report is the unmutated one
@@ -678,10 +716,11 @@ def test_a_failed_certificate_falls_back_to_buchberger(mutant, monkeypatch):
     if mutant == "permanent":
         monkeypatch.setattr(verify_module, "_signed_minor", _permanent)
     for spec, expected in zip(specs, truth):
-        J, _, low, dropped = _floors(spec, DEFAULT_PRIME)
-        if mutant == "dropped T in the floor":
+        J, _, P, sets, dropped = _families(spec, DEFAULT_PRIME)
+        low = verify_module._meet_series(P, sets)
+        if mutant == "dropped T in the family":
             monkeypatch.setattr(verify_module, "_certified_initial",
-                                lambda J, G, order, low: certify(J, G, order, dropped))
+                                lambda J, G, order, P, sets: certify(J, G, order, P, dropped))
         built.clear()
         assert _timeless(verify(spec, hochster_cap=0)) == expected, spec
         assert (J.gens, low) in built, spec

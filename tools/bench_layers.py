@@ -7,10 +7,12 @@ LAYER is one of
 - betti: `betti_table` on 7 specs x 2 lex orders, with the sigma of the
   union closure, the sigma reduced on their faces (`_homology_ranks`
   calls), the entries and a SHA-256 of the table's rows;
-- links: `depth_and_regularity` (cap 18) on 11 specs, lex row-major, with
-  the faces of the union of the supports, the faces the link walk visits,
-  the non-coned faces, the links reduced (`_collapsed_ranks` calls), the
-  reductions on faces under them, and (depth, reg);
+- links: `depth_and_regularity` on 11 specs (cap 18) and on 3 specs of
+  40 to 45 variables (no cap), lex row-major, with the faces of the union
+  of the supports (counted off the Hilbert series, as sum_j h_j 2^(d-j)
+  halved once per vertex outside the union), the faces the link walk
+  visits, the non-coned faces, the links reduced (`_collapsed_ranks`
+  calls), the reductions on faces under them, and (depth, reg);
 - hilbert: `hilbert_series` on the distinct monomial ideals whose series
   `verify()`'s stages take on 4 specs and on 3 specs of 40 to 45
   variables, caught at the one recursion entry, and on in(J) for 3 specs
@@ -19,9 +21,10 @@ LAYER is one of
 - groebner: the Groebner bases `verify()` builds or falls back to, in(J)
   on 5 specs (4 under the Hilbert floor `verify()` passes) and on 3 specs
   of 24 variables, in(P_0) under its Segre floor then the containment test
-  on 4, and in(J) on those 4 the way `verify()` gets it, with the
-  generators, the basis size, the S-pairs reduced (`_spair` calls) and a
-  SHA-256 of the basis, or for in(J) alone of its generators;
+  on 4, and in(J) on those 4 and on 3 specs of 40 to 45 variables the way
+  `verify()` gets it, with the generators, the basis size, the S-pairs
+  reduced (`_spair` calls) and a SHA-256 of the basis, or for in(J) alone
+  of its generators;
 - decomposition: `verify()` (Groebner cap 30, Hochster cap 0) on the 4
   verify-elimination specs and on 5 specs of 24 to 30 variables, with the
   row statuses, the exact fallbacks (calls of `gbei.verify.Ideal`, which
@@ -48,6 +51,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import platform
@@ -159,25 +163,30 @@ def betti():
 
 
 def links():
-    from gbei import hochster
+    from gbei import hilbert_series, hochster
 
-    for m, parts in LINKS_SPECS:
+    for m, parts in LINKS_SPECS + HUGE_SPECS:
         ini = _initial(m, parts)
+        cap = CAP if (m, parts) in LINKS_SPECS else ini.nvars
         complex_ = hochster.SimplicialComplex.of_ideal(ini)
         union = 0
         for s in complex_.supports:
             union |= s
+        # the faces: sum_j h_j 2^(d-j) over the whole complex, each face of
+        # the union once per subset of the cone points outside it
+        series = hilbert_series(ini)
+        faces = sum(h << series.pole - j for j, h in enumerate(series.numerator))
         (depth, reg), best = _best(
-            lambda: hochster.depth_and_regularity(ini, PRIME, cap=CAP))
+            lambda: hochster.depth_and_regularity(ini, PRIME, cap=cap))
         with ExitStack() as stack:
             tables = stack.enter_context(_counting(hochster, "_homology_ranks"))
             collapsed = stack.enter_context(_counting(hochster, "_collapsed_ranks"))
             # a link the walk takes, not one a collapse tests a vertex by
             taken = stack.enter_context(_counting(hochster, "_link", collapsed))
-            hochster.depth_and_regularity(ini, PRIME, cap=CAP)
+            hochster.depth_and_regularity(ini, PRIME, cap=cap)
         walk = getattr(hochster, "_non_coned_faces", None)
         yield {"spec": _spec_name(m, parts), "nvars": ini.nvars,
-               "faces": sum(map(len, complex_.faces_by_size(union))),
+               "faces": faces >> ini.nvars - union.bit_count(),
                "visited": _calls(taken, 1),
                "non_coned": None if walk is None else sum(
                    1 for _ in walk(complex_, lambda *_: True)),
@@ -238,29 +247,21 @@ def _hilbert_ideals():
     to 45 variables: L(P_0), the leading terms of P_0's generators, whose
     series ends the Hilbert-floor check of P_0's basis at once; the small
     series of the decomposition bound, HS(S/(in(P_0) + P_U)) for a union U
-    of the variable sets, each distinct one once; and in(J), whose series
-    checks the certificate of in(J).  Then in(J) alone for the specs past
-    the Groebner cap."""
-    from gbei import PartiteSpec, TermOrder, complete_multipartite
-
+    of the variable sets, each distinct one once.  The certificate of in(J)
+    takes none.  Then in(J) alone for the specs past the Groebner cap."""
     verify_module = importlib.import_module("gbei.verify")
     for m, parts in MEET_SPECS + HUGE_SPECS:
         name = _spec_name(m, parts)
-        J, P, variable_sets = _decomposition(m, parts)
-        G = complete_multipartite(PartiteSpec(m, parts))
+        _, P, variable_sets = _decomposition(m, parts)
         with _catching() as floor:
             P._basis(P.default_order(), verify_module._segre_floor(P))
         with _catching() as small:
-            low = verify_module._meet_series(P, variable_sets)
-        with _catching() as certificate:
-            verify_module._certified_initial(J, G, TermOrder.lex_row_major(J.ring), low)
+            verify_module._meet_series(P, variable_sets)
         for ideal in floor:
             yield f"{name} L(P_0)", ideal
         for index, ideal in enumerate(small):
             yield (f"{name} in(P_0) + P_U {index + 1}, "
                    f"|U| = {P.ring.nvars - ideal.nvars}"), ideal
-        for ideal in certificate:
-            yield f"{name} in(J)", ideal
     for m, parts in LARGE_SPECS:
         yield f"{_spec_name(m, parts)} in(J)", _initial(m, parts)
 
@@ -285,8 +286,10 @@ def _groebner_calls():
     the verify-elimination specs, the containment row's test: P_0's basis
     under its Segre floor, J's generators divided by it and tested on their
     support bitmasks against the other components' variables, followed by
-    in(P_0); then in(J) on those specs the way `verify()` gets it, by the
-    certificate `_certified_initial` on a side that has it, else, as
+    in(P_0); then in(J) on those specs and on the 40 to 45 variable ones
+    the way `verify()` gets it, by the certificate `_certified_initial` on
+    a side that has it, called with the signature that side has, after
+    P_0's basis and the bound are built as `verify()` builds them; else, as
     `verify()` falls back, by J's basis under the decomposition bound.  A
     side with no Hilbert floors builds every basis with none, as its
     `verify()` does."""
@@ -314,9 +317,15 @@ def _groebner_calls():
             sys.exit("error: J is not inside the predicted components")
         return initial(fresh)
 
-    def certified(J, G, floor):
+    def certified(J, G, P, variable_sets, floor):
         order = TermOrder.lex_row_major(J.ring)
-        ini = certify(J, G, order, floor) if certify and floor is not None else None
+        ini = None
+        if certify and floor is not None:
+            # (J, G, order, low) before the inclusion proof, then
+            # (J, G, order, P, variable_sets)
+            family = (P, variable_sets) if len(
+                inspect.signature(certify).parameters) == 5 else (floor,)
+            ini = certify(J, G, order, *family)
         if ini is None:
             ini = initial(Ideal(J.ring, J.gens), floor).initial_ideal(order)
         return ini
@@ -333,12 +342,13 @@ def _groebner_calls():
         J, P, variable_sets = _decomposition(m, parts)
         yield (f"{_spec_name(m, parts)} containment, in(P_0)",
                lambda J=J, P=P, V=variable_sets: containment(J, P, V))
-    for m, parts in MEET_SPECS:
+    for m, parts in MEET_SPECS + HUGE_SPECS:
         J, P, variable_sets = _decomposition(m, parts)
         G = complete_multipartite(PartiteSpec(m, parts))
         floor = segre and verify_module._meet_series(P, variable_sets)
         yield (f"{_spec_name(m, parts)} in(J), as verify() gets it",
-               lambda J=J, G=G, floor=floor: certified(J, G, floor))
+               lambda J=J, G=G, P=P, V=variable_sets, floor=floor:
+               certified(J, G, P, V, floor))
 
 
 def groebner():
